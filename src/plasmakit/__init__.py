@@ -56,6 +56,7 @@ from .errors import (
 )
 from .probe import (
     ComplexResponse,
+    FrequencySweep,
     ProbeNetwork,
     RCStage,
     RationalTransferFunction,

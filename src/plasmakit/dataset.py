@@ -90,11 +90,6 @@ class Characterization:
         object.__setattr__(self, "input_range", (float(lo), float(hi)))
 
 
-# Default column names of the engineering CSV; a schema_map entry is
-# (source_column, scale_to_canonical_unit).
-_CANONICAL = {"t_ms": 1.0, "v_volts": 1.0, "i_amps": 1.0, "p_watts": 1.0, "lux": 1.0}
-
-
 def load_run(source: TextIO | str,
              schema_map: Optional[dict[str, tuple[str, float]]] = None,
              meta: Optional[ExperimentMeta] = None,

@@ -9,15 +9,22 @@ base stage, so the voltage transfer is
 For a uniform ladder (R1 = ... = Rn, C1 = ... = Cn) with the base
 capacitor chosen as C0 = C1*R1/R0, G(s) collapses to the constant
 R0/(n*R1 + R0): flat magnitude and zero phase at every frequency.
+
+Sweeps evaluate G(s) from the stage impedances, stage by stage over the
+whole frequency grid.  `transfer_function` exports the same G(s) as a ratio
+of expanded polynomials; their coefficients lose precision as the ladder
+grows, so it raises instead of returning a wrong expansion.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TextIO
+
+import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularityError
 
@@ -26,6 +33,7 @@ __all__ = [
     "ProbeNetwork",
     "RationalTransferFunction",
     "ComplexResponse",
+    "FrequencySweep",
     "stage_impedance",
     "transfer_function",
     "frequency_response",
@@ -40,6 +48,10 @@ __all__ = [
 # All R1..Rn (and C1..Cn) must agree to this relative tolerance for the
 # ladder to count as uniform.
 UNIFORMITY_RTOL = 1e-9
+
+# Largest relative error transfer_function tolerates in its expansion,
+# checked against the stage impedances at DC and at every corner frequency.
+EXPANSION_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,44 @@ class ComplexResponse:
         return 20.0 * math.log10(self.magnitude)
 
 
+@dataclass(frozen=True, eq=False)
+class FrequencySweep(Sequence):
+    """Gains of a network over a frequency grid, held as columns.
+
+    `frequency` (Hz) is a float array and `gain` a complex array, both
+    read-only; magnitude, phase and dB are derived from `gain` as arrays.
+    The sweep also reads as a sequence of ComplexResponse: an index gives
+    one response and a slice gives a shorter sweep.
+    """
+
+    frequency: np.ndarray
+    gain: np.ndarray
+
+    def __post_init__(self):
+        self.frequency.flags.writeable = False
+        self.gain.flags.writeable = False
+
+    @property
+    def magnitude(self) -> np.ndarray:
+        return np.abs(self.gain)
+
+    @property
+    def phase(self) -> np.ndarray:
+        return np.angle(self.gain)
+
+    @property
+    def magnitude_db(self) -> np.ndarray:
+        return 20.0 * np.log10(self.magnitude)
+
+    def __len__(self) -> int:
+        return len(self.frequency)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return FrequencySweep(self.frequency[k], self.gain[k])
+        return ComplexResponse(float(self.frequency[k]), complex(self.gain[k]))
+
+
 def _trim(coeffs: Iterable[float]) -> tuple[float, ...]:
     out = list(coeffs)
     while out and out[-1] == 0.0:
@@ -169,6 +219,44 @@ def stage_impedance(stage: RCStage, s: complex) -> complex:
     return stage.resistance / denom
 
 
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a / b by Smith's method, rounded as Python divides complex
+    numbers.  NumPy's complex division multiplies by a reciprocal, which can
+    put even a real quotient such as the DC gain an ulp off a float division."""
+    turn = np.where(np.abs(b.imag) > np.abs(b.real), -1j, 1.0)
+    a, b = a * turn, b * turn  # now |b.real| >= |b.imag|; exact for finite values
+    ratio = b.imag / b.real
+    denom = b.real + b.imag * ratio
+    out = np.empty_like(b)
+    out.real = (a.real + a.imag * ratio) / denom
+    out.imag = (a.imag - a.real * ratio) / denom
+    return out
+
+
+def _gain(net: ProbeNetwork, f: np.ndarray) -> np.ndarray:
+    """G = Z0 / (Z0 + Z1 + ... + Zn) at s = 2*pi*j*f over a float array f.
+
+    One pass per stage over the whole grid.  The ladder is summed in order
+    and Z0 added last, as in dc_attenuation, so f = 0 gives it exactly.
+    Raises DomainError where the gain comes out zero or non-finite, which
+    only over- or underflow of the stage impedances can cause.
+    """
+    s = 2j * math.pi * f
+
+    def z(st: RCStage) -> np.ndarray:
+        return st.resistance / (1.0 + st.resistance * st.capacitance * s)
+
+    with np.errstate(all="ignore"):
+        z0 = z(net.base)
+        gain = _quotient(z0, z0 + sum(map(z, net.ladder)))
+    bad = ~np.isfinite(gain) | (gain == 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(f"probe gain is {complex(gain[k])} at f = {float(f[k])!r} Hz: "
+                          "the stage impedances over- or underflow")
+    return gain
+
+
 def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
     """Build G(s) = Z0 / sum(Zi) as an explicit rational function.
 
@@ -178,7 +266,13 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
         num = R0 * prod_{j>=1} (1 + Rj*Cj*s)
         den = sum_i Ri * prod_{j != i} (1 + Rj*Cj*s)
 
-    which are assembled by polynomial convolution.
+    which are assembled by polynomial convolution.  The expanded
+    coefficients lose precision as the ladder grows (from about 55 stages
+    for typical components), so the result is checked against Z0/sum(Zi) at
+    DC and at the corner frequency 1/(2*pi*Ri*Ci) of every stage with a
+    capacitor; a relative error above EXPANSION_RTOL raises DomainError.
+    Sweeps do not use this form: bode_sweep and frequency_response evaluate
+    Z0/sum(Zi) directly.
     """
     stages = [net.base, *net.ladder]
     factors = [[1.0, st.resistance * st.capacitance] for st in stages]
@@ -195,7 +289,22 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
                 term = _conv(term, f)
         den = [x + y for x, y in _zip_pad(den, term)]
 
-    return RationalTransferFunction(tuple(num), tuple(den))
+    tf = RationalTransferFunction(tuple(num), tuple(den))
+    f = np.array([0.0] + [1.0 / (2.0 * math.pi * st.resistance * st.capacitance)
+                          for st in stages if st.capacitance > 0.0])
+    want = _gain(net, f)
+    s = 2j * math.pi * f
+    with np.errstate(all="ignore"):
+        got = np.polyval(tf.numerator[::-1], s) / np.polyval(tf.denominator[::-1], s)
+        err = np.abs(got - want) / np.abs(want)
+    bad = ~(err <= EXPANSION_RTOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(
+            f"transfer function of a {net.n}-stage ladder loses precision in its "
+            f"expansion: relative error {float(err[k]):.3g} at f = {float(f[k]):.6g} Hz; "
+            "use frequency_response or bode_sweep, which evaluate Z0/sum(Zi) directly")
+    return tf
 
 
 def _zip_pad(a: Sequence[float], b: Sequence[float]):
@@ -204,17 +313,15 @@ def _zip_pad(a: Sequence[float], b: Sequence[float]):
         yield (a[i] if i < len(a) else 0.0), (b[i] if i < len(b) else 0.0)
 
 
-def frequency_response(net: ProbeNetwork, f: float, *,
-                       tf: RationalTransferFunction | None = None) -> ComplexResponse:
-    """Evaluate the network gain at s = j*2*pi*f.
+def frequency_response(net: ProbeNetwork, f: float) -> ComplexResponse:
+    """Gain of the network at s = j*2*pi*f, evaluated as Z0/(Z0 + sum Zi).
 
-    Pass a precomputed `tf` when sweeping to avoid rebuilding it per point.
+    Uses the same stage-by-stage evaluation as bode_sweep, at one point;
+    f = 0 gives dc_attenuation exactly.
     """
-    if f < 0.0:
-        raise DomainError(f"frequency must be >= 0, got {f}")
-    if tf is None:
-        tf = transfer_function(net)
-    return ComplexResponse(frequency=f, gain=tf(2j * math.pi * f))
+    if not 0.0 <= f < math.inf:
+        raise DomainError(f"frequency must be finite and >= 0, got {f}")
+    return ComplexResponse(frequency=f, gain=complex(_gain(net, np.array([f], float))[0]))
 
 
 def dc_attenuation(net: ProbeNetwork) -> float:
@@ -263,10 +370,15 @@ def design_probe(target_ratio: float, n: int, ladder_r: float,
 
 
 def bode_sweep(net: ProbeNetwork, f_min: float, f_max: float, points: int,
-               spacing: str = "log") -> list[ComplexResponse]:
-    """Frequency responses over a log- or linearly-spaced grid."""
-    if not 0.0 < f_min < f_max:
-        raise DomainError(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
+               spacing: str = "log") -> FrequencySweep:
+    """Gains over a log- or linearly-spaced grid from f_min to f_max.
+
+    Evaluates Z0/(Z0 + sum Zi) on the whole grid at once, one stage at a
+    time, so the cost is O(n * points).  Raises DomainError for a grid that
+    is not finite and ordered, and where the gain over- or underflows.
+    """
+    if not 0.0 < f_min < f_max < math.inf:
+        raise DomainError(f"need 0 < f_min < f_max < inf, got [{f_min}, {f_max}]")
     if points < 2:
         raise DomainError(f"need at least 2 sweep points, got {points}")
     if spacing == "log":
@@ -277,13 +389,15 @@ def bode_sweep(net: ProbeNetwork, f_min: float, f_max: float, points: int,
     else:
         raise DomainError(f"spacing must be 'log' or 'linear', got {spacing!r}")
     grid[0], grid[-1] = f_min, f_max  # pin endpoints against rounding
-    tf = transfer_function(net)
-    return [frequency_response(net, f, tf=tf) for f in grid]
+    f = np.array(grid, float)
+    return FrequencySweep(f, _gain(net, f))
 
 
-def write_sweep_csv(responses: Iterable[ComplexResponse], out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["frequency_hz", "magnitude", "phase_rad", "magnitude_db"])
-    for r in responses:
-        writer.writerow([repr(r.frequency), repr(r.magnitude),
-                         repr(r.phase), repr(r.magnitude_db)])
+def write_sweep_csv(sweep: FrequencySweep, out: TextIO) -> None:
+    """Write a sweep as CSV with header frequency_hz,magnitude,phase_rad,
+    magnitude_db, one row per point, each value as the repr of a float."""
+    columns = (sweep.frequency, sweep.magnitude, sweep.phase, sweep.magnitude_db)
+    out.write("frequency_hz,magnitude,phase_rad,magnitude_db\n")
+    # The repr of a float never needs CSV quoting, so rows are formatted directly.
+    out.write("".join(f"{f!r},{m!r},{p!r},{d!r}\n"
+                      for f, m, p, d in zip(*(c.tolist() for c in columns))))

@@ -62,6 +62,14 @@ class TestProbeCommands:
         svg = svg_path.read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
+    def test_bode_non_finite_fmax_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "bode", "--n", "5", "--r1", "10e6",
+                                 "--c1", "15e-12", "--r0", "52.8e3", "--c0", "3e-9",
+                                 "--fmax", "inf")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_design_domain_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "probe", "design", "--ratio", "2.0",
                                "--n", "5", "--r1", "10e6", "--c1", "15e-12")

@@ -2,12 +2,14 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (
     DomainError,
+    FrequencySweep,
     PreconditionError,
     ProbeNetwork,
     RCStage,
@@ -24,6 +26,24 @@ from plasmakit import (
 )
 
 from conftest import direct_gain, reference_network
+
+# Long enough that the expanded polynomial of transfer_function is wrong in
+# the fourth digit at 1 kHz.
+LONG_LADDER = ProbeNetwork.uniform(80, 10e6, 15e-12, 52.8e3, 3e-9)
+
+
+@st.composite
+def networks(draw, max_n=200):
+    """Ladders of 0..max_n stages, R in 100 Ohm..10 MOhm and C in 1 pF..10 nF
+    (one stage in five a bare resistor); components come from a drawn seed,
+    since drawing each one makes generation the bulk of the test's time."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def stage():
+        c = 0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-12, -8)
+        return RCStage(10 ** rng.uniform(2, 7), c)
+    return ProbeNetwork(base=stage(), ladder=tuple(stage() for _ in range(n)))
 
 
 class TestStageImpedance:
@@ -105,6 +125,10 @@ class TestTransferFunction:
             want = direct_gain(net, f)
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_long_ladder_expansion_raises(self):
+        with pytest.raises(DomainError, match="loses precision"):
+            transfer_function(LONG_LADDER)
+
 
 class TestFrequencyResponse:
     def test_dc_limit_equals_attenuation(self):
@@ -128,6 +152,11 @@ class TestFrequencyResponse:
     def test_negative_frequency_rejected(self):
         with pytest.raises(DomainError):
             frequency_response(reference_network(), -1.0)
+
+    def test_non_finite_frequency_rejected(self):
+        for f in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                frequency_response(reference_network(), f)
 
 
 class TestDcAttenuation:
@@ -249,3 +278,33 @@ class TestBodeSweep:
             bode_sweep(net, 1.0, 1e6, 1)
         with pytest.raises(DomainError):
             bode_sweep(net, 1.0, 1e6, 10, "cubic")
+        for f_min, f_max in ((1.0, math.inf), (math.nan, 1e6), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                bode_sweep(net, f_min, f_max, 10)
+
+    def test_underflowing_gain_raises(self):
+        # R0*C0*s overflows, so Z0 and the gain come out exactly zero.
+        net = ProbeNetwork(base=RCStage(1e3, 1e300), ladder=(RCStage(1e6, 1e-12),))
+        with pytest.raises(DomainError, match="over- or underflow"):
+            bode_sweep(net, 1.0, 1e7, 10)
+
+    def test_columns_match_responses(self):
+        sweep = bode_sweep(reference_network(), 1.0, 1e7, 20)
+        assert isinstance(sweep, FrequencySweep) and len(sweep) == 20
+        assert sweep.frequency.dtype == float and sweep.gain.dtype == complex
+        assert not sweep.gain.flags.writeable
+        for name in ("magnitude", "phase", "magnitude_db"):
+            np.testing.assert_allclose(getattr(sweep, name),
+                                       [getattr(r, name) for r in sweep], rtol=1e-15)
+        tail = sweep[15:]
+        assert isinstance(tail, FrequencySweep) and len(tail) == 5
+        assert tail[-1] == sweep[19] == sweep[-1]
+
+    @given(networks(), st.floats(min_value=0.0, max_value=1e9))
+    @example(LONG_LADDER, 1e3)
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_and_point_match_oracle(self, net, f):
+        for r in bode_sweep(net, 1.0, 1e8, 41):
+            assert r.gain == pytest.approx(direct_gain(net, r.frequency), rel=1e-12)
+        assert frequency_response(net, f).gain == pytest.approx(direct_gain(net, f),
+                                                                rel=1e-12)
