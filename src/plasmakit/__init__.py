@@ -18,6 +18,7 @@ from .acquisition import (
     instantaneous_power,
     needle_voltage,
     offset_sum,
+    Samples,
     process_frame,
     replay_stream,
     shunt_current,
@@ -43,6 +44,7 @@ from .dataset import (
     load_run,
     save_characterization,
     summary_stats,
+    usable_mask,
 )
 from .errors import (
     BracketError,

@@ -9,14 +9,22 @@ the light-sensor amplifier.  The conversion chain is
     i       = (shunt_volts - offset) / shunt_ohms
     p       = v * i
     lux     = calibration curve applied to the light-channel volts
+
+Replay works on columns: a frame CSV is read in chunks of CHUNK_ROWS
+records, each distinct count of a channel is converted once by the scalar
+functions below, and the result is a columnar `Samples`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+import numbers
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, TextIO
+
+import numpy as np
 
 from .calibration import CalibrationCurve, InputKind, lux_from_input
 from .errors import DomainError, PreconditionError, RowError, SchemaError
@@ -25,6 +33,7 @@ __all__ = [
     "ChannelConfig",
     "AdcFrame",
     "PowerSample",
+    "Samples",
     "counts_to_volts",
     "needle_voltage",
     "offset_sum",
@@ -41,6 +50,15 @@ RAW_HEADER = ("t_ms", "raw_hv", "raw_shunt", "raw_ldr")
 ENG_HEADER = ("t_ms", "v_volts", "i_amps", "lux")
 OUT_HEADER = ("t_ms", "v_volts", "i_amps", "p_watts", "lux")
 
+# Records converted at a time when reading, and rows formatted at a time
+# when writing: enough that the per-chunk NumPy calls cost little per row,
+# few enough that a chunk's cells and strings stay a few megabytes.
+CHUNK_ROWS = 8192
+
+# Order of a row's errors: one that a row parser meets while parsing its
+# cells comes before one met while converting the parsed values.
+_PARSE, _CONVERT = 0, 1
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -53,6 +71,11 @@ class ChannelConfig:
     adc_fullscale_volts: float = 3.3
 
     def __post_init__(self):
+        for name in ("probe_ratio", "shunt_ohms", "offset_volts", "adc_fullscale_volts"):
+            if not _is_finite_number(getattr(self, name)):
+                raise DomainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if isinstance(self.adc_bits, bool) or not isinstance(self.adc_bits, numbers.Integral):
+            raise DomainError(f"adc_bits must be an integer, got {self.adc_bits!r}")
         if not 0.0 < self.probe_ratio < 1.0:
             raise DomainError(f"probe_ratio must be in (0, 1), got {self.probe_ratio}")
         if not self.shunt_ohms > 0.0:
@@ -61,13 +84,27 @@ class ChannelConfig:
             raise DomainError(f"adc_bits must be in [8, 24], got {self.adc_bits}")
         if not self.adc_fullscale_volts > 0.0:
             raise DomainError(f"adc_fullscale_volts must be > 0, got {self.adc_fullscale_volts}")
+        # v and i are monotone in the count, so every code then gives a
+        # finite v and i, and p = v*i is never NaN.
+        full = counts_to_volts(self, self.max_count)
+        extremes = (needle_voltage(self, full), shunt_current(self, full),
+                    shunt_current(self, 0.0))
+        if not all(map(math.isfinite, extremes)):
+            raise DomainError("full-scale voltage or current overflows with these constants")
 
     @property
     def max_count(self) -> int:
         return (1 << self.adc_bits) - 1
 
 
-DEFAULT_CONFIG = ChannelConfig()
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
 
 
 @dataclass(frozen=True)
@@ -78,6 +115,10 @@ class AdcFrame:
     raw_hv: int
     raw_shunt: int
     raw_ldr: Optional[int] = None
+
+
+def _inconsistent_power(p: float, expected: float) -> str:
+    return f"p_watts={p} inconsistent with v*i={expected}"
 
 
 @dataclass(frozen=True)
@@ -93,13 +134,68 @@ class PowerSample:
     def __post_init__(self):
         expected = self.v_volts * self.i_amps
         if not math.isclose(self.p_watts, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise DomainError(
-                f"p_watts={self.p_watts} inconsistent with v*i={expected}")
+            raise DomainError(_inconsistent_power(self.p_watts, expected))
 
     @classmethod
     def from_vi(cls, t_ms: float, v: float, i: float,
                 lux: Optional[float] = None) -> "PowerSample":
         return cls(t_ms=t_ms, v_volts=v, i_amps=i, p_watts=v * i, lux=lux)
+
+
+@dataclass(frozen=True, eq=False)
+class Samples(Sequence):
+    """Engineering samples held as columns: a replay's output or a run.
+
+    `t_ms`, `v_volts`, `i_amps`, `p_watts` and `lux` are read-only float
+    arrays of one length, with p_watts = v_volts * i_amps computed here.
+    `has_lux` marks the rows that carry a lux value; `lux` is NaN elsewhere,
+    and a row may also carry a NaN lux.  Samples also read as a sequence of
+    PowerSample: an index gives one sample, a slice or a boolean mask gives
+    Samples, and Samples compare equal to any sequence of equal samples.
+    """
+
+    t_ms: np.ndarray
+    v_volts: np.ndarray
+    i_amps: np.ndarray
+    lux: np.ndarray
+    has_lux: np.ndarray
+    p_watts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        cols = {name: np.asarray(getattr(self, name), dtype=float)
+                for name in ("t_ms", "v_volts", "i_amps", "lux")}
+        cols["has_lux"] = np.asarray(self.has_lux, dtype=bool)
+        if any(c.ndim != 1 or len(c) != len(cols["t_ms"]) for c in cols.values()):
+            raise DomainError("sample columns must be 1-D and of one length")
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols["p_watts"] = cols["v_volts"] * cols["i_amps"]
+        for name, col in cols.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def of(cls, samples: Iterable[PowerSample]) -> "Samples":
+        """Samples of PowerSamples (p is recomputed as v*i); Samples pass through."""
+        if isinstance(samples, Samples):
+            return samples
+        rows = [(s.t_ms, s.v_volts, s.i_amps, math.nan if s.lux is None else s.lux,
+                 s.lux is not None) for s in samples]
+        return cls(*(zip(*rows) if rows else [()] * 5))
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    def __getitem__(self, k):
+        if isinstance(k, numbers.Integral):
+            return PowerSample(float(self.t_ms[k]), float(self.v_volts[k]),
+                               float(self.i_amps[k]), float(self.p_watts[k]),
+                               float(self.lux[k]) if self.has_lux[k] else None)
+        return Samples(self.t_ms[k], self.v_volts[k], self.i_amps[k], self.lux[k], self.has_lux[k])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def counts_to_volts(cfg: ChannelConfig, raw: int) -> float:
@@ -128,6 +224,29 @@ def instantaneous_power(v: float, i: float) -> float:
     return v * i
 
 
+DEFAULT_CONFIG = ChannelConfig()
+
+
+def _check_light_curve(curve: Optional[CalibrationCurve]) -> None:
+    if curve is not None and curve.input_kind is not InputKind.SENSOR_VOLTAGE:
+        raise PreconditionError("light-channel curve must have input kind 'voltage'")
+
+
+def _channel(cfg: ChannelConfig, name: str, raw: int,
+             curve: Optional[CalibrationCurve] = None) -> float:
+    """One count of the hv, shunt or ldr channel in engineering units; an
+    error names the channel."""
+    try:
+        volts = counts_to_volts(cfg, raw)
+        if name == "hv":
+            return needle_voltage(cfg, volts)
+        if name == "shunt":
+            return shunt_current(cfg, volts)
+        return lux_from_input(curve, volts) if volts > 0.0 else 0.0
+    except DomainError as exc:
+        raise DomainError(f"{name} channel: {exc}") from exc
+
+
 def process_frame(cfg: ChannelConfig, frame: AdcFrame,
                   ldr_curve: Optional[CalibrationCurve] = None) -> PowerSample:
     """Full conversion of one raw frame to a PowerSample.
@@ -135,89 +254,220 @@ def process_frame(cfg: ChannelConfig, frame: AdcFrame,
     The lux field is present only when the frame carries a light-channel
     reading and a calibration curve is supplied.
     """
-    if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
-        raise PreconditionError("light-channel curve must have input kind 'voltage'")
-    try:
-        v = needle_voltage(cfg, counts_to_volts(cfg, frame.raw_hv))
-    except DomainError as exc:
-        raise DomainError(f"hv channel: {exc}") from exc
-    try:
-        i = shunt_current(cfg, counts_to_volts(cfg, frame.raw_shunt))
-    except DomainError as exc:
-        raise DomainError(f"shunt channel: {exc}") from exc
+    _check_light_curve(ldr_curve)
+    v = _channel(cfg, "hv", frame.raw_hv)
+    i = _channel(cfg, "shunt", frame.raw_shunt)
     lux = None
     if frame.raw_ldr is not None and ldr_curve is not None:
-        try:
-            ldr_volts = counts_to_volts(cfg, frame.raw_ldr)
-            lux = lux_from_input(ldr_curve, ldr_volts) if ldr_volts > 0.0 else 0.0
-        except DomainError as exc:
-            raise DomainError(f"ldr channel: {exc}") from exc
+        lux = _channel(cfg, "ldr", frame.raw_ldr, ldr_curve)
     return PowerSample.from_vi(frame.timestamp_ms, v, i, lux)
 
 
-def _parse_raw_row(row: dict, line_no: int) -> AdcFrame:
-    try:
-        ldr = row.get("raw_ldr")
-        return AdcFrame(
-            timestamp_ms=float(row["t_ms"]),
-            raw_hv=int(row["raw_hv"]),
-            raw_shunt=int(row["raw_shunt"]),
-            raw_ldr=int(ldr) if ldr not in (None, "") else None,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise RowError(line_no, f"bad raw frame: {exc}") from exc
+# ------------------------------------------------------------ CSV columns
+
+Cells = tuple  # one column of a chunk: str per record, None where a record is short
+Errors = dict  # row in the chunk -> (_PARSE or _CONVERT, message)
 
 
-def _parse_eng_row(row: dict, line_no: int) -> PowerSample:
+def _read_csv(source: TextIO) -> tuple[tuple[str, ...], Iterator[tuple[list[int], dict]]]:
+    """The header of a CSV and its records, CHUNK_ROWS at a time.
+
+    Each chunk is (lines, cells): the physical line each record ends on,
+    and for each header name the column of cells.  As with csv.DictReader,
+    blank lines hold no record, a short record's missing cells are None, a
+    long record's extra cells are ignored, and a repeated name keeps its
+    last column.
+    """
+    reader = csv.reader(source)
+    fields = tuple(next(reader, ()))
+
+    def chunk(lines, rows):
+        if min(map(len, rows)) < len(fields):
+            rows = [row + [None] * (len(fields) - len(row)) for row in rows]
+        return lines, dict(zip(fields, zip(*rows)))
+
+    def chunks():
+        lines, rows = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == CHUNK_ROWS:
+                    yield chunk(lines, rows)
+                    lines, rows = [], []
+        if rows:
+            yield chunk(lines, rows)
+
+    return fields, chunks()
+
+
+def _floats(cells: Optional[Cells], n: int, prefix: str,
+            optional: bool = False) -> tuple[np.ndarray, np.ndarray, Errors]:
+    """float() of every cell, the mask of the cells that hold a value, and
+    errors; a cell float() rejects reads NaN.  In an optional column an
+    empty or missing cell holds no value and no error."""
+    if cells is None:
+        return np.full(n, math.nan), np.zeros(n, dtype=bool), {}
+    present = np.fromiter(map(bool, cells), bool, n) if optional else np.ones(n, dtype=bool)
+    if not present.all():
+        cells = [cell or "nan" for cell in cells]
     try:
-        lux = row.get("lux")
-        return PowerSample.from_vi(
-            float(row["t_ms"]), float(row["v_volts"]), float(row["i_amps"]),
-            lux=float(lux) if lux not in (None, "") else None,
-        )
-    except (KeyError, ValueError, TypeError, DomainError) as exc:
-        raise RowError(line_no, f"bad engineering row: {exc}") from exc
+        return np.fromiter(map(float, cells), float, n), present, {}
+    except (ValueError, TypeError):
+        pass
+    values, errors = np.empty(n), {}
+    for k, cell in enumerate(cells):
+        try:
+            values[k] = float(cell)
+        except (ValueError, TypeError) as exc:
+            values[k], errors[k] = math.nan, (_PARSE, prefix + str(exc))
+    return values, present, errors
+
+
+class _CountTable(dict):
+    """The cells of one count column, each distinct cell converted once.
+
+    The table maps each cell it has met to a slot.  A new cell is parsed
+    with int() and the count converted by `convert`; the slot keeps the
+    value, or the text of the error the cell causes (never the exception,
+    whose traceback would keep a chunk's rows alive).  An ADC channel has
+    at most 2^adc_bits codes, so the table stays small.  With `optional`,
+    an empty or missing cell holds no value and no error; without
+    `convert`, no count does.
+    """
+
+    def __init__(self, convert: Optional[Callable[[int], float]], optional: bool = False):
+        super().__init__()
+        self.convert = convert
+        self.optional = optional
+        self.new: list = []                     # cells not yet converted
+        self.values = np.empty(0)               # per slot; NaN without a value
+        self.present = np.empty(0, dtype=bool)
+        self.failed = np.empty(0, dtype=bool)
+        self.errors: list[Optional[tuple[int, str]]] = []
+
+    def __missing__(self, cell) -> int:
+        self[cell] = slot = len(self)
+        self.new.append(cell)
+        return slot
+
+    def _entry(self, cell) -> tuple[float, bool, Optional[tuple[int, str]]]:
+        if self.optional and not cell:
+            return math.nan, False, None
+        try:
+            raw = int(cell)
+        except (ValueError, TypeError) as exc:
+            return math.nan, False, (_PARSE, f"bad raw frame: {exc}")
+        if self.convert is None:
+            return math.nan, False, None
+        try:
+            return self.convert(raw), True, None
+        except DomainError as exc:
+            return math.nan, False, (_CONVERT, str(exc))
+
+    def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, np.ndarray, Errors]:
+        """Values of the cells, the mask of those that hold one, and errors."""
+        ids = np.fromiter(map(self.__getitem__, (None,) * n if cells is None else cells),
+                          np.intp, n)
+        if self.new:
+            values, present, errors = zip(*map(self._entry, self.new))
+            self.new.clear()
+            self.values = np.append(self.values, values)
+            self.present = np.append(self.present, present)
+            self.failed = np.append(self.failed, [e is not None for e in errors])
+            self.errors.extend(errors)
+        rows = np.flatnonzero(self.failed[ids]).tolist()
+        return (self.values[ids], self.present[ids],
+                {k: self.errors[ids[k]] for k in rows})
+
+
+def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict: bool,
+             diagnostics: Optional[list], power_prefix: str) -> Samples:
+    """Samples of the rows of a CSV that convert, in order.
+
+    convert(cells, n, start) turns a chunk of n records, the first of them
+    record `start`, into the columns (t, v, i, lux, has_lux) and the errors
+    of each column, listed in the order a row parser reads the cells.  A
+    row's first error is the one reported: parse errors first, then the
+    column order, and last a NaN power (prefixed by power_prefix).  In
+    lenient mode each rejected row adds a RowError with its physical line
+    number to `diagnostics`; in strict mode the first one is raised.
+    """
+    parts, start = [], 0
+    for lines, cells in chunks:
+        columns, per_column = convert(cells, len(lines), start)
+        start += len(lines)
+        first: dict[int, tuple[int, str]] = {}
+        for errors in per_column:
+            for k, err in errors.items():
+                if k not in first or err[0] < first[k][0]:
+                    first[k] = err
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = columns[1] * columns[2]
+        for k in np.flatnonzero(np.isnan(p)).tolist():
+            first.setdefault(k, (_CONVERT, power_prefix + _inconsistent_power(p[k], p[k])))
+        if first:
+            for k in sorted(first):
+                err = RowError(lines[k], first[k][1])
+                if strict:
+                    raise err
+                if diagnostics is not None:
+                    diagnostics.append(err)
+            keep = np.ones(len(lines), dtype=bool)
+            keep[list(first)] = False
+            columns = tuple(c[keep] for c in columns)
+        parts.append(columns)
+    if not parts:
+        return Samples.of(())
+    return Samples(*(np.concatenate(c) for c in zip(*parts)))
 
 
 def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
                   ldr_curve: Optional[CalibrationCurve] = None,
                   strict: bool = False,
-                  diagnostics: Optional[list] = None) -> list[PowerSample]:
-    """Replay a frame CSV into PowerSamples, order preserved.
+                  diagnostics: Optional[list] = None) -> Samples:
+    """Replay a frame CSV into Samples, order preserved.
 
     The mode is chosen by header inspection: `t_ms,raw_hv,raw_shunt[,raw_ldr]`
     for raw counts, `t_ms,v_volts,i_amps[,lux]` for pre-scaled rows.  In
     lenient mode malformed rows are reported into `diagnostics` (as RowError
-    instances) and skipped; in strict mode the first one aborts the replay.
+    instances, numbered by the physical line the row ends on) and skipped;
+    in strict mode the first one aborts the replay.  A raw replay converts
+    each distinct count of a channel once, with the scalar functions above.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
             return replay_stream(fh, cfg, ldr_curve, strict, diagnostics)
-    reader = csv.DictReader(source)
-    fields = tuple(reader.fieldnames or ())
+    fields, chunks = _read_csv(source)
     if not fields:
-        return []
+        return Samples.of(())
     if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
-        raw_mode = True
-    elif set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
-        raw_mode = False
-    else:
-        raise SchemaError(f"unrecognized frame CSV header: {fields}")
+        _check_light_curve(ldr_curve)
+        hv = _CountTable(lambda raw: _channel(cfg, "hv", raw))
+        shunt = _CountTable(lambda raw: _channel(cfg, "shunt", raw))
+        ldr = _CountTable(None if ldr_curve is None else
+                          (lambda raw: _channel(cfg, "ldr", raw, ldr_curve)), optional=True)
 
-    samples: list[PowerSample] = []
-    for line_no, row in enumerate(reader, start=2):
-        try:
-            if raw_mode:
-                samples.append(process_frame(cfg, _parse_raw_row(row, line_no), ldr_curve))
-            else:
-                samples.append(_parse_eng_row(row, line_no))
-        except (RowError, DomainError) as exc:
-            err = exc if isinstance(exc, RowError) else RowError(line_no, str(exc))
-            if strict:
-                raise err from exc
-            if diagnostics is not None:
-                diagnostics.append(err)
-    return samples
+        def convert(cells, n, start):
+            t, _, t_errors = _floats(cells["t_ms"], n, "bad raw frame: ")
+            v, _, v_errors = hv.column(cells["raw_hv"], n)
+            i, _, i_errors = shunt.column(cells["raw_shunt"], n)
+            lux, has_lux, lux_errors = ldr.column(cells.get("raw_ldr"), n)
+            return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
+
+        return _collect(chunks, convert, strict, diagnostics, "")
+    if set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
+        prefix = "bad engineering row: "
+
+        def convert(cells, n, start):
+            t, _, t_errors = _floats(cells["t_ms"], n, prefix)
+            v, _, v_errors = _floats(cells["v_volts"], n, prefix)
+            i, _, i_errors = _floats(cells["i_amps"], n, prefix)
+            lux, has_lux, lux_errors = _floats(cells.get("lux"), n, prefix, optional=True)
+            return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
+
+        return _collect(chunks, convert, strict, diagnostics, prefix)
+    raise SchemaError(f"unrecognized frame CSV header: {fields}")
 
 
 def detect_ignition(samples: Sequence[PowerSample], i_min: float = 1e-3,
@@ -228,23 +478,28 @@ def detect_ignition(samples: Sequence[PowerSample], i_min: float = 1e-3,
         raise DomainError(f"i_min must be > 0, got {i_min}")
     if sustain < 1:
         raise DomainError(f"sustain must be >= 1, got {sustain}")
-    run_start = None
-    run_len = 0
-    for sample in samples:
-        if abs(sample.i_amps) >= i_min:
-            if run_len == 0:
-                run_start = sample.t_ms
-            run_len += 1
-            if run_len >= sustain:
-                return run_start
-        else:
-            run_len = 0
-    return None
+    samples = Samples.of(samples)
+    hot = np.abs(samples.i_amps) >= i_min
+    edges = np.diff(np.concatenate(([0], hot, [0])).astype(np.int8))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    long_runs = np.flatnonzero(stops - starts >= sustain)
+    return float(samples.t_ms[starts[long_runs[0]]]) if len(long_runs) else None
+
+
+def _reprs(col: np.ndarray) -> np.ndarray:
+    """repr of every value, called once per distinct bit pattern, so that
+    -0.0 and 0.0 stay apart."""
+    distinct, index = np.unique(col.view(np.int64), return_inverse=True)
+    return np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)[index]
 
 
 def write_samples_csv(samples: Iterable[PowerSample], out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(OUT_HEADER)
-    for s in samples:
-        writer.writerow([repr(s.t_ms), repr(s.v_volts), repr(s.i_amps),
-                         repr(s.p_watts), "" if s.lux is None else repr(s.lux)])
+    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs, CHUNK_ROWS
+    at a time; a missing lux is an empty cell."""
+    samples = Samples.of(samples)
+    out.write(",".join(OUT_HEADER) + "\n")
+    for start in range(0, len(samples), CHUNK_ROWS):
+        part = samples[start:start + CHUNK_ROWS]
+        columns = [_reprs(part.t_ms), _reprs(part.v_volts), _reprs(part.i_amps),
+                   _reprs(part.p_watts), np.where(part.has_lux, _reprs(part.lux), "")]
+        out.write("\n".join(map(",".join, zip(*(c.tolist() for c in columns)))) + "\n")

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import BracketError, DomainError, FitError, PreconditionError, SchemaError
+from .errors import BracketError, DomainError, FitError, PreconditionError, RowError, SchemaError
 
 __all__ = [
     "InputKind",
@@ -311,7 +311,8 @@ def load_curve(path) -> CalibrationCurve:
 
 
 def read_samples_csv(source: TextIO | str) -> list[CalibrationSample]:
-    """Read `input,lux` sample files (header required)."""
+    """Read `input,lux` sample files (header required); a row that is not two
+    positive numbers raises RowError with its line."""
     if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
             return read_samples_csv(fh)
@@ -320,5 +321,8 @@ def read_samples_csv(source: TextIO | str) -> list[CalibrationSample]:
         raise SchemaError("sample CSV must have header columns: input,lux")
     out = []
     for row in reader:
-        out.append(CalibrationSample(float(row["input"]), float(row["lux"])))
+        try:
+            out.append(CalibrationSample(float(row["input"]), float(row["lux"])))
+        except (ValueError, TypeError) as exc:  # DomainError is a ValueError
+            raise RowError(reader.line_num, str(exc)) from exc
     return out

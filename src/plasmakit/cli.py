@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import acquisition, calibration, dataset, probe, svgchart
-from .errors import PlasmaKitError
+from .errors import PlasmaKitError, SchemaError
 
 __all__ = ["main", "build_parser"]
 
@@ -27,14 +27,27 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+_CONFIG_FIELDS = ("probe_ratio", "shunt_ohms", "offset_volts", "adc_bits",
+                  "adc_fullscale_volts")
+
+
 def _load_config(args) -> acquisition.ChannelConfig:
     """Flags override config-file values override built-in defaults."""
     values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            values.update(json.load(fh))
-    for name in ("probe_ratio", "shunt_ohms", "offset_volts", "adc_bits",
-                 "adc_fullscale_volts"):
+            try:
+                values = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise SchemaError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise SchemaError(f"{args.config}: config must be a JSON object")
+        for name, value in values.items():
+            if name not in _CONFIG_FIELDS:
+                raise SchemaError(f"{args.config}: unknown config key {name!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(f"{args.config}: {name} must be a number, got {value!r}")
+    for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -199,11 +212,10 @@ def _cmd_characterize(args) -> int:
     if args.out:
         dataset.save_characterization(char, args.out)
     if args.plot:
-        post = [s for s in run.samples if s.p_watts > 0 and s.lux and s.lux > 0]
-        ps = tuple(s.p_watts for s in post)
+        used = run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
         grid = _log_grid(char.input_range[0], char.input_range[1], 200)
         svg = svgchart.render_chart(
-            [svgchart.Series(ps, tuple(s.lux for s in post), "data", style="dots"),
+            [svgchart.Series(used.p_watts, used.lux, "data", style="dots"),
              svgchart.Series(grid, tuple(calibration.lux_from_input(char.curve, p)
                                          for p in grid), "fit")],
             title="Plasma power vs illuminance", x_label="power (W)",

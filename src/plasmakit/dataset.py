@@ -1,6 +1,6 @@
 """Experiment-run persistence and the power-versus-illuminance characterization.
 
-A run is an ordered list of PowerSamples plus descriptive metadata.  The
+A run is an ordered, columnar `Samples` plus descriptive metadata.  The
 headline operation, `characterize`, drops pre-ignition samples, fits the
 log-domain cubic of illuminance against plasma power, and optionally runs a
 single 3-sigma outlier-trim pass for ignition transients.
@@ -8,15 +8,22 @@ single 3-sigma outlier-trim pass for ignition transients.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
-from .acquisition import PowerSample, detect_ignition
+import numpy as np
+
+from .acquisition import (
+    Samples,
+    _collect,
+    _floats,
+    _read_csv,
+    detect_ignition,
+)
 from .calibration import (
     CalibrationCurve,
     CalibrationSample,
@@ -27,7 +34,7 @@ from .calibration import (
     fit_residuals,
     trim_refit,
 )
-from .errors import DomainError, FitError, RowError, SchemaError
+from .errors import DomainError, FitError, SchemaError
 
 __all__ = [
     "ExperimentMeta",
@@ -36,6 +43,7 @@ __all__ = [
     "load_run",
     "save_run",
     "characterize",
+    "usable_mask",
     "summary_stats",
     "save_characterization",
     "load_characterization",
@@ -61,13 +69,15 @@ class ExperimentMeta:
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    samples: tuple[PowerSample, ...]
+    """A run's samples (PowerSamples are converted to Samples) and metadata."""
+
+    samples: Samples
     meta: ExperimentMeta = field(default_factory=ExperimentMeta)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        ts = [s.t_ms for s in self.samples]
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        samples = Samples.of(self.samples)
+        object.__setattr__(self, "samples", samples)
+        if np.any(samples.t_ms[1:] < samples.t_ms[:-1]):
             raise DomainError("run timestamps must be non-decreasing")
 
 
@@ -99,15 +109,15 @@ def load_run(source: TextIO | str,
 
     schema_map renames and rescales columns, e.g.
     {"v_volts": ("voltage_kv", 1e3), "i_amps": ("current_ma", 1e-3)}.
-    p_watts is recomputed from v*i when absent.  t_ms and lux are optional:
-    missing timestamps become the row index.
+    p_watts is always recomputed from v*i.  t_ms and lux are optional:
+    missing timestamps become the record index.  A rejected row is reported
+    with the physical line it ends on.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
             return load_run(fh, schema_map, meta, strict, diagnostics)
     schema_map = schema_map or {}
-    reader = csv.DictReader(source)
-    fields = set(reader.fieldnames or ())
+    fields, chunks = _read_csv(source)
 
     def column(name: str) -> tuple[Optional[str], float]:
         if name in schema_map:
@@ -120,27 +130,23 @@ def load_run(source: TextIO | str,
     v_col, v_scale = column("v_volts")
     i_col, i_scale = column("i_amps")
     if v_col is None or i_col is None:
-        raise SchemaError(f"run CSV must provide v_volts and i_amps (have {sorted(fields)})")
+        raise SchemaError(f"run CSV must provide v_volts and i_amps (have {sorted(set(fields))})")
     t_col, t_scale = column("t_ms")
     lux_col, lux_scale = column("lux")
 
-    samples = []
-    for line_no, row in enumerate(reader, start=2):
-        idx = line_no - 2
-        try:
-            v = float(row[v_col]) * v_scale
-            i = float(row[i_col]) * i_scale
-            t = float(row[t_col]) * t_scale if t_col else float(idx)
-            lux_raw = row.get(lux_col) if lux_col else None
-            lux = float(lux_raw) * lux_scale if lux_raw not in (None, "") else None
-            samples.append(PowerSample.from_vi(t, v, i, lux=lux))
-        except (ValueError, TypeError, KeyError, DomainError) as exc:
-            err = RowError(line_no, str(exc))
-            if strict:
-                raise err from exc
-            if diagnostics is not None:
-                diagnostics.append(err)
-    return ExperimentRun(samples=tuple(samples), meta=meta or ExperimentMeta())
+    def convert(cells, n, start):
+        v, _, v_errors = _floats(cells[v_col], n, "")
+        i, _, i_errors = _floats(cells[i_col], n, "")
+        if t_col:
+            t, _, t_errors = _floats(cells[t_col], n, "")
+        else:
+            t, t_errors = np.arange(start, start + n, dtype=float), {}
+        lux, has_lux, lux_errors = _floats(cells.get(lux_col), n, "", optional=True)
+        return ((t * t_scale, v * v_scale, i * i_scale, lux * lux_scale, has_lux),
+                [v_errors, i_errors, t_errors, lux_errors])
+
+    samples = _collect(chunks, convert, strict, diagnostics, "")
+    return ExperimentRun(samples=samples, meta=meta or ExperimentMeta())
 
 
 def save_run(run: ExperimentRun, path) -> None:
@@ -151,20 +157,31 @@ def save_run(run: ExperimentRun, path) -> None:
         write_samples_csv(run.samples, fh)
 
 
+def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3,
+                ignition_sustain: int = 3) -> np.ndarray:
+    """Mask of the samples characterize fits: from the ignition (the first
+    sustained |i| >= ignition_i_min) on, with power > 0 and a lux > 0."""
+    s = run.samples
+    t0 = detect_ignition(s, i_min=ignition_i_min, sustain=ignition_sustain)
+    if t0 is None:
+        return np.zeros(len(s), dtype=bool)
+    return (s.t_ms >= t0) & (s.p_watts > 0.0) & s.has_lux & (s.lux > 0.0)
+
+
 def characterize(run: ExperimentRun, trim: bool = False,
                  ignition_i_min: float = 1e-3,
                  ignition_sustain: int = 3) -> Characterization:
     """Fit the power-to-illuminance curve of a run.
 
     Pre-ignition samples (before the first sustained |i| >= ignition_i_min)
-    are dropped, then samples with non-positive power or missing/zero lux.
-    With trim=True a single 3-sigma trim-and-refit pass removes transient
-    outliers, guarded to never discard more than 20% of the data.
+    are dropped, then samples with non-positive power or missing/zero lux
+    (see usable_mask).  With trim=True a single 3-sigma trim-and-refit pass
+    removes transient outliers, guarded to never discard more than 20% of
+    the data.
     """
-    t0 = detect_ignition(run.samples, i_min=ignition_i_min, sustain=ignition_sustain)
-    post = [s for s in run.samples if t0 is not None and s.t_ms >= t0]
-    usable = [CalibrationSample(s.p_watts, s.lux) for s in post
-              if s.p_watts > 0.0 and s.lux is not None and s.lux > 0.0]
+    used = run.samples[usable_mask(run, ignition_i_min, ignition_sustain)]
+    usable = [CalibrationSample(p, lux)
+              for p, lux in zip(used.p_watts.tolist(), used.lux.tolist())]
     if len(usable) < 4:
         raise FitError(f"only {len(usable)} usable post-ignition samples; need >= 4")
 
@@ -185,22 +202,18 @@ def characterize(run: ExperimentRun, trim: bool = False,
 
 def summary_stats(run: ExperimentRun) -> dict[str, dict[str, float]]:
     """Per-signal min/max/mean/stddev (sample stddev; 0 for a single value)."""
-    if not run.samples:
+    s = run.samples
+    if not len(s):
         raise DomainError("summary of an empty run is undefined")
-    signals = {
-        "v": [s.v_volts for s in run.samples],
-        "i": [s.i_amps for s in run.samples],
-        "p": [s.p_watts for s in run.samples],
-        "lux": [s.lux for s in run.samples if s.lux is not None],
-    }
+    signals = {"v": s.v_volts, "i": s.i_amps, "p": s.p_watts, "lux": s.lux[s.has_lux]}
     out = {}
     for name, values in signals.items():
-        if not values:
-            continue
         n = len(values)
-        mean = sum(values) / n
-        var = sum((x - mean) ** 2 for x in values) / (n - 1) if n > 1 else 0.0
-        out[name] = {"min": min(values), "max": max(values),
+        if not n:
+            continue
+        mean = float(values.mean())
+        var = float(((values - mean) ** 2).sum()) / (n - 1) if n > 1 else 0.0
+        out[name] = {"min": float(values.min()), "max": float(values.max()),
                      "mean": mean, "stddev": math.sqrt(var)}
     return out
 

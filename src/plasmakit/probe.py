@@ -346,6 +346,8 @@ def compensation_capacitor(net: ProbeNetwork) -> float:
 
 def is_compensated(net: ProbeNetwork, rel_tol: float) -> bool:
     """True when the actual C0 is within rel_tol of the exact C1*R1/R0."""
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise DomainError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     ideal = compensation_capacitor(net)
     if ideal == 0.0:
         return net.base.capacitance == 0.0

@@ -13,6 +13,7 @@ from plasmakit import (
     InputKind,
     PowerSample,
     PreconditionError,
+    Samples,
     SchemaError,
     counts_to_volts,
     detect_ignition,
@@ -49,6 +50,24 @@ class TestChannelConfig:
             ChannelConfig(adc_bits=6)
         with pytest.raises(DomainError):
             ChannelConfig(adc_fullscale_volts=-3.3)
+
+    @pytest.mark.parametrize("name", ["probe_ratio", "shunt_ohms", "offset_volts",
+                                      "adc_bits", "adc_fullscale_volts"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       "1.0", None, True, 10**400],
+                             ids=["nan", "inf", "-inf", "str", "None", "bool", "huge-int"])
+    def test_non_finite_and_non_numeric_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            ChannelConfig(**{name: value})
+
+    def test_fractional_adc_bits_rejected(self):
+        with pytest.raises(DomainError, match="adc_bits"):
+            ChannelConfig(adc_bits=12.0)
+
+    def test_overflowing_full_scale_rejected(self):
+        # every field is finite, but full-scale v = 1e300 / 1e-10 is not
+        with pytest.raises(DomainError, match="overflows"):
+            ChannelConfig(adc_fullscale_volts=1e300, probe_ratio=1e-10)
 
 
 class TestCountsToVolts:
@@ -133,6 +152,31 @@ class TestPowerSample:
         assert s.p_watts == 6.0
 
 
+class TestSamples:
+    ROWS = [PowerSample.from_vi(0.0, 2.0, 3.0, lux=5.0),
+            PowerSample.from_vi(1.0, -0.0, 4.0),
+            PowerSample.from_vi(2.0, 1.5, 2.0, lux=float("nan"))]
+
+    def test_columns_and_rows(self):
+        s = Samples.of(self.ROWS)
+        assert s.p_watts.tolist() == [6.0, -0.0, 3.0]
+        assert s.has_lux.tolist() == [True, False, True]
+        assert len(s) == 3 and s[0] == self.ROWS[0] and s[-2] == self.ROWS[1]
+        assert s[2].lux != s[2].lux and s[1].lux is None
+        assert s[:2] == self.ROWS[:2] and s[s.has_lux][0] == self.ROWS[0]
+        assert s[:2] != self.ROWS[:1] and Samples.of(s) is s
+        assert Samples.of([]) == [] == Samples.of(()) and not len(Samples.of(()))
+
+    def test_read_only(self):
+        s = Samples.of(self.ROWS)
+        with pytest.raises(ValueError):
+            s.t_ms[0] = 5.0
+
+    def test_columns_must_align(self):
+        with pytest.raises(DomainError):
+            Samples([0.0, 1.0], [1.0], [1.0, 2.0], [0.0, 0.0], [False, False])
+
+
 class TestProcessFrame:
     def test_zero_current_frame(self):
         raw_shunt = round(1.25 * 4095 / 3.3)
@@ -168,6 +212,10 @@ class TestProcessFrame:
         assert process_frame(CFG, frame, curve).lux is None
         frame2 = AdcFrame(0.0, 100, 2000, 1241)
         assert process_frame(CFG, frame2, curve).lux is not None
+
+    def test_dark_light_channel_reads_zero_lux(self):
+        curve = CalibrationCurve(*VOLTAGE_COEFFS)
+        assert process_frame(CFG, AdcFrame(0.0, 100, 2000, 0), curve).lux == 0.0
 
     def test_power_kind_curve_rejected(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_kind=InputKind.PLASMA_POWER)
@@ -212,6 +260,17 @@ class TestReplayStream:
         text = "t_ms,raw_hv,raw_shunt\n0,100,2000\n1,bad,2000\n"
         from plasmakit import RowError
         with pytest.raises(RowError, match="line 3"):
+            replay_stream(io.StringIO(text), strict=True)
+
+    def test_line_numbers_are_physical(self):
+        # a blank line is not a record, and a quoted newline spans two lines
+        text = 't_ms,raw_hv,raw_shunt\n0,1,2\n\n1,bad,2\n"2\nx",3,4\n3,5,x\n'
+        diagnostics = []
+        samples = replay_stream(io.StringIO(text), diagnostics=diagnostics)
+        assert len(samples) == 1
+        assert [e.line_number for e in diagnostics] == [4, 6, 7]
+        from plasmakit import RowError
+        with pytest.raises(RowError, match="line 4"):
             replay_stream(io.StringIO(text), strict=True)
 
     def test_unknown_header_rejected(self):

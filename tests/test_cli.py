@@ -70,6 +70,15 @@ class TestProbeCommands:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
+    def test_analyze_bad_tolerance_exits_1(self, capsys, tol):
+        code, out, err = run_cli(capsys, "probe", "analyze", "--n", "5", "--r1", "10e6",
+                                 "--c1", "15e-12", "--r0", "52.8e3", "--c0", "3e-9",
+                                 "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "rel_tol" in err
+
     def test_design_domain_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "probe", "design", "--ratio", "2.0",
                                "--n", "5", "--r1", "10e6", "--c1", "15e-12")
@@ -137,6 +146,15 @@ class TestCalCommands:
         assert code == 0
         assert "outside the fitted range" in err
 
+    @pytest.mark.parametrize("row", ["1.0,abc", "abc,1.0", "1.0", "1.0,-2.0", "0,1.0"])
+    def test_fit_bad_row_exits_1(self, capsys, tmp_path, row):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"input,lux\n2.0,3.0\n{row}\n")
+        code, out, err = run_cli(capsys, "cal", "fit", "--in", str(samples))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 3:")
+
     def test_missing_curve_flags_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "cal", "eval", "--input", "1")
         assert code == 1
@@ -180,6 +198,33 @@ class TestAcqCommands:
         assert code == 0
         i = float(out.splitlines()[1].split(",")[2])
         assert i == pytest.approx(0.0366, rel=2e-3)
+
+    @pytest.mark.parametrize("config", [
+        "{not json", "[1, 2]", '{"bogus": 1}', '{"probe_ratio": "x"}',
+        '{"shunt_ohms": true}', '{"offset_volts": NaN}', '{"adc_bits": 12.5}',
+        b'{"probe_ratio": "\xff"}'])
+    def test_replay_bad_config_exits_1(self, capsys, tmp_path, config):
+        src = tmp_path / "frames.csv"
+        src.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n")
+        cfg = tmp_path / "cfg.json"
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config)
+        code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src),
+                                 "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_replay_non_finite_flag_exits_1(self, capsys, tmp_path):
+        src = tmp_path / "frames.csv"
+        src.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n")
+        code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src),
+                                 "--offset-volts", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: offset_volts must be a finite number")
 
     def test_replay_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "acq", "replay", "--in",
@@ -229,6 +274,20 @@ class TestCharacterizeCommand:
         assert code == 0
         text = plot.read_text()
         assert "<circle" in text and "<polyline" in text
+
+    def test_plot_shows_only_the_fitted_samples(self, capsys, tmp_path):
+        # pre-ignition rows with p > 0 and lux > 0 are not plotted, nor are
+        # post-ignition rows without lux or with p <= 0
+        path = self._write_run(tmp_path)
+        rows = path.read_text().splitlines()
+        rows[1:4] = ["0,100,0.0005,2.5", "1,200,0.0004,3.5", "2,300,0.0003,4.5"]
+        rows += ["33,100,0.02,", "34,0,0.02,7.0", "35,-100,0.02,7.0"]
+        path.write_text("\n".join(rows) + "\n")
+        plot = tmp_path / "fig.svg"
+        code, _, _ = run_cli(capsys, "characterize", "--in", str(path),
+                             "--plot", str(plot))
+        assert code == 0
+        assert plot.read_text().count("<circle") == 30
 
     def test_missing_input_exits_1_without_artifacts(self, capsys, tmp_path):
         out_json = tmp_path / "char.json"

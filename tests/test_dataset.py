@@ -109,6 +109,14 @@ class TestLoadRun:
         assert len(run.samples) == 2
         assert len(diagnostics) == 1
 
+    def test_line_numbers_are_physical(self):
+        text = "t_ms,v_volts,i_amps\n0,1,1\n\n1,oops,1\n"
+        with pytest.raises(RowError, match="line 4"):
+            load_run(io.StringIO(text))
+        diagnostics = []
+        load_run(io.StringIO(text), strict=False, diagnostics=diagnostics)
+        assert [e.line_number for e in diagnostics] == [4]
+
     def test_save_then_reload_idempotent(self, tmp_path):
         run = synthetic_run(n=10)
         path = tmp_path / "run.csv"
