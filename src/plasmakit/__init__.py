@@ -17,7 +17,6 @@ from .acquisition import (
     detect_ignition,
     instantaneous_power,
     needle_voltage,
-    offset_sum,
     Samples,
     process_frame,
     replay_stream,

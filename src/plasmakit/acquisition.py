@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 import numpy as np
 
 from .calibration import CalibrationCurve, InputKind, lux_from_input
-from .errors import DomainError, PreconditionError, RowError, SchemaError
+from .errors import DomainError, PreconditionError, RowError, SchemaError, csv_read_errors
 
 __all__ = [
     "ChannelConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "Samples",
     "counts_to_volts",
     "needle_voltage",
-    "offset_sum",
     "shunt_current",
     "instantaneous_power",
     "process_frame",
@@ -104,7 +103,6 @@ def _is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
-
 
 
 @dataclass(frozen=True)
@@ -210,11 +208,6 @@ def needle_voltage(cfg: ChannelConfig, probe_out: float) -> float:
     return probe_out / cfg.probe_ratio
 
 
-def offset_sum(v1: float, v2: float) -> float:
-    """Summing-amplifier output: plain v1 + v2."""
-    return v1 + v2
-
-
 def shunt_current(cfg: ChannelConfig, v3: float) -> float:
     """Recover the shunt current from the offset sum; negative values are legal."""
     return (v3 - cfg.offset_volts) / cfg.shunt_ohms
@@ -279,7 +272,8 @@ def _read_csv(source: TextIO) -> tuple[tuple[str, ...], Iterator[tuple[list[int]
     last column.
     """
     reader = csv.reader(source)
-    fields = tuple(next(reader, ()))
+    with csv_read_errors(reader):
+        fields = tuple(next(reader, ()))
 
     def chunk(lines, rows):
         if min(map(len, rows)) < len(fields):
@@ -288,13 +282,14 @@ def _read_csv(source: TextIO) -> tuple[tuple[str, ...], Iterator[tuple[list[int]
 
     def chunks():
         lines, rows = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == CHUNK_ROWS:
-                    yield chunk(lines, rows)
-                    lines, rows = [], []
+        with csv_read_errors(reader):
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == CHUNK_ROWS:
+                        yield chunk(lines, rows)
+                        lines, rows = [], []
         if rows:
             yield chunk(lines, rows)
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .errors import BracketError, DomainError, FitError, PreconditionError, RowError, SchemaError
+from .errors import (BracketError, DomainError, FitError, PreconditionError, RowError, SchemaError,
+                     csv_read_errors)
 
 __all__ = [
     "InputKind",
@@ -67,10 +69,13 @@ class CalibrationCurve:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"coefficient {name} is not finite")
         if self.input_range is not None:
-            lo, hi = self.input_range
-            if not (0.0 < lo <= hi):
-                raise DomainError(f"input_range must be positive and ordered, got {self.input_range}")
-            object.__setattr__(self, "input_range", (float(lo), float(hi)))
+            rng = self.input_range
+            if not (isinstance(rng, (tuple, list)) and len(rng) == 2
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in rng)
+                    and 0.0 < rng[0] <= rng[1] < math.inf):
+                raise DomainError("input_range must be two positive, ordered, finite numbers, "
+                                  f"got {rng!r}")
+            object.__setattr__(self, "input_range", (float(rng[0]), float(rng[1])))
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
@@ -217,17 +222,23 @@ def _bisect(g, direction: int, seed: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def fit_log_cubic(samples: Sequence[CalibrationSample],
-                  kind: InputKind = InputKind.SENSOR_VOLTAGE) -> CalibrationCurve:
-    """Least-squares cubic fit of ln(illuminance) against ln(input).
+def _log_columns(inputs, illuminance) -> tuple[np.ndarray, np.ndarray]:
+    """ln of two 1-D columns of one length and of positive finite values."""
+    x, y = np.asarray(inputs, dtype=float), np.asarray(illuminance, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise DomainError("input and illuminance must be 1-D columns of equal length, "
+                          f"got shapes {x.shape} and {y.shape}")
+    for name, col in (("input", x), ("illuminance", y)):
+        bad = ~((col > 0.0) & (col < math.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(f"sample {name} must be > 0, got {float(col[k])} at row {k}")
+    return np.log(x), np.log(y)
 
-    Uses a QR factorization of the 4-column Vandermonde design matrix.
-    Requires at least 4 samples with 4 distinct input values.
-    """
-    if len(samples) < 4:
-        raise FitError(f"need at least 4 samples, got {len(samples)}")
-    u = np.log([s.input for s in samples])
-    y = np.log([s.illuminance for s in samples])
+
+def _fit(u: np.ndarray, y: np.ndarray, kind: InputKind) -> CalibrationCurve:
+    if len(u) < 4:
+        raise FitError(f"need at least 4 samples, got {len(u)}")
     if len(np.unique(u)) < 4:
         raise FitError("need at least 4 distinct input values")
     design = np.column_stack([np.ones_like(u), u, u * u, u ** 3])
@@ -240,40 +251,51 @@ def fit_log_cubic(samples: Sequence[CalibrationSample],
                             input_range=(lo, hi))
 
 
-def fit_residuals(curve: CalibrationCurve,
-                  samples: Sequence[CalibrationSample]) -> dict[str, float]:
+def _stats(res: np.ndarray) -> dict[str, float]:
+    # cumsum adds left to right, as a Python sum over the rows would
+    return {"rmse_log": math.sqrt(float(np.cumsum(res * res)[-1]) / len(res)),
+            "max_abs_log": float(np.max(np.abs(res)))}
+
+
+def fit_log_cubic(inputs, illuminance,
+                  kind: InputKind = InputKind.SENSOR_VOLTAGE) -> CalibrationCurve:
+    """Least-squares cubic fit of ln(illuminance) against ln(input).
+
+    inputs and illuminance are equal-length columns of positive finite
+    values.  Uses a QR factorization of the 4-column Vandermonde design
+    matrix.  Requires at least 4 samples with 4 distinct input values.
+    """
+    return _fit(*_log_columns(inputs, illuminance), kind)
+
+
+def fit_residuals(curve: CalibrationCurve, inputs, illuminance) -> dict[str, float]:
     """Log-space residual summary: rmse (1/N) and max absolute residual."""
-    if not samples:
+    u, y = _log_columns(inputs, illuminance)
+    if not len(u):
         raise DomainError("residuals of an empty sample list are undefined")
-    res = [math.log(s.illuminance) - eval_log_poly(curve, math.log(s.input))
-           for s in samples]
-    rmse = math.sqrt(sum(r * r for r in res) / len(res))
-    return {"rmse_log": rmse, "max_abs_log": max(abs(r) for r in res)}
+    return _stats(y - eval_log_poly(curve, u))
 
 
-def trim_refit(samples: Sequence[CalibrationSample],
+def trim_refit(inputs, illuminance,
                kind: InputKind = InputKind.SENSOR_VOLTAGE,
                sigma: float = 3.0,
                max_trim_fraction: float = 0.2,
-               ) -> tuple[CalibrationCurve, list[CalibrationSample], int]:
+               ) -> tuple[CalibrationCurve, np.ndarray, int]:
     """Single outlier-trim pass: fit, drop residuals beyond sigma*rmse, refit once.
 
     If trimming would remove more than max_trim_fraction of the samples the
-    untrimmed fit is kept (trimmed_count = 0).  Returns (curve, kept, trimmed).
+    untrimmed fit is kept (trimmed_count = 0).  Returns (curve, kept,
+    trimmed), where kept holds the indices of the rows the curve was fitted on.
     """
-    first = fit_log_cubic(samples, kind)
-    stats = fit_residuals(first, samples)
-    cutoff = sigma * stats["rmse_log"]
-    if cutoff == 0.0:
-        return first, list(samples), 0
-    kept = [s for s in samples
-            if abs(math.log(s.illuminance) - eval_log_poly(first, math.log(s.input))) <= cutoff]
-    trimmed = len(samples) - len(kept)
-    if trimmed == 0:
-        return first, list(samples), 0
-    if trimmed > max_trim_fraction * len(samples) or len(kept) < 4:
-        return first, list(samples), 0
-    return fit_log_cubic(kept, kind), kept, trimmed
+    u, y = _log_columns(inputs, illuminance)
+    first = _fit(u, y, kind)
+    res = np.abs(y - eval_log_poly(first, u))
+    cutoff = sigma * _stats(res)["rmse_log"]
+    keep = res <= cutoff
+    trimmed = len(u) - int(keep.sum())
+    if trimmed == 0 or trimmed > max_trim_fraction * len(u) or len(u) - trimmed < 4:
+        return first, np.arange(len(u)), 0
+    return _fit(u[keep], y[keep], kind), np.flatnonzero(keep), trimmed
 
 
 def curve_to_dict(curve: CalibrationCurve) -> dict:
@@ -286,13 +308,11 @@ def curve_to_dict(curve: CalibrationCurve) -> dict:
 
 def curve_from_dict(data: dict) -> CalibrationCurve:
     try:
-        kind = InputKind(data["kind"])
         coeffs = [float(data[k]) for k in ("a0", "a1", "a2", "a3")]
-    except (KeyError, ValueError, TypeError) as exc:
+        return CalibrationCurve(*coeffs, input_kind=InputKind(data["kind"]),
+                                input_range=data.get("input_range"))
+    except (KeyError, ValueError, TypeError) as exc:  # DomainError is a ValueError
         raise SchemaError(f"bad calibration curve object: {exc}") from exc
-    rng = data.get("input_range")
-    return CalibrationCurve(*coeffs, input_kind=kind,
-                            input_range=tuple(rng) if rng else None)
 
 
 def save_curve(curve: CalibrationCurve, path) -> None:
@@ -301,13 +321,17 @@ def save_curve(curve: CalibrationCurve, path) -> None:
         fh.write("\n")
 
 
-def load_curve(path) -> CalibrationCurve:
+def read_json(path):
+    """The JSON value in a file; bad JSON or bad UTF-8 raises SchemaError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return curve_from_dict(data)
+
+
+def load_curve(path) -> CalibrationCurve:
+    return curve_from_dict(read_json(path))
 
 
 def read_samples_csv(source: TextIO | str) -> list[CalibrationSample]:
@@ -317,12 +341,13 @@ def read_samples_csv(source: TextIO | str) -> list[CalibrationSample]:
         with open(source, encoding="utf-8") as fh:
             return read_samples_csv(fh)
     reader = csv.DictReader(source)
-    if reader.fieldnames is None or not {"input", "lux"} <= set(reader.fieldnames):
-        raise SchemaError("sample CSV must have header columns: input,lux")
     out = []
-    for row in reader:
-        try:
-            out.append(CalibrationSample(float(row["input"]), float(row["lux"])))
-        except (ValueError, TypeError) as exc:  # DomainError is a ValueError
-            raise RowError(reader.line_num, str(exc)) from exc
+    with csv_read_errors(reader.reader):  # DictReader's line_num lags on errors
+        if reader.fieldnames is None or not {"input", "lux"} <= set(reader.fieldnames):
+            raise SchemaError("sample CSV must have header columns: input,lux")
+        for row in reader:
+            try:
+                out.append(CalibrationSample(float(row["input"]), float(row["lux"])))
+            except (ValueError, TypeError) as exc:  # DomainError is a ValueError
+                raise RowError(reader.line_num, str(exc)) from exc
     return out

@@ -17,6 +17,8 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import acquisition, calibration, dataset, probe, svgchart
 from .errors import PlasmaKitError, SchemaError
 
@@ -35,11 +37,7 @@ def _load_config(args) -> acquisition.ChannelConfig:
     """Flags override config-file values override built-in defaults."""
     values = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                values = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise SchemaError(f"{args.config}: not valid JSON: {exc}") from exc
+        values = calibration.read_json(args.config)
         if not isinstance(values, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
         for name, value in values.items():
@@ -128,25 +126,19 @@ def _cmd_probe_bode(args) -> int:
 
 def _cmd_cal_fit(args) -> int:
     samples = calibration.read_samples_csv(args.infile)
+    inputs = np.array([s.input for s in samples], dtype=float)
+    lux = np.array([s.illuminance for s in samples], dtype=float)
     kind = calibration.InputKind(args.kind)
     if args.trim:
-        curve, kept, trimmed = calibration.trim_refit(samples, kind)
+        curve, kept, trimmed = calibration.trim_refit(inputs, lux, kind)
     else:
-        curve, kept, trimmed = calibration.fit_log_cubic(samples, kind), samples, 0
-    stats = calibration.fit_residuals(curve, kept)
+        curve, kept, trimmed = calibration.fit_log_cubic(inputs, lux, kind), slice(None), 0
+    stats = calibration.fit_residuals(curve, inputs[kept], lux[kept])
     if args.out:
         calibration.save_curve(curve, args.out)
     if args.plot:
-        xs = tuple(s.input for s in samples)
-        grid = _log_grid(min(xs), max(xs), 200)
-        svg = svgchart.render_chart(
-            [svgchart.Series(xs, tuple(s.illuminance for s in samples), "data", style="dots"),
-             svgchart.Series(grid, tuple(calibration.lux_from_input(curve, x) for x in grid),
-                             "fit")],
-            title="Calibration fit", x_label=f"input ({args.kind})",
-            y_label="illuminance (lux)", x_log=True, y_log=True)
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_fit_plot(args.plot, inputs, lux, curve, float(inputs.min()), float(inputs.max()),
+                        "Calibration fit", f"input ({args.kind})")
     _print_json({**calibration.curve_to_dict(curve), **stats,
                  "trimmed_count": trimmed})
     return 0
@@ -172,11 +164,17 @@ def _cmd_cal_invert(args) -> int:
     return 0
 
 
-def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    if hi <= lo:
-        return (lo,) * points
+def _write_fit_plot(path, xs, ys, curve: calibration.CalibrationCurve, lo: float, hi: float,
+                    title: str, x_label: str) -> None:
+    """SVG of the samples as dots and the curve at 200 log-spaced inputs in [lo, hi]."""
     a, b = math.log(lo), math.log(hi)
-    return tuple(math.exp(a + (b - a) * i / (points - 1)) for i in range(points))
+    grid = [math.exp(a + (b - a) * k / 199) for k in range(200)] if hi > lo else [lo] * 200
+    svg = svgchart.render_chart(
+        [svgchart.Series(xs, ys, "data", style="dots"),
+         svgchart.Series(grid, [calibration.lux_from_input(curve, x) for x in grid], "fit")],
+        title=title, x_label=x_label, y_label="illuminance (lux)", x_log=True, y_log=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
 
 
 # ------------------------------------------------------------------ acq
@@ -213,15 +211,8 @@ def _cmd_characterize(args) -> int:
         dataset.save_characterization(char, args.out)
     if args.plot:
         used = run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
-        grid = _log_grid(char.input_range[0], char.input_range[1], 200)
-        svg = svgchart.render_chart(
-            [svgchart.Series(used.p_watts, used.lux, "data", style="dots"),
-             svgchart.Series(grid, tuple(calibration.lux_from_input(char.curve, p)
-                                         for p in grid), "fit")],
-            title="Plasma power vs illuminance", x_label="power (W)",
-            y_label="illuminance (lux)", x_log=True, y_log=True)
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_fit_plot(args.plot, used.p_watts, used.lux, char.curve, *char.input_range,
+                        "Plasma power vs illuminance", "power (W)")
     _print_json(dataset.characterization_to_dict(char))
     return 0
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -26,12 +27,12 @@ from .acquisition import (
 )
 from .calibration import (
     CalibrationCurve,
-    CalibrationSample,
     InputKind,
     curve_from_dict,
     curve_to_dict,
     fit_log_cubic,
     fit_residuals,
+    read_json,
     trim_refit,
 )
 from .errors import DomainError, FitError, SchemaError
@@ -180,22 +181,20 @@ def characterize(run: ExperimentRun, trim: bool = False,
     the data.
     """
     used = run.samples[usable_mask(run, ignition_i_min, ignition_sustain)]
-    usable = [CalibrationSample(p, lux)
-              for p, lux in zip(used.p_watts.tolist(), used.lux.tolist())]
-    if len(usable) < 4:
-        raise FitError(f"only {len(usable)} usable post-ignition samples; need >= 4")
-
+    if len(used) < 4:
+        raise FitError(f"only {len(used)} usable post-ignition samples; need >= 4")
+    p, lux = used.p_watts, used.lux
     if trim:
-        curve, kept, trimmed = trim_refit(usable, kind=InputKind.PLASMA_POWER)
+        curve, kept, trimmed = trim_refit(p, lux, kind=InputKind.PLASMA_POWER)
+        p, lux = p[kept], lux[kept]
     else:
-        curve, kept, trimmed = fit_log_cubic(usable, kind=InputKind.PLASMA_POWER), usable, 0
-    stats = fit_residuals(curve, kept)
-    powers = [s.input for s in kept]
+        curve, trimmed = fit_log_cubic(p, lux, kind=InputKind.PLASMA_POWER), 0
+    stats = fit_residuals(curve, p, lux)
     return Characterization(
         curve=curve,
         rmse_log=stats["rmse_log"],
         max_abs_log=stats["max_abs_log"],
-        input_range=(min(powers), max(powers)),
+        input_range=(float(p.min()), float(p.max())),
         trimmed_count=trimmed,
     )
 
@@ -241,27 +240,18 @@ def characterization_from_dict(data: dict) -> Characterization:
         raise SchemaError(f"bad characterization object: {exc}") from exc
 
 
-class _atomic_writer:
+@contextmanager
+def _atomic_writer(path):
     """Write to a temp file in the target directory, rename on success."""
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self.tmp = None
-        self.fh = None
-
-    def __enter__(self):
-        directory = os.path.dirname(self.path) or "."
-        fd, self.tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        self.fh = os.fdopen(fd, "w", encoding="utf-8")
-        return self.fh
-
-    def __exit__(self, exc_type, exc, tb):
-        self.fh.close()
-        if exc_type is None:
-            os.replace(self.tmp, self.path)
-        else:
-            os.unlink(self.tmp)
-        return False
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_characterization(char: Characterization, path) -> None:
@@ -272,9 +262,4 @@ def save_characterization(char: Characterization, path) -> None:
 
 
 def load_characterization(path) -> Characterization:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return characterization_from_dict(data)
+    return characterization_from_dict(read_json(path))

@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all plasmakit modules."""
 
+import csv
+from contextlib import contextmanager
+
 
 class PlasmaKitError(Exception):
     """Base class for all plasmakit errors."""
@@ -35,3 +38,16 @@ class RowError(PlasmaKitError, ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+@contextmanager
+def csv_read_errors(reader):
+    """Raise what a CSV reader cannot read past, in lenient mode too: bytes
+    that are not UTF-8 as SchemaError, a csv.Error as RowError on its line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SchemaError("input is not UTF-8 text: cannot decode "
+                          f"{exc.object[exc.start:exc.end]!r}") from exc
+    except csv.Error as exc:
+        raise RowError(reader.line_num, str(exc)) from exc

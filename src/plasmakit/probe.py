@@ -197,14 +197,6 @@ def _horner(coeffs: Sequence[float], s: complex) -> complex:
     return acc
 
 
-def _conv(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def stage_impedance(stage: RCStage, s: complex) -> complex:
     """Impedance R/(1 + R*C*s) of a parallel RC stage.
 
@@ -266,28 +258,26 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
         num = R0 * prod_{j>=1} (1 + Rj*Cj*s)
         den = sum_i Ri * prod_{j != i} (1 + Rj*Cj*s)
 
-    which are assembled by polynomial convolution.  The expanded
-    coefficients lose precision as the ladder grows (from about 55 stages
-    for typical components), so the result is checked against Z0/sum(Zi) at
-    DC and at the corner frequency 1/(2*pi*Ri*Ci) of every stage with a
-    capacitor; a relative error above EXPANSION_RTOL raises DomainError.
-    Sweeps do not use this form: bode_sweep and frequency_response evaluate
-    Z0/sum(Zi) directly.
+    which are built stage by stage in O(n^2): with P the product of the
+    factors before stage k, stage k multiplies num and den by its factor and
+    adds Rk*P to den.  The expanded coefficients lose precision as the
+    ladder grows (from about 55 stages for typical components), so the
+    result is checked against Z0/sum(Zi) at DC and at the corner frequency
+    1/(2*pi*Ri*Ci) of every stage with a capacitor; a relative error above
+    EXPANSION_RTOL raises DomainError.  Sweeps do not use this form:
+    bode_sweep and frequency_response evaluate Z0/sum(Zi) directly.
     """
+    def times(p: list[float], tau: float) -> list[float]:  # p * (1 + tau*s)
+        return [a + tau * b for a, b in zip(p + [0.0], [0.0] + p)]
+
     stages = [net.base, *net.ladder]
-    factors = [[1.0, st.resistance * st.capacitance] for st in stages]
-
-    num = [net.base.resistance]
-    for f in factors[1:]:
-        num = _conv(num, f)
-
-    den = [0.0]
-    for i, st in enumerate(stages):
-        term = [st.resistance]
-        for j, f in enumerate(factors):
-            if j != i:
-                term = _conv(term, f)
-        den = [x + y for x, y in _zip_pad(den, term)]
+    r0 = net.base.resistance
+    num, den, prod = [r0], [r0], [1.0, r0 * net.base.capacitance]
+    for st in net.ladder:
+        tau = st.resistance * st.capacitance
+        num = times(num, tau)
+        den = [a + st.resistance * b for a, b in zip(times(den, tau), prod)]
+        prod = times(prod, tau)
 
     tf = RationalTransferFunction(tuple(num), tuple(den))
     f = np.array([0.0] + [1.0 / (2.0 * math.pi * st.resistance * st.capacitance)
@@ -305,12 +295,6 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
             f"expansion: relative error {float(err[k]):.3g} at f = {float(f[k]):.6g} Hz; "
             "use frequency_response or bode_sweep, which evaluate Z0/sum(Zi) directly")
     return tf
-
-
-def _zip_pad(a: Sequence[float], b: Sequence[float]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0.0), (b[i] if i < len(b) else 0.0)
 
 
 def frequency_response(net: ProbeNetwork, f: float) -> ComplexResponse:

@@ -13,7 +13,6 @@ import pytest
 
 from plasmakit import (
     CalibrationCurve,
-    CalibrationSample,
     InputKind,
     ProbeNetwork,
     RCStage,
@@ -125,8 +124,7 @@ def test_criterion_7_fit_recovery():
                          (POWER_COEFFS, InputKind.PLASMA_POWER)):
         curve = CalibrationCurve(*coeffs, input_kind=kind)
         inputs = [0.5 * (50.0 / 0.5) ** (k / 9) for k in range(10)]  # 2 decades
-        samples = [CalibrationSample(x, lux_from_input(curve, x)) for x in inputs]
-        fitted = fit_log_cubic(samples, kind)
+        fitted = fit_log_cubic(inputs, [lux_from_input(curve, x) for x in inputs], kind)
         for got, want in zip(fitted.coefficients, coeffs):
             assert abs(got - want) <= 1e-8
     report(7, "noiseless fits recover all coefficients within 1e-8")

@@ -20,7 +20,6 @@ from plasmakit import (
     instantaneous_power,
     lux_from_input,
     needle_voltage,
-    offset_sum,
     process_frame,
     replay_stream,
     shunt_current,
@@ -101,11 +100,6 @@ class TestScaling:
         assert needle_voltage(cfg, 1.0) == 2.0
         assert needle_voltage(cfg, 0.0) == 0.0
 
-    def test_offset_sum(self):
-        assert offset_sum(-0.5, 1.25) == 0.75
-        assert offset_sum(0.0, 1.25) == 1.25
-        assert offset_sum(0.877, 0.0) == 0.877
-
     def test_shunt_current_reference_reading(self):
         assert shunt_current(CFG, 2.127) == pytest.approx(0.877 / 23.0, rel=1e-12)
 
@@ -119,7 +113,7 @@ class TestScaling:
     @given(st.floats(min_value=-1.25, max_value=2.0))
     @settings(max_examples=200)
     def test_offset_round_trip(self, v_s):
-        recovered = shunt_current(CFG, offset_sum(v_s, CFG.offset_volts)) * CFG.shunt_ohms
+        recovered = shunt_current(CFG, v_s + CFG.offset_volts) * CFG.shunt_ohms
         assert recovered == pytest.approx(v_s, rel=1e-12, abs=1e-12)
 
 

@@ -151,44 +151,38 @@ class TestInversion:
 class TestFitting:
     def test_recovers_generating_coefficients(self, voltage_curve):
         inputs = [0.5, 1.0, 2.0, 4.0, 8.0]
-        samples = [CalibrationSample(x, lux_from_input(voltage_curve, x))
-                   for x in inputs]
-        fitted = fit_log_cubic(samples)
+        fitted = fit_log_cubic(inputs, [lux_from_input(voltage_curve, x) for x in inputs])
         for got, want in zip(fitted.coefficients, voltage_curve.coefficients):
             assert got == pytest.approx(want, abs=1e-8)
         assert fitted.input_range == pytest.approx((0.5, 8.0))
 
     def test_log_linear_data_kills_high_orders(self):
-        samples = [CalibrationSample(x, math.exp(0.5 + 2.0 * math.log(x)))
-                   for x in (1.0, 2.0, 5.0, 10.0)]
-        fitted = fit_log_cubic(samples)
+        inputs = (1.0, 2.0, 5.0, 10.0)
+        fitted = fit_log_cubic(inputs, [math.exp(0.5 + 2.0 * math.log(x)) for x in inputs])
         assert fitted.a2 == pytest.approx(0.0, abs=1e-9)
         assert fitted.a3 == pytest.approx(0.0, abs=1e-9)
         assert fitted.a1 == pytest.approx(2.0, abs=1e-9)
 
     def test_duplicate_inputs_rejected(self):
-        samples = [CalibrationSample(2.0, y) for y in (1.0, 2.0, 3.0, 4.0)]
         with pytest.raises(FitError):
-            fit_log_cubic(samples)
+            fit_log_cubic([2.0] * 4, [1.0, 2.0, 3.0, 4.0])
 
     def test_too_few_samples_rejected(self):
-        samples = [CalibrationSample(x, x) for x in (1.0, 2.0, 3.0)]
         with pytest.raises(FitError):
-            fit_log_cubic(samples)
+            fit_log_cubic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
     def test_fit_optimality(self, power_curve):
         # perturbing any fitted coefficient never decreases the SSE
         import random
         rng = random.Random(7)
-        samples = [CalibrationSample(x, lux_from_input(power_curve, x) *
-                                     math.exp(rng.gauss(0, 0.05)))
-                   for x in (5, 8, 12, 18, 25, 33, 40)]
-        fitted = fit_log_cubic(samples, kind=InputKind.PLASMA_POWER)
+        inputs = (5, 8, 12, 18, 25, 33, 40)
+        lux = [lux_from_input(power_curve, x) * math.exp(rng.gauss(0, 0.05))
+               for x in inputs]
+        fitted = fit_log_cubic(inputs, lux, kind=InputKind.PLASMA_POWER)
 
         def sse(curve):
-            return sum((math.log(s.illuminance) -
-                        eval_log_poly(curve, math.log(s.input))) ** 2
-                       for s in samples)
+            return sum((math.log(y) - eval_log_poly(curve, math.log(x))) ** 2
+                       for x, y in zip(inputs, lux))
 
         base = sse(fitted)
         a = list(fitted.coefficients)
@@ -200,11 +194,9 @@ class TestFitting:
 
     def test_scale_covariance(self, voltage_curve):
         inputs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-        samples = [CalibrationSample(x, lux_from_input(voltage_curve, x))
-                   for x in inputs]
-        scaled = [CalibrationSample(s.input, s.illuminance * 7.5) for s in samples]
-        f1 = fit_log_cubic(samples)
-        f2 = fit_log_cubic(scaled)
+        lux = [lux_from_input(voltage_curve, x) for x in inputs]
+        f1 = fit_log_cubic(inputs, lux)
+        f2 = fit_log_cubic(inputs, [y * 7.5 for y in lux])
         assert f2.a0 - f1.a0 == pytest.approx(math.log(7.5), abs=1e-9)
         for k in ("a1", "a2", "a3"):
             assert getattr(f2, k) == pytest.approx(getattr(f1, k), abs=1e-9)
@@ -212,45 +204,45 @@ class TestFitting:
 
 class TestResiduals:
     def test_perfect_fit_has_zero_rmse(self, voltage_curve):
-        samples = [CalibrationSample(x, lux_from_input(voltage_curve, x))
-                   for x in (0.5, 1.0, 3.0)]
-        stats = fit_residuals(voltage_curve, samples)
+        inputs = (0.5, 1.0, 3.0)
+        stats = fit_residuals(voltage_curve, inputs,
+                              [lux_from_input(voltage_curve, x) for x in inputs])
         assert stats["rmse_log"] == pytest.approx(0.0, abs=1e-12)
         assert stats["max_abs_log"] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_offset_sample(self, voltage_curve):
         lux = lux_from_input(voltage_curve, 2.0) * math.e
-        stats = fit_residuals(voltage_curve, [CalibrationSample(2.0, lux)])
+        stats = fit_residuals(voltage_curve, [2.0], [lux])
         assert stats["rmse_log"] == pytest.approx(1.0, rel=1e-12)
         assert stats["max_abs_log"] == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_sample_list_rejected(self, voltage_curve):
         with pytest.raises(DomainError):
-            fit_residuals(voltage_curve, [])
+            fit_residuals(voltage_curve, [], [])
 
 
 class TestTrimRefit:
     def _samples_with_outlier(self, curve):
         # enough clean points that the first fit cannot absorb the outlier
         inputs = [5.0 * 1.11 ** k for k in range(20)]
-        good = [CalibrationSample(x, lux_from_input(curve, x) * math.exp(0.001 * (k % 3)))
+        good = [lux_from_input(curve, x) * math.exp(0.001 * (k % 3))
                 for k, x in enumerate(inputs)]
-        outlier = CalibrationSample(6.0, lux_from_input(curve, 6.0) * math.exp(3.0))
-        return good + [outlier]
+        outlier = lux_from_input(curve, 6.0) * math.exp(3.0)
+        return inputs + [6.0], good + [outlier]
 
     def test_outlier_is_trimmed(self, power_curve):
-        samples = self._samples_with_outlier(power_curve)
-        curve, kept, trimmed = trim_refit(samples, InputKind.PLASMA_POWER)
+        inputs, lux = self._samples_with_outlier(power_curve)
+        curve, kept, trimmed = trim_refit(inputs, lux, InputKind.PLASMA_POWER)
         assert trimmed == 1
-        assert len(kept) == len(samples) - 1
+        assert len(kept) == len(inputs) - 1
 
     def test_guard_keeps_untrimmed_fit(self, power_curve):
         # half the points far off: trimming >20% must be refused
-        base = [CalibrationSample(x, lux_from_input(power_curve, x))
-                for x in (5, 10, 20, 40)]
-        bad = [CalibrationSample(x * 1.1, lux_from_input(power_curve, x) * 50)
-               for x in (6, 12, 24, 48)]
-        curve, kept, trimmed = trim_refit(base + bad, InputKind.PLASMA_POWER)
+        base, bad = (5, 10, 20, 40), (6, 12, 24, 48)
+        inputs = [*base, *(x * 1.1 for x in bad)]
+        lux = ([lux_from_input(power_curve, x) for x in base]
+               + [lux_from_input(power_curve, x) * 50 for x in bad])
+        curve, kept, trimmed = trim_refit(inputs, lux, InputKind.PLASMA_POWER)
         assert trimmed == 0
         assert len(kept) == 8
 

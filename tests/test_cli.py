@@ -297,6 +297,76 @@ class TestCharacterizeCommand:
         assert not out_json.exists()
 
 
+# Inputs a CSV reader cannot read past: a byte that is not UTF-8, and a
+# field longer than csv.field_size_limit() (131072 by default).
+UNREADABLE_CSV = {
+    "not_utf8": lambda header, row: (header + "\n" + row + "\n").encode() + b"\xff\n",
+    "long_field": lambda header, row: (header + "\n" + row + "\n" + "1" * 140_000
+                                       + "\n").encode(),
+}
+UNREADABLE_COMMANDS = {
+    "acq replay": (["acq", "replay"], "t_ms,raw_hv,raw_shunt", "0,652,2596"),
+    "characterize": (["characterize"], "t_ms,v_volts,i_amps,lux", "0,500,0.02,100"),
+    "cal fit": (["cal", "fit"], "input,lux", "2.0,3.0"),
+}
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", sorted(UNREADABLE_COMMANDS))
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_CSV))
+    def test_csv_exits_1(self, capsys, tmp_path, command, kind):
+        argv, header, row = UNREADABLE_COMMANDS[command]
+        src = tmp_path / "in.csv"
+        src.write_bytes(UNREADABLE_CSV[kind](header, row))
+        code, out, err = run_cli(capsys, *argv, "--in", str(src))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        if kind == "long_field":
+            assert err.startswith("error: line 3: field larger than field limit")
+
+    def test_lenient_replay_still_exits_1(self, capsys, tmp_path):
+        # replay skips malformed rows, but not what the reader cannot read
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"t_ms,raw_hv,raw_shunt\n0,652,2596\nx,1,1\n\xff\n")
+        code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src))
+        assert code == 1
+        assert err.startswith("error: input is not UTF-8 text")
+
+    @pytest.mark.parametrize("argv", [["cal", "eval", "--input", "1"],
+                                      ["cal", "invert", "--lux", "10"]])
+    def test_curve_not_utf8_exits_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "curve.json"
+        path.write_bytes(b'{"kind": "voltage\xff", "a0": 1, "a1": 1, "a2": 0, "a3": 0}')
+        code, out, err = run_cli(capsys, *argv, "--curve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not valid JSON" in err
+
+    def test_replay_curve_not_utf8_exits_1(self, capsys, tmp_path):
+        src = tmp_path / "frames.csv"
+        src.write_text("t_ms,raw_hv,raw_shunt,raw_ldr\n0,652,2596,100\n")
+        path = tmp_path / "curve.json"
+        path.write_bytes(b'{"kind": "voltage\xff", "a0": 1, "a1": 1, "a2": 0, "a3": 0}')
+        code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src),
+                                 "--curve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not valid JSON" in err
+
+    @pytest.mark.parametrize("rng", ["[1]", "[1, 2, 3]", '["a", "b"]', "[]", "[2, 1]",
+                                     "[0, 1]", "[1, Infinity]", "[NaN, 1]", "[true, 2]",
+                                     '"12"', "5"])
+    def test_curve_bad_input_range_exits_1(self, capsys, tmp_path, rng):
+        path = tmp_path / "curve.json"
+        path.write_text('{"kind": "voltage", "a0": 1, "a1": 1, "a2": 0, "a3": 0, '
+                        f'"input_range": {rng}}}')
+        code, out, err = run_cli(capsys, "cal", "eval", "--curve", str(path), "--input", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad calibration curve object: input_range")
+
+
 class TestDeterminism:
     def test_svg_byte_stable(self, capsys, tmp_path):
         args = ["probe", "bode", "--n", "5", "--r1", "10e6", "--c1", "15e-12",

@@ -1,0 +1,157 @@
+"""Differential test of the columnar fit path against a per-row reference.
+
+`fit_log_cubic`, `fit_residuals` and `trim_refit` take two columns and log
+each once.  The reference below works row by row: `math.log` per value,
+`eval_log_poly` per row, a Python `sum`, and a least-squares solve (SVD, not
+QR) of a design matrix built row by row.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from plasmakit import (
+    CalibrationCurve,
+    DomainError,
+    FitError,
+    InputKind,
+    eval_log_poly,
+    fit_log_cubic,
+    fit_residuals,
+)
+from plasmakit.calibration import trim_refit
+
+KIND = InputKind.PLASMA_POWER
+# QR (the library) against SVD (the reference) on designs whose ln(input)
+# values lie on a 0.1 grid in [-3, 3]: the coefficients agree to this.
+COEF_ATOL = 1e-9
+# Same curve, same rows: np.log against math.log only.
+STATS_RTOL = 1e-12
+# A residual this close (relative) to the trim cutoff is a tie that rounding
+# decides; such draws are skipped.
+TIE_RTOL = 1e-7
+
+
+def ref_fit(xs, ys):
+    u = [math.log(x) for x in xs]
+    y = [math.log(v) for v in ys]
+    if len(u) < 4 or len(set(u)) < 4:
+        raise FitError("reference: too few distinct inputs")
+    design = np.array([[1.0, t, t * t, t ** 3] for t in u])
+    coef = np.linalg.lstsq(design, np.array(y), rcond=None)[0]
+    return CalibrationCurve(*(float(c) for c in coef), input_kind=KIND,
+                            input_range=(min(xs), max(xs)))
+
+
+def ref_abs_residuals(curve, xs, ys):
+    return [abs(math.log(y) - eval_log_poly(curve, math.log(x))) for x, y in zip(xs, ys)]
+
+
+def ref_stats(curve, xs, ys):
+    res = ref_abs_residuals(curve, xs, ys)
+    return {"rmse_log": math.sqrt(sum(r * r for r in res) / len(res)),
+            "max_abs_log": max(res)}
+
+
+def ref_trim(xs, ys, sigma, max_trim_fraction):
+    first = ref_fit(xs, ys)
+    cutoff = sigma * ref_stats(first, xs, ys)["rmse_log"]
+    res = ref_abs_residuals(first, xs, ys)
+    kept = [k for k, r in enumerate(res) if r <= cutoff]
+    trimmed = len(xs) - len(kept)
+    ties = [r for r in res if abs(r - cutoff) <= TIE_RTOL * cutoff]
+    if (cutoff == 0.0 or trimmed == 0 or trimmed > max_trim_fraction * len(xs)
+            or len(kept) < 4):
+        return first, list(range(len(xs))), 0, cutoff, ties
+    return (ref_fit([xs[k] for k in kept], [ys[k] for k in kept]), kept, trimmed,
+            cutoff, ties)
+
+
+def assert_same_curve(got, want):
+    for g, w in zip(got.coefficients, want.coefficients):
+        assert g == pytest.approx(w, abs=COEF_ATOL * max(1.0, abs(w)))
+    assert got.input_kind == want.input_kind
+    assert got.input_range == pytest.approx(want.input_range, rel=1e-15)
+
+
+@st.composite
+def runs(draw):
+    """Inputs on exp(0.1 * k) for k in [-30, 30], repeats allowed, with lux
+    from a random cubic plus small noise and a few large outliers."""
+    grid = draw(st.lists(st.integers(-30, 30), min_size=4, max_size=60))
+    coef = draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    offsets = draw(st.lists(
+        st.one_of(st.floats(-0.05, 0.05), st.floats(0.5, 5.0), st.floats(-5.0, -0.5)),
+        min_size=len(grid), max_size=len(grid)))
+    xs = [math.exp(0.1 * k) for k in grid]
+    ys = [math.exp(eval_log_poly(CalibrationCurve(*coef), math.log(x)) + d)
+          for x, d in zip(xs, offsets)]
+    return xs, ys
+
+
+class TestAgainstPerRowReference:
+    @given(runs(), st.floats(1.0, 4.0), st.floats(0.0, 0.5))
+    @settings(max_examples=300, deadline=None)
+    @example(([math.exp(0.1 * k) for k in range(21)],
+              [math.exp(0.5 * 0.1 * k + (3.0 if k == 7 else 0.01 * (k % 3)))
+               for k in range(21)]), 3.0, 0.2)
+    # one row of 20 trimmed, exactly the largest share the guard allows
+    @example(([math.exp(0.1 * k) for k in range(20)],
+              [math.exp(0.5 * 0.1 * k + (3.0 if k == 7 else 0.01 * (k % 3)))
+               for k in range(20)]), 3.0, 0.05)
+    def test_fit_residuals_and_trim(self, run, sigma, max_trim_fraction):
+        xs, ys = run
+        try:
+            want, want_kept, want_trimmed, cutoff, ties = ref_trim(xs, ys, sigma,
+                                                                  max_trim_fraction)
+        except FitError:
+            with pytest.raises(FitError):
+                trim_refit(xs, ys, KIND, sigma, max_trim_fraction)
+            return
+        # On data exactly on a cubic every residual is rounding noise.
+        assume(cutoff > 1e-9 and not ties)
+
+        assert_same_curve(fit_log_cubic(np.array(xs), np.array(ys), KIND), ref_fit(xs, ys))
+        curve, kept, trimmed = trim_refit(np.array(xs), np.array(ys), KIND, sigma,
+                                          max_trim_fraction)
+        assert trimmed == want_trimmed
+        assert kept.tolist() == want_kept
+        assert_same_curve(curve, want)
+
+        kept_x, kept_y = [xs[k] for k in want_kept], [ys[k] for k in want_kept]
+        got = fit_residuals(curve, np.array(xs)[kept], np.array(ys)[kept])
+        for key, value in ref_stats(curve, kept_x, kept_y).items():
+            assert got[key] == pytest.approx(value, rel=STATS_RTOL, abs=1e-300)
+
+
+GOOD = [1.0, 2.0, 3.0, 4.0, 5.0]
+CALLS = {
+    "fit_log_cubic": lambda x, y: fit_log_cubic(x, y, KIND),
+    "fit_residuals": lambda x, y: fit_residuals(CalibrationCurve(0.0, 1.0, 0.0, 0.0), x, y),
+    "trim_refit": lambda x, y: trim_refit(x, y, KIND),
+}
+
+
+class TestRejection:
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("column", ["input", "illuminance"])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_bad_value_names_the_first_one(self, call, column, bad, row):
+        values = list(GOOD)
+        values[row] = bad
+        values[4] = -7.0  # a later bad value is not the one reported
+        xs, ys = (values, GOOD) if column == "input" else (GOOD, values)
+        with pytest.raises(DomainError, match=f"sample {column} must be > 0, "
+                                              f"got {bad} at row {row}$"):
+            CALLS[call](xs, ys)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("xs, ys", [(GOOD, GOOD[:-1]), (GOOD[:-1], GOOD),
+                                        ([GOOD], [GOOD]), (GOOD, [])])
+    def test_unequal_or_non_column_shapes(self, call, xs, ys):
+        with pytest.raises(DomainError, match="1-D columns of equal length"):
+            CALLS[call](xs, ys)

@@ -236,6 +236,20 @@ class TestCharacterizationIO:
         with pytest.raises(SchemaError):
             load_characterization(path)
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "char.json"
+        target.mkdir()  # the final rename onto a directory fails
+        with pytest.raises(OSError):
+            save_characterization(self._char(), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["char.json"]
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "char.json"
+        save_characterization(self._char(), path)
+        path.write_bytes(path.read_bytes().replace(b'"power"', b'"power\xff"'))
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_characterization(path)
+
     def test_full_precision_serialization(self, tmp_path):
         char = self._char()
         path = tmp_path / "char.json"
