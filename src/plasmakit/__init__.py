@@ -6,6 +6,7 @@ Modules:
     acquisition  raw ADC frames to volts/amps/watts/lux
     dataset      run persistence and power-vs-illuminance characterization
     svgchart     dependency-free SVG chart emission
+    files        the one CSV reader and the one atomic writer for every file
     cli          command-line interface
 """
 
@@ -24,7 +25,6 @@ from .acquisition import (
 )
 from .calibration import (
     CalibrationCurve,
-    CalibrationSample,
     InputKind,
     eval_log_poly,
     fit_log_cubic,

@@ -10,14 +10,13 @@ the light-sensor amplifier.  The conversion chain is
     p       = v * i
     lux     = calibration curve applied to the light-channel volts
 
-Replay works on columns: a frame CSV is read in chunks of CHUNK_ROWS
+Replay works on columns: a frame CSV is read in chunks of files.CHUNK_ROWS
 records, each distinct count of a channel is converted once by the scalar
 functions below, and the result is a columnar `Samples`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from collections.abc import Sequence
@@ -26,8 +25,10 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
+from . import files
 from .calibration import CalibrationCurve, InputKind, lux_from_input
-from .errors import DomainError, PreconditionError, RowError, SchemaError, csv_read_errors
+from .errors import DomainError, PreconditionError, RowError, SchemaError
+from .files import CONVERT, PARSE, Cells, Errors
 
 __all__ = [
     "ChannelConfig",
@@ -48,15 +49,6 @@ __all__ = [
 RAW_HEADER = ("t_ms", "raw_hv", "raw_shunt", "raw_ldr")
 ENG_HEADER = ("t_ms", "v_volts", "i_amps", "lux")
 OUT_HEADER = ("t_ms", "v_volts", "i_amps", "p_watts", "lux")
-
-# Records converted at a time when reading, and rows formatted at a time
-# when writing: enough that the per-chunk NumPy calls cost little per row,
-# few enough that a chunk's cells and strings stay a few megabytes.
-CHUNK_ROWS = 8192
-
-# Order of a row's errors: one that a row parser meets while parsing its
-# cells comes before one met while converting the parsed values.
-_PARSE, _CONVERT = 0, 1
 
 
 @dataclass(frozen=True)
@@ -258,67 +250,6 @@ def process_frame(cfg: ChannelConfig, frame: AdcFrame,
 
 # ------------------------------------------------------------ CSV columns
 
-Cells = tuple  # one column of a chunk: str per record, None where a record is short
-Errors = dict  # row in the chunk -> (_PARSE or _CONVERT, message)
-
-
-def _read_csv(source: TextIO) -> tuple[tuple[str, ...], Iterator[tuple[list[int], dict]]]:
-    """The header of a CSV and its records, CHUNK_ROWS at a time.
-
-    Each chunk is (lines, cells): the physical line each record ends on,
-    and for each header name the column of cells.  As with csv.DictReader,
-    blank lines hold no record, a short record's missing cells are None, a
-    long record's extra cells are ignored, and a repeated name keeps its
-    last column.
-    """
-    reader = csv.reader(source)
-    with csv_read_errors(reader):
-        fields = tuple(next(reader, ()))
-
-    def chunk(lines, rows):
-        if min(map(len, rows)) < len(fields):
-            rows = [row + [None] * (len(fields) - len(row)) for row in rows]
-        return lines, dict(zip(fields, zip(*rows)))
-
-    def chunks():
-        lines, rows = [], []
-        with csv_read_errors(reader):
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                    if len(rows) == CHUNK_ROWS:
-                        yield chunk(lines, rows)
-                        lines, rows = [], []
-        if rows:
-            yield chunk(lines, rows)
-
-    return fields, chunks()
-
-
-def _floats(cells: Optional[Cells], n: int, prefix: str,
-            optional: bool = False) -> tuple[np.ndarray, np.ndarray, Errors]:
-    """float() of every cell, the mask of the cells that hold a value, and
-    errors; a cell float() rejects reads NaN.  In an optional column an
-    empty or missing cell holds no value and no error."""
-    if cells is None:
-        return np.full(n, math.nan), np.zeros(n, dtype=bool), {}
-    present = np.fromiter(map(bool, cells), bool, n) if optional else np.ones(n, dtype=bool)
-    if not present.all():
-        cells = [cell or "nan" for cell in cells]
-    try:
-        return np.fromiter(map(float, cells), float, n), present, {}
-    except (ValueError, TypeError):
-        pass
-    values, errors = np.empty(n), {}
-    for k, cell in enumerate(cells):
-        try:
-            values[k] = float(cell)
-        except (ValueError, TypeError) as exc:
-            values[k], errors[k] = math.nan, (_PARSE, prefix + str(exc))
-    return values, present, errors
-
-
 class _CountTable(dict):
     """The cells of one count column, each distinct cell converted once.
 
@@ -352,13 +283,13 @@ class _CountTable(dict):
         try:
             raw = int(cell)
         except (ValueError, TypeError) as exc:
-            return math.nan, False, (_PARSE, f"bad raw frame: {exc}")
+            return math.nan, False, (PARSE, f"bad raw frame: {exc}")
         if self.convert is None:
             return math.nan, False, None
         try:
             return self.convert(raw), True, None
         except DomainError as exc:
-            return math.nan, False, (_CONVERT, str(exc))
+            return math.nan, False, (CONVERT, str(exc))
 
     def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, np.ndarray, Errors]:
         """Values of the cells, the mask of those that hold one, and errors."""
@@ -400,7 +331,7 @@ def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict
         with np.errstate(over="ignore", invalid="ignore"):
             p = columns[1] * columns[2]
         for k in np.flatnonzero(np.isnan(p)).tolist():
-            first.setdefault(k, (_CONVERT, power_prefix + _inconsistent_power(p[k], p[k])))
+            first.setdefault(k, (CONVERT, power_prefix + _inconsistent_power(p[k], p[k])))
         if first:
             for k in sorted(first):
                 err = RowError(lines[k], first[k][1])
@@ -430,39 +361,37 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
     in strict mode the first one aborts the replay.  A raw replay converts
     each distinct count of a channel once, with the scalar functions above.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return replay_stream(fh, cfg, ldr_curve, strict, diagnostics)
-    fields, chunks = _read_csv(source)
-    if not fields:
-        return Samples.of(())
-    if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
-        _check_light_curve(ldr_curve)
-        hv = _CountTable(lambda raw: _channel(cfg, "hv", raw))
-        shunt = _CountTable(lambda raw: _channel(cfg, "shunt", raw))
-        ldr = _CountTable(None if ldr_curve is None else
-                          (lambda raw: _channel(cfg, "ldr", raw, ldr_curve)), optional=True)
+    with files.read_csv(source) as (fields, chunks):
+        if not fields:
+            return Samples.of(())
+        if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
+            _check_light_curve(ldr_curve)
+            hv = _CountTable(lambda raw: _channel(cfg, "hv", raw))
+            shunt = _CountTable(lambda raw: _channel(cfg, "shunt", raw))
+            ldr = _CountTable(None if ldr_curve is None else
+                              (lambda raw: _channel(cfg, "ldr", raw, ldr_curve)), optional=True)
 
-        def convert(cells, n, start):
-            t, _, t_errors = _floats(cells["t_ms"], n, "bad raw frame: ")
-            v, _, v_errors = hv.column(cells["raw_hv"], n)
-            i, _, i_errors = shunt.column(cells["raw_shunt"], n)
-            lux, has_lux, lux_errors = ldr.column(cells.get("raw_ldr"), n)
-            return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
+            def convert(cells, n, start):
+                t, _, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
+                v, _, v_errors = hv.column(cells["raw_hv"], n)
+                i, _, i_errors = shunt.column(cells["raw_shunt"], n)
+                lux, has_lux, lux_errors = ldr.column(cells.get("raw_ldr"), n)
+                return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
 
-        return _collect(chunks, convert, strict, diagnostics, "")
-    if set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
-        prefix = "bad engineering row: "
+            return _collect(chunks, convert, strict, diagnostics, "")
+        if set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
+            prefix = "bad engineering row: "
 
-        def convert(cells, n, start):
-            t, _, t_errors = _floats(cells["t_ms"], n, prefix)
-            v, _, v_errors = _floats(cells["v_volts"], n, prefix)
-            i, _, i_errors = _floats(cells["i_amps"], n, prefix)
-            lux, has_lux, lux_errors = _floats(cells.get("lux"), n, prefix, optional=True)
-            return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
+            def convert(cells, n, start):
+                t, _, t_errors = files.floats(cells["t_ms"], n, prefix)
+                v, _, v_errors = files.floats(cells["v_volts"], n, prefix)
+                i, _, i_errors = files.floats(cells["i_amps"], n, prefix)
+                lux, has_lux, lux_errors = files.floats(cells.get("lux"), n, prefix,
+                                                        optional=True)
+                return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
 
-        return _collect(chunks, convert, strict, diagnostics, prefix)
-    raise SchemaError(f"unrecognized frame CSV header: {fields}")
+            return _collect(chunks, convert, strict, diagnostics, prefix)
+        raise SchemaError(f"unrecognized frame CSV header: {fields}")
 
 
 def detect_ignition(samples: Sequence[PowerSample], i_min: float = 1e-3,
@@ -489,12 +418,12 @@ def _reprs(col: np.ndarray) -> np.ndarray:
 
 
 def write_samples_csv(samples: Iterable[PowerSample], out: TextIO) -> None:
-    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs, CHUNK_ROWS
-    at a time; a missing lux is an empty cell."""
+    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs,
+    files.CHUNK_ROWS at a time; a missing lux is an empty cell."""
     samples = Samples.of(samples)
     out.write(",".join(OUT_HEADER) + "\n")
-    for start in range(0, len(samples), CHUNK_ROWS):
-        part = samples[start:start + CHUNK_ROWS]
+    for start in range(0, len(samples), files.CHUNK_ROWS):
+        part = samples[start:start + files.CHUNK_ROWS]
         columns = [_reprs(part.t_ms), _reprs(part.v_volts), _reprs(part.i_amps),
                    _reprs(part.p_watts), np.where(part.has_lux, _reprs(part.lux), "")]
         out.write("\n".join(map(",".join, zip(*(c.tolist() for c in columns)))) + "\n")

@@ -11,8 +11,6 @@ and residual statistics all operate on this representation.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,13 +19,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import (BracketError, DomainError, FitError, PreconditionError, RowError, SchemaError,
-                     csv_read_errors)
+from . import files
+from .errors import BracketError, DomainError, FitError, PreconditionError, RowError, SchemaError
 
 __all__ = [
     "InputKind",
     "CalibrationCurve",
-    "CalibrationSample",
     "eval_log_poly",
     "lux_from_input",
     "input_from_lux",
@@ -87,20 +84,6 @@ class CalibrationCurve:
             return True
         lo, hi = self.input_range
         return lo <= x <= hi
-
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    """One measured (input, illuminance) pair; both must be log-able."""
-
-    input: float
-    illuminance: float
-
-    def __post_init__(self):
-        if not (self.input > 0.0 and math.isfinite(self.input)):
-            raise DomainError(f"sample input must be > 0, got {self.input}")
-        if not (self.illuminance > 0.0 and math.isfinite(self.illuminance)):
-            raise DomainError(f"sample illuminance must be > 0, got {self.illuminance}")
 
 
 def eval_log_poly(curve: CalibrationCurve, x: float) -> float:
@@ -316,38 +299,30 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
 
 
 def save_curve(curve: CalibrationCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(curve_to_dict(curve), fh, indent=2)
-        fh.write("\n")
-
-
-def read_json(path):
-    """The JSON value in a file; bad JSON or bad UTF-8 raises SchemaError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    files.write_json(curve_to_dict(curve), path)
 
 
 def load_curve(path) -> CalibrationCurve:
-    return curve_from_dict(read_json(path))
+    return curve_from_dict(files.read_json(path))
 
 
-def read_samples_csv(source: TextIO | str) -> list[CalibrationSample]:
-    """Read `input,lux` sample files (header required); a row that is not two
-    positive numbers raises RowError with its line."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return read_samples_csv(fh)
-    reader = csv.DictReader(source)
-    out = []
-    with csv_read_errors(reader.reader):  # DictReader's line_num lags on errors
-        if reader.fieldnames is None or not {"input", "lux"} <= set(reader.fieldnames):
+def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:
+    """The input and lux columns of an `input,lux` sample file (header
+    required); a row that is not two positive finite numbers raises RowError
+    with its line."""
+    inputs, lux = [], []
+    with files.read_csv(source) as (fields, chunks):
+        if not {"input", "lux"} <= set(fields):
             raise SchemaError("sample CSV must have header columns: input,lux")
-        for row in reader:
-            try:
-                out.append(CalibrationSample(float(row["input"]), float(row["lux"])))
-            except (ValueError, TypeError) as exc:  # DomainError is a ValueError
-                raise RowError(reader.line_num, str(exc)) from exc
-    return out
+        for lines, cells in chunks:
+            x, _, x_errors = files.floats(cells["input"], len(lines))
+            y, _, y_errors = files.floats(cells["lux"], len(lines))
+            bad = {k: err for k, (_, err) in {**y_errors, **x_errors}.items()}
+            for name, col in (("input", x), ("illuminance", y)):
+                for k in np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist():
+                    bad.setdefault(k, f"sample {name} must be > 0, got {float(col[k])}")
+            if bad:
+                raise RowError(lines[min(bad)], bad[min(bad)])
+            inputs.append(x)
+            lux.append(y)
+    return np.concatenate([np.empty(0), *inputs]), np.concatenate([np.empty(0), *lux])

@@ -17,9 +17,7 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import acquisition, calibration, dataset, probe, svgchart
+from . import acquisition, calibration, dataset, files, probe, svgchart
 from .errors import PlasmaKitError, SchemaError
 
 __all__ = ["main", "build_parser"]
@@ -37,7 +35,7 @@ def _load_config(args) -> acquisition.ChannelConfig:
     """Flags override config-file values override built-in defaults."""
     values = {}
     if getattr(args, "config", None):
-        values = calibration.read_json(args.config)
+        values = files.read_json(args.config)
         if not isinstance(values, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
         for name, value in values.items():
@@ -110,11 +108,11 @@ def _cmd_probe_bode(args) -> int:
              svgchart.Series(freqs, tuple(r.phase for r in responses), "phase (rad)")],
             title="Probe frequency response", x_label="frequency (Hz)",
             y_label="gain", x_log=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with files.atomic_write(args.out) as fh:
             fh.write(svg)
         print(f"wrote {args.out}")
     elif args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with files.atomic_write(args.out) as fh:
             probe.write_sweep_csv(responses, fh)
         print(f"wrote {args.out}")
     else:
@@ -125,9 +123,7 @@ def _cmd_probe_bode(args) -> int:
 # ------------------------------------------------------------------ cal
 
 def _cmd_cal_fit(args) -> int:
-    samples = calibration.read_samples_csv(args.infile)
-    inputs = np.array([s.input for s in samples], dtype=float)
-    lux = np.array([s.illuminance for s in samples], dtype=float)
+    inputs, lux = calibration.read_samples_csv(args.infile)
     kind = calibration.InputKind(args.kind)
     if args.trim:
         curve, kept, trimmed = calibration.trim_refit(inputs, lux, kind)
@@ -173,7 +169,7 @@ def _write_fit_plot(path, xs, ys, curve: calibration.CalibrationCurve, lo: float
         [svgchart.Series(xs, ys, "data", style="dots"),
          svgchart.Series(grid, [calibration.lux_from_input(curve, x) for x in grid], "fit")],
         title=title, x_label=x_label, y_label="illuminance (lux)", x_log=True, y_log=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with files.atomic_write(path) as fh:
         fh.write(svg)
 
 
@@ -194,7 +190,7 @@ def _cmd_acq_replay(args) -> int:
     for err in diagnostics:
         print(f"warning: {err}", file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with files.atomic_write(args.out) as fh:
             acquisition.write_samples_csv(samples, fh)
         print(f"wrote {args.out} ({len(samples)} samples)")
     else:

@@ -8,23 +8,14 @@ single 3-sigma outlier-trim pass for ignition transients.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 import numpy as np
 
-from .acquisition import (
-    Samples,
-    _collect,
-    _floats,
-    _read_csv,
-    detect_ignition,
-)
+from . import files
+from .acquisition import Samples, _collect, detect_ignition, write_samples_csv
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -32,7 +23,6 @@ from .calibration import (
     curve_to_dict,
     fit_log_cubic,
     fit_residuals,
-    read_json,
     trim_refit,
 )
 from .errors import DomainError, FitError, SchemaError
@@ -114,47 +104,42 @@ def load_run(source: TextIO | str,
     missing timestamps become the record index.  A rejected row is reported
     with the physical line it ends on.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return load_run(fh, schema_map, meta, strict, diagnostics)
     schema_map = schema_map or {}
-    fields, chunks = _read_csv(source)
+    with files.read_csv(source) as (fields, chunks):
+        def column(name: str) -> tuple[Optional[str], float]:
+            if name in schema_map:
+                src, scale = schema_map[name]
+                if src not in fields:
+                    raise SchemaError(f"mapped column {src!r} for {name!r} not in file")
+                return src, scale
+            return (name, 1.0) if name in fields else (None, 1.0)
 
-    def column(name: str) -> tuple[Optional[str], float]:
-        if name in schema_map:
-            src, scale = schema_map[name]
-            if src not in fields:
-                raise SchemaError(f"mapped column {src!r} for {name!r} not in file")
-            return src, scale
-        return (name, 1.0) if name in fields else (None, 1.0)
+        v_col, v_scale = column("v_volts")
+        i_col, i_scale = column("i_amps")
+        if v_col is None or i_col is None:
+            raise SchemaError("run CSV must provide v_volts and i_amps "
+                              f"(have {sorted(set(fields))})")
+        t_col, t_scale = column("t_ms")
+        lux_col, lux_scale = column("lux")
 
-    v_col, v_scale = column("v_volts")
-    i_col, i_scale = column("i_amps")
-    if v_col is None or i_col is None:
-        raise SchemaError(f"run CSV must provide v_volts and i_amps (have {sorted(set(fields))})")
-    t_col, t_scale = column("t_ms")
-    lux_col, lux_scale = column("lux")
+        def convert(cells, n, start):
+            v, _, v_errors = files.floats(cells[v_col], n)
+            i, _, i_errors = files.floats(cells[i_col], n)
+            if t_col:
+                t, _, t_errors = files.floats(cells[t_col], n)
+            else:
+                t, t_errors = np.arange(start, start + n, dtype=float), {}
+            lux, has_lux, lux_errors = files.floats(cells.get(lux_col), n, optional=True)
+            return ((t * t_scale, v * v_scale, i * i_scale, lux * lux_scale, has_lux),
+                    [v_errors, i_errors, t_errors, lux_errors])
 
-    def convert(cells, n, start):
-        v, _, v_errors = _floats(cells[v_col], n, "")
-        i, _, i_errors = _floats(cells[i_col], n, "")
-        if t_col:
-            t, _, t_errors = _floats(cells[t_col], n, "")
-        else:
-            t, t_errors = np.arange(start, start + n, dtype=float), {}
-        lux, has_lux, lux_errors = _floats(cells.get(lux_col), n, "", optional=True)
-        return ((t * t_scale, v * v_scale, i * i_scale, lux * lux_scale, has_lux),
-                [v_errors, i_errors, t_errors, lux_errors])
-
-    samples = _collect(chunks, convert, strict, diagnostics, "")
+        samples = _collect(chunks, convert, strict, diagnostics, "")
     return ExperimentRun(samples=samples, meta=meta or ExperimentMeta())
 
 
 def save_run(run: ExperimentRun, path) -> None:
     """Write the run back out in the canonical engineering CSV layout."""
-    from .acquisition import write_samples_csv
-
-    with _atomic_writer(path) as fh:
+    with files.atomic_write(path) as fh:
         write_samples_csv(run.samples, fh)
 
 
@@ -240,26 +225,10 @@ def characterization_from_dict(data: dict) -> Characterization:
         raise SchemaError(f"bad characterization object: {exc}") from exc
 
 
-@contextmanager
-def _atomic_writer(path):
-    """Write to a temp file in the target directory, rename on success."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def save_characterization(char: Characterization, path) -> None:
     """JSON round trip is lossless: floats serialize at full repr precision."""
-    with _atomic_writer(path) as fh:
-        json.dump(characterization_to_dict(char), fh, indent=2)
-        fh.write("\n")
+    files.write_json(characterization_to_dict(char), path)
 
 
 def load_characterization(path) -> Characterization:
-    return characterization_from_dict(read_json(path))
+    return characterization_from_dict(files.read_json(path))

@@ -1,8 +1,5 @@
 """Exception hierarchy shared by all plasmakit modules."""
 
-import csv
-from contextlib import contextmanager
-
 
 class PlasmaKitError(Exception):
     """Base class for all plasmakit errors."""
@@ -39,15 +36,3 @@ class RowError(PlasmaKitError, ValueError):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
-
-@contextmanager
-def csv_read_errors(reader):
-    """Raise what a CSV reader cannot read past, in lenient mode too: bytes
-    that are not UTF-8 as SchemaError, a csv.Error as RowError on its line."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise SchemaError("input is not UTF-8 text: cannot decode "
-                          f"{exc.object[exc.start:exc.end]!r}") from exc
-    except csv.Error as exc:
-        raise RowError(reader.line_num, str(exc)) from exc

@@ -1,0 +1,138 @@
+"""Every file plasmakit reads or writes goes through this module: one
+chunked CSV reader, one JSON loader, and one atomic writer."""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+from contextlib import contextmanager, nullcontext
+from typing import Iterator, Optional, TextIO
+
+import numpy as np
+
+from .errors import RowError, SchemaError
+
+# Records converted at a time when reading, and rows formatted at a time
+# when writing: enough that the per-chunk NumPy calls cost little per row,
+# few enough that a chunk's cells and strings stay a few megabytes.
+CHUNK_ROWS = 8192
+
+# Order of a row's errors: one that a row parser meets while parsing its
+# cells comes before one met while converting the parsed values.
+PARSE, CONVERT = 0, 1
+
+Cells = tuple  # one column of a chunk: str per record, None where a record is short
+Errors = dict  # row in the chunk -> (PARSE or CONVERT, message)
+
+
+@contextmanager
+def read_csv(source: TextIO | str | os.PathLike):
+    """The header of a CSV file or stream and its records, CHUNK_ROWS at a time.
+
+    Yields (fields, chunks).  Each chunk is (lines, cells): the physical
+    line each record ends on, and for each header name the column of cells.
+    As with csv.DictReader, blank lines hold no record, a short record's
+    missing cells are None, a long record's extra cells are ignored, and a
+    repeated name keeps its last column.  What the reader cannot read past
+    raises in lenient mode too: bytes that are not UTF-8 as SchemaError, a
+    csv.Error as RowError on its line.
+    """
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
+    with opened as fh:
+        reader = csv.reader(fh)
+        try:
+            fields = tuple(next(reader, ()))
+            yield fields, _chunks(reader, fields)
+        except UnicodeDecodeError as exc:
+            raise SchemaError("input is not UTF-8 text: cannot decode "
+                              f"{exc.object[exc.start:exc.end]!r}") from exc
+        except csv.Error as exc:
+            raise RowError(reader.line_num, str(exc)) from exc
+
+
+def _chunks(reader, fields: tuple[str, ...]) -> Iterator[tuple[list[int], dict]]:
+    def chunk(lines, rows):
+        if min(map(len, rows)) < len(fields):
+            rows = [row + [None] * (len(fields) - len(row)) for row in rows]
+        return lines, dict(zip(fields, zip(*rows)))
+
+    lines, rows = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == CHUNK_ROWS:
+                yield chunk(lines, rows)
+                lines, rows = [], []
+    if rows:
+        yield chunk(lines, rows)
+
+
+def floats(cells: Optional[Cells], n: int, prefix: str = "",
+           optional: bool = False) -> tuple[np.ndarray, np.ndarray, Errors]:
+    """float() of every cell, the mask of the cells that hold a value, and
+    errors; a cell float() rejects reads NaN.  In an optional column an
+    empty or missing cell holds no value and no error."""
+    if cells is None:
+        return np.full(n, math.nan), np.zeros(n, dtype=bool), {}
+    present = np.fromiter(map(bool, cells), bool, n) if optional else np.ones(n, dtype=bool)
+    if not present.all():
+        cells = [cell or "nan" for cell in cells]
+    try:
+        return np.fromiter(map(float, cells), float, n), present, {}
+    except (ValueError, TypeError):
+        pass
+    values, errors = np.empty(n), {}
+    for k, cell in enumerate(cells):
+        try:
+            values[k] = float(cell)
+        except (ValueError, TypeError) as exc:
+            values[k], errors[k] = math.nan, (PARSE, prefix + str(exc))
+    return values, present, errors
+
+
+def read_json(path):
+    """The JSON value in a file; bad JSON or bad UTF-8 raises SchemaError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def atomic_write(path):
+    """A UTF-8 text stream whose bytes replace the file at `path` on success.
+
+    The stream writes a new file beside the target, created with the mode
+    open() gives a new file (0o666 less the umask), and renames it onto the
+    target only when the `with` block succeeds; on failure the target is
+    untouched and the new file removed.  A symlink is followed: its target
+    gets the bytes and the link stays.  A target that exists and is not a
+    regular file, such as a FIFO or a device, cannot be replaced by a rename
+    and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".plasmakit-{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json(obj, path) -> None:
+    """Write obj as indented JSON and a newline, atomically; floats keep
+    their full repr precision."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")

@@ -27,7 +27,7 @@ from plasmakit import (
     process_frame,
     replay_stream,
 )
-from plasmakit import acquisition
+from plasmakit import files
 from plasmakit.acquisition import write_samples_csv
 
 from conftest import VOLTAGE_COEFFS
@@ -174,7 +174,7 @@ def eng_case(draw):
 
 def check_replay(text, cfg, curve, chunk_rows):
     want, want_diags = reference_replay(text, cfg, curve)
-    with mock.patch.object(acquisition, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
         diagnostics = []
         got = replay_stream(io.StringIO(text), cfg, curve, diagnostics=diagnostics)
         assert [(e.line_number, str(e)) for e in diagnostics] == want_diags
@@ -210,7 +210,7 @@ class TestAgainstRowReference:
         want, want_diags = reference_load_run(text)
         if any(b.t_ms < a.t_ms for a, b in zip(want, want[1:])):
             return  # ExperimentRun rejects the run; covered by TestRunTypes
-        with mock.patch.object(acquisition, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
             diagnostics = []
             run = load_run(io.StringIO(text), strict=False, diagnostics=diagnostics)
         assert [(e.line_number, str(e)) for e in diagnostics] == want_diags
