@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, TextIO
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 import numpy as np
 
 from . import files
-from .calibration import CalibrationCurve, InputKind, lux_from_input
+from .calibration import CalibrationCurve, InputKind, is_finite_number, lux_from_input
 from .errors import DomainError, PreconditionError, RowError, SchemaError
 from .files import CONVERT, PARSE, Cells, Errors
 
@@ -63,7 +64,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name in ("probe_ratio", "shunt_ohms", "offset_volts", "adc_fullscale_volts"):
-            if not _is_finite_number(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise DomainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if isinstance(self.adc_bits, bool) or not isinstance(self.adc_bits, numbers.Integral):
             raise DomainError(f"adc_bits must be an integer, got {self.adc_bits!r}")
@@ -88,15 +89,6 @@ class ChannelConfig:
         return (1 << self.adc_bits) - 1
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class AdcFrame:
     """One raw multi-channel ADC reading."""
@@ -107,13 +99,18 @@ class AdcFrame:
     raw_ldr: Optional[int] = None
 
 
-def _inconsistent_power(p: float, expected: float) -> str:
-    return f"p_watts={p} inconsistent with v*i={expected}"
+# The fields a sample must hold as finite numbers, in the order they are checked.
+_FINITE = ("t_ms", "v_volts", "i_amps", "p_watts")
+
+
+def _not_finite(name: str, value: float) -> str:
+    return f"{name} must be finite, got {value}"
 
 
 @dataclass(frozen=True)
 class PowerSample:
-    """One engineering-unit record; p must equal v*i."""
+    """One engineering-unit record: t, v, i and p are finite and p equals
+    v*i; lux may be NaN."""
 
     t_ms: float
     v_volts: float
@@ -122,9 +119,12 @@ class PowerSample:
     lux: Optional[float] = None
 
     def __post_init__(self):
+        for name in _FINITE:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(_not_finite(name, getattr(self, name)))
         expected = self.v_volts * self.i_amps
         if not math.isclose(self.p_watts, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise DomainError(_inconsistent_power(self.p_watts, expected))
+            raise DomainError(f"p_watts={self.p_watts} inconsistent with v*i={expected}")
 
     @classmethod
     def from_vi(cls, t_ms: float, v: float, i: float,
@@ -206,7 +206,13 @@ def shunt_current(cfg: ChannelConfig, v3: float) -> float:
 
 
 def instantaneous_power(v: float, i: float) -> float:
-    return v * i
+    """p = v*i; raises DomainError for a non-finite v or i, or a product
+    that over- or underflows."""
+    p = v * i
+    if not math.isfinite(p) or (abs(p) < sys.float_info.min and v != 0.0 and i != 0.0):
+        raise DomainError(f"power v*i = {p} for v = {v}, i = {i} is not finite or "
+                          "over- or underflows")
+    return p
 
 
 DEFAULT_CONFIG = ChannelConfig()
@@ -315,7 +321,8 @@ def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict
     record `start`, into the columns (t, v, i, lux, has_lux) and the errors
     of each column, listed in the order a row parser reads the cells.  A
     row's first error is the one reported: parse errors first, then the
-    column order, and last a NaN power (prefixed by power_prefix).  In
+    column order, and last a non-finite t, v, i or p, with PowerSample's
+    message (prefixed by power_prefix).  In
     lenient mode each rejected row adds a RowError with its physical line
     number to `diagnostics`; in strict mode the first one is raised.
     """
@@ -330,8 +337,9 @@ def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict
                     first[k] = err
         with np.errstate(over="ignore", invalid="ignore"):
             p = columns[1] * columns[2]
-        for k in np.flatnonzero(np.isnan(p)).tolist():
-            first.setdefault(k, (CONVERT, power_prefix + _inconsistent_power(p[k], p[k])))
+        for name, col in zip(_FINITE, (*columns[:3], p)):
+            for k in np.flatnonzero(~np.isfinite(col)).tolist():
+                first.setdefault(k, (CONVERT, power_prefix + _not_finite(name, float(col[k]))))
         if first:
             for k in sorted(first):
                 err = RowError(lines[k], first[k][1])

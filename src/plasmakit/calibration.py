@@ -50,6 +50,27 @@ class InputKind(str, Enum):
     PLASMA_POWER = "power"
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; False for a bool, a non-number and an
+    int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def checked_range(rng) -> tuple[float, float]:
+    """An input range as two floats; DomainError unless it is two positive,
+    ordered, finite numbers."""
+    if not (isinstance(rng, (tuple, list)) and len(rng) == 2
+            and all(map(is_finite_number, rng)) and 0.0 < rng[0] <= rng[1]):
+        raise DomainError("input_range must be two positive, ordered, finite numbers, "
+                          f"got {rng!r}")
+    return float(rng[0]), float(rng[1])
+
+
 @dataclass(frozen=True)
 class CalibrationCurve:
     """Coefficients of the log-domain cubic, lowest order first in naming."""
@@ -66,13 +87,7 @@ class CalibrationCurve:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"coefficient {name} is not finite")
         if self.input_range is not None:
-            rng = self.input_range
-            if not (isinstance(rng, (tuple, list)) and len(rng) == 2
-                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in rng)
-                    and 0.0 < rng[0] <= rng[1] < math.inf):
-                raise DomainError("input_range must be two positive, ordered, finite numbers, "
-                                  f"got {rng!r}")
-            object.__setattr__(self, "input_range", (float(rng[0]), float(rng[1])))
+            object.__setattr__(self, "input_range", checked_range(self.input_range))
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
@@ -101,10 +116,11 @@ def lux_from_input(curve: CalibrationCurve, x: float) -> float:
         raise DomainError(f"curve input must be > 0, got {x}")
     log_lux = eval_log_poly(curve, math.log(x))
     try:
-        return math.exp(log_lux)
+        if log_lux < math.inf:  # the cubic itself may overflow, and exp(inf) is inf
+            return math.exp(log_lux)
     except OverflowError:
-        raise DomainError(
-            f"illuminance overflows at input {x} (ln lux = {log_lux})") from None
+        pass
+    raise DomainError(f"illuminance overflows at input {x} (ln lux = {log_lux})")
 
 
 def monotone_direction(curve: CalibrationCurve) -> int:
@@ -294,7 +310,7 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
         coeffs = [float(data[k]) for k in ("a0", "a1", "a2", "a3")]
         return CalibrationCurve(*coeffs, input_kind=InputKind(data["kind"]),
                                 input_range=data.get("input_range"))
-    except (KeyError, ValueError, TypeError) as exc:  # DomainError is a ValueError
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # DomainError: ValueError
         raise SchemaError(f"bad calibration curve object: {exc}") from exc
 
 

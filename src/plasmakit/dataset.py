@@ -9,6 +9,7 @@ single 3-sigma outlier-trim pass for ignition transients.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -19,10 +20,12 @@ from .acquisition import Samples, _collect, detect_ignition, write_samples_csv
 from .calibration import (
     CalibrationCurve,
     InputKind,
+    checked_range,
     curve_from_dict,
     curve_to_dict,
     fit_log_cubic,
     fit_residuals,
+    is_finite_number,
     trim_refit,
 )
 from .errors import DomainError, FitError, SchemaError
@@ -83,12 +86,15 @@ class Characterization:
     trimmed_count: int
 
     def __post_init__(self):
-        lo, hi = self.input_range
-        if not (0.0 < lo <= hi):
-            raise DomainError(f"input_range must be positive and ordered, got {self.input_range}")
-        if self.trimmed_count < 0:
-            raise DomainError("trimmed_count must be >= 0")
-        object.__setattr__(self, "input_range", (float(lo), float(hi)))
+        object.__setattr__(self, "input_range", checked_range(self.input_range))
+        for name in ("rmse_log", "max_abs_log"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value >= 0.0):
+                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        count = self.trimmed_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise DomainError(f"trimmed_count must be an integer >= 0, got {count!r}")
 
 
 def load_run(source: TextIO | str,
@@ -216,10 +222,10 @@ def characterization_from_dict(data: dict) -> Characterization:
     try:
         return Characterization(
             curve=curve_from_dict(data["curve"]),
-            rmse_log=float(data["rmse_log"]),
-            max_abs_log=float(data["max_abs_log"]),
-            input_range=tuple(float(x) for x in data["input_range"]),
-            trimmed_count=int(data["trimmed_count"]),
+            rmse_log=data["rmse_log"],
+            max_abs_log=data["max_abs_log"],
+            input_range=data["input_range"],
+            trimmed_count=data["trimmed_count"],
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"bad characterization object: {exc}") from exc

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TextIO
@@ -309,9 +310,15 @@ def frequency_response(net: ProbeNetwork, f: float) -> ComplexResponse:
 
 
 def dc_attenuation(net: ProbeNetwork) -> float:
-    """Zero-frequency divider ratio R0 / (R0 + sum of ladder resistances)."""
+    """Zero-frequency divider ratio R0 / (R0 + sum of ladder resistances).
+
+    Raises DomainError when the sum overflows or the ratio underflows."""
     total = net.base.resistance + sum(st.resistance for st in net.ladder)
-    return net.base.resistance / total
+    ratio = net.base.resistance / total
+    if not (total < math.inf and ratio >= sys.float_info.min):
+        raise DomainError(f"DC attenuation R0/(R0 + sum Ri) = {net.base.resistance}/{total} "
+                          "over- or underflows")
+    return ratio
 
 
 def _require_uniform(net: ProbeNetwork, op: str) -> RCStage:
@@ -323,9 +330,14 @@ def _require_uniform(net: ProbeNetwork, op: str) -> RCStage:
 
 
 def compensation_capacitor(net: ProbeNetwork) -> float:
-    """Base capacitance C1*R1/R0 that makes a uniform ladder frequency-flat."""
+    """Base capacitance C1*R1/R0 that makes a uniform ladder frequency-flat.
+
+    Raises DomainError when C1 > 0 and the result over- or underflows."""
     st = _require_uniform(net, "compensation_capacitor")
-    return st.capacitance * st.resistance / net.base.resistance
+    c0 = st.capacitance * st.resistance / net.base.resistance
+    if st.capacitance > 0.0 and not sys.float_info.min <= c0 < math.inf:
+        raise DomainError(f"compensation capacitor C1*R1/R0 = {c0} over- or underflows")
+    return c0
 
 
 def is_compensated(net: ProbeNetwork, rel_tol: float) -> bool:
@@ -351,8 +363,9 @@ def design_probe(target_ratio: float, n: int, ladder_r: float,
     if n < 1:
         raise DomainError(f"need at least one ladder stage, got n={n}")
     base_r = n * ladder_r * target_ratio / (1.0 - target_ratio)
-    base_c = ladder_c * ladder_r / base_r
-    return ProbeNetwork.uniform(n, ladder_r, ladder_c, base_r, base_c)
+    uncompensated = ProbeNetwork.uniform(n, ladder_r, ladder_c, base_r, 0.0)
+    return ProbeNetwork.uniform(n, ladder_r, ladder_c, base_r,
+                                compensation_capacitor(uncompensated))
 
 
 def bode_sweep(net: ProbeNetwork, f_min: float, f_max: float, points: int,

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -135,6 +136,12 @@ class TestInstantaneousPower:
         assert instantaneous_power(-2.0, 3.0) == -6.0
         assert instantaneous_power(-2.0, -3.0) == 6.0
 
+    @pytest.mark.parametrize("v, i", [(math.nan, 1.0), (1.0, -math.inf), (1e308, 10.0),
+                                      (1e-200, 1e-200), (5e-324, 0.5)])
+    def test_power_over_or_underflow_rejected(self, v, i):
+        with pytest.raises(DomainError):
+            instantaneous_power(v, i)
+
 
 class TestPowerSample:
     def test_consistency_enforced(self):
@@ -144,6 +151,17 @@ class TestPowerSample:
     def test_from_vi(self):
         s = PowerSample.from_vi(1.0, 2.0, 3.0)
         assert s.p_watts == 6.0
+
+    @pytest.mark.parametrize("t, v, i, p, message", [
+        (math.nan, math.inf, 1.0, math.inf, "t_ms must be finite, got nan"),
+        (0.0, -math.inf, math.nan, math.nan, "v_volts must be finite, got -inf"),
+        (0.0, 1.0, math.inf, math.inf, "i_amps must be finite, got inf"),
+        (0.0, 1e308, 10.0, math.inf, "p_watts must be finite, got inf"),
+    ])
+    def test_non_finite_rejected_in_order(self, t, v, i, p, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            PowerSample(t, v, i, p)
+        assert math.isnan(PowerSample.from_vi(0.0, 1.0, 2.0, lux=math.nan).lux)
 
 
 class TestSamples:

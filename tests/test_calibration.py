@@ -78,6 +78,15 @@ class TestForwardEvaluation:
         with pytest.raises(DomainError):
             lux_from_input(voltage_curve, -1.0)
 
+    @pytest.mark.parametrize("coeffs, x", [
+        ((1e308, 1e308, 0.0, 0.0), 10.0),      # ln lux = inf: exp() returns inf, no error
+        ((0.0, 0.0, 0.0, 1e308), 1e308),       # Horner's a3*u overflows to inf
+        ((700.0, 10.0, 0.0, 0.0), 10.0),       # exp() raises OverflowError
+    ])
+    def test_overflow_rejected(self, coeffs, x):
+        with pytest.raises(DomainError, match="illuminance overflows"):
+            lux_from_input(CalibrationCurve(*coeffs), x)
+
 
 class TestMonotonicity:
     def test_both_published_curves_monotone_increasing(self, voltage_curve, power_curve):

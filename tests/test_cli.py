@@ -85,6 +85,19 @@ class TestProbeCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        # R0 + R1 overflows, so the DC ratio reads 0.0
+        ["analyze", "--n", "1", "--r1", "1e308", "--c1", "1", "--r0", "1e308", "--c0", "1"],
+        # C1*R1/R0 overflows
+        ["analyze", "--n", "1", "--r1", "1e308", "--c1", "1e308", "--r0", "1", "--c0", "1"],
+        ["design", "--ratio", "0.5", "--n", "1", "--r1", "1e308", "--c1", "1e-300"],
+    ])
+    def test_overflow_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "probe", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "over- or underflows" in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["probe", "analyze", "--n", "5"])  # missing component flags
@@ -172,6 +185,13 @@ class TestAcqCommands:
                                "--i", "0.038130")
         assert code == 0
         assert json.loads(out)["p_watts"] == pytest.approx(18.264, abs=5e-4)
+
+    @pytest.mark.parametrize("v, i", [("nan", "1"), ("1e308", "10")])
+    def test_power_non_finite_exits_1(self, capsys, v, i):
+        code, out, err = run_cli(capsys, "acq", "power", "--v", v, "--i", i)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: power v*i")
 
     def test_power_byte_stable(self, capsys):
         outs = {run_cli(capsys, "acq", "power", "--v", "498", "--i", "0.0366")[1]

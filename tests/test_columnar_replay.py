@@ -10,6 +10,7 @@ writer must produce the same bytes.
 
 import csv
 import io
+import math
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from plasmakit import (
     DomainError,
     PowerSample,
     RowError,
+    Samples,
     load_run,
     process_frame,
     replay_stream,
@@ -220,10 +222,22 @@ class TestAgainstRowReference:
         text = ("t_ms,v_volts,i_amps,lux\n"
                 "-0.0,0.0,-1.0,\n"      # p = 0 * -1 = -0.0; no lux
                 "0.0,-0.0,-0.0,nan\n"   # p = 0.0; lux present but NaN
-                "1.0,inf,2.0,-0.0\n"    # p = inf
-                "2.0,1e308,-1e308,inf\n"  # p overflows to -inf
-                "3.0,nan,1.0,1\n")      # p = nan: rejected
+                "1.0,inf,2.0,-0.0\n"    # v = inf: rejected
+                "2.0,1e308,-1e308,inf\n"  # p overflows to -inf: rejected
+                "3.0,nan,1.0,1\n")      # v = nan: rejected
         check_replay(text, ChannelConfig(), None, 2)
-        samples = replay_stream(io.StringIO(text))
-        assert samples.has_lux.tolist() == [False, True, True, True]
-        assert [repr(x) for x in samples.p_watts.tolist()] == ["-0.0", "0.0", "inf", "-inf"]
+        diagnostics = []
+        samples = replay_stream(io.StringIO(text), diagnostics=diagnostics)
+        assert samples.has_lux.tolist() == [False, True]
+        assert [repr(x) for x in samples.p_watts.tolist()] == ["-0.0", "0.0"]
+        assert [str(e) for e in diagnostics] == [
+            "line 4: bad engineering row: v_volts must be finite, got inf",
+            "line 5: bad engineering row: p_watts must be finite, got -inf",
+            "line 6: bad engineering row: v_volts must be finite, got nan"]
+        # Samples built directly may hold non-finite values; the writer keeps them.
+        out = io.StringIO()
+        write_samples_csv(Samples([1.0, 2.0], [math.inf, 1e308], [2.0, -1e308],
+                                  [-0.0, math.inf], [True, True]), out)
+        assert out.getvalue() == ("t_ms,v_volts,i_amps,p_watts,lux\n"
+                                  "1.0,inf,2.0,inf,-0.0\n"
+                                  "2.0,1e+308,-1e+308,-inf,inf\n")

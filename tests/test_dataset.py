@@ -236,6 +236,21 @@ class TestCharacterizationIO:
         with pytest.raises(SchemaError):
             load_characterization(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("input_range", "12"), ("input_range", [1, math.inf]), ("input_range", [True, 2]),
+        ("rmse_log", math.nan), ("rmse_log", "0.1"), ("max_abs_log", -0.5),
+        ("max_abs_log", 10 ** 400), ("trimmed_count", 1.7), ("trimmed_count", True),
+        ("trimmed_count", -1),
+    ])
+    def test_bad_field_rejected(self, tmp_path, key, value):
+        path = tmp_path / "char.json"
+        save_characterization(self._char(), path)
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=f"bad characterization object: {key}"):
+            load_characterization(path)
+
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "char.json"
         target.mkdir()  # the final rename onto a directory fails

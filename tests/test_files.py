@@ -1,0 +1,147 @@
+"""Every writer goes through files.atomic_write: the library's save_* functions
+and each CLI output file.  Each must give a new file the mode open() gives,
+write through a symlink to its target, write a FIFO in place, and leave the
+old file and no temp file when the final rename fails."""
+
+import math
+import os
+import stat
+import threading
+
+import pytest
+
+from plasmakit import CalibrationCurve, InputKind, characterize, files, load_run, lux_from_input
+from plasmakit.calibration import save_curve
+from plasmakit.cli import main
+from plasmakit.dataset import save_characterization, save_run
+
+from conftest import POWER_COEFFS, VOLTAGE_COEFFS
+
+NETWORK = ["--n", "5", "--r1", "10e6", "--c1", "15e-12", "--r0", "52.8e3", "--c0", "3e-9",
+           "--points", "20"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    power = CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
+    rows = ["t_ms,v_volts,i_amps,lux", "0,0,0,", "1,0,0,", "2,0,0,"]
+    for k in range(30):
+        p = 5.0 * 8.0 ** (k / 29)
+        rows.append(f"{3 + k},{p / 0.02},0.02,{lux_from_input(power, p)}")
+    (root / "run.csv").write_text("\n".join(rows) + "\n")
+    voltage = CalibrationCurve(*VOLTAGE_COEFFS)
+    (root / "samples.csv").write_text("input,lux\n" + "".join(
+        f"{x},{lux_from_input(voltage, x)}\n" for x in (0.5, 1.0, 2.0, 4.0, 8.0)))
+    (root / "frames.csv").write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n1,700,2600\n")
+    return root
+
+
+def cli(*argv):
+    if main(list(argv)) != 0:
+        raise OSError(f"plasmakit {' '.join(argv)} failed")
+
+
+# name -> (suffix, write(path, inputs))
+WRITERS = {
+    "save_curve": (".json", lambda path, d: save_curve(CalibrationCurve(*VOLTAGE_COEFFS), path)),
+    "save_run": (".csv", lambda path, d: save_run(load_run(str(d / "run.csv")), path)),
+    "save_characterization": (".json", lambda path, d: save_characterization(
+        characterize(load_run(str(d / "run.csv"))), path)),
+    "acq replay --out": (".csv", lambda path, d: cli(
+        "acq", "replay", "--in", str(d / "frames.csv"), "--out", path)),
+    "probe bode --out csv": (".csv", lambda path, d: cli("probe", "bode", *NETWORK, "--out", path)),
+    "probe bode --out svg": (".svg", lambda path, d: cli("probe", "bode", *NETWORK, "--out", path)),
+    "cal fit --out": (".json", lambda path, d: cli(
+        "cal", "fit", "--in", str(d / "samples.csv"), "--out", path)),
+    "cal fit --plot": (".svg", lambda path, d: cli(
+        "cal", "fit", "--in", str(d / "samples.csv"), "--plot", path)),
+    "characterize --out": (".json", lambda path, d: cli(
+        "characterize", "--in", str(d / "run.csv"), "--out", path)),
+    "characterize --plot": (".svg", lambda path, d: cli(
+        "characterize", "--in", str(d / "run.csv"), "--plot", path)),
+}
+
+
+@pytest.fixture(params=sorted(WRITERS))
+def writer(request, inputs, tmp_path):
+    """(suffix, write(path)) of one writer, and the bytes it writes."""
+    suffix, write = WRITERS[request.param]
+    reference = tmp_path / "reference" / ("out" + suffix)
+    reference.parent.mkdir()
+    write(str(reference), inputs)
+    return suffix, lambda path: write(str(path), inputs), reference.read_bytes()
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_new_file_has_umask_mode(writer, tmp_path, umask_022):
+    suffix, write, _ = writer
+    path = tmp_path / ("out" + suffix)
+    write(path)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
+
+def test_symlink_is_followed(writer, tmp_path):
+    suffix, write, want = writer
+    target = tmp_path / ("target" + suffix)
+    target.write_text("old")
+    link = tmp_path / ("link" + suffix)
+    link.symlink_to(target.name)
+    write(link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["reference", link.name,
+                                                                 target.name])
+
+
+def test_fifo_is_written_in_place(writer, tmp_path):
+    suffix, write, want = writer
+    fifo = tmp_path / ("fifo" + suffix)
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    write(fifo)
+    reader.join(timeout=10)
+    assert got == [want]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_failed_rename_leaves_old_file_and_no_temp_file(writer, tmp_path, monkeypatch):
+    # extends test_dataset's test_failed_rename_leaves_no_temp_file to every writer
+    suffix, write, _ = writer
+    path = tmp_path / ("out" + suffix)
+    path.write_text("old")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(files.os, "replace", fail)
+    with pytest.raises(OSError):
+        write(path)
+    assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out" + suffix, "reference"]
+
+
+def test_read_csv_takes_a_path_or_a_stream(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n1,2\n\n3\n")
+    with files.read_csv(str(path)) as (fields, chunks):
+        from_path = fields, list(chunks)
+    with open(path, encoding="utf-8") as fh, files.read_csv(fh) as (fields, chunks):
+        assert (fields, list(chunks)) == from_path == (
+            ("a", "b"), [([2, 4], {"a": ("1", "3"), "b": ("2", None)})])
+    values, present, errors = files.floats(("1.5", "", "x"), 3, "bad: ", optional=True)
+    assert values[0] == 1.5 and math.isnan(values[1]) and present.tolist() == [True, False, True]
+    assert errors == {2: (files.PARSE, "bad: could not convert string to float: 'x'")}
