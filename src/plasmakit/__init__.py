@@ -4,14 +4,13 @@ Modules:
     probe        compensated RC-ladder high-voltage probe analysis/design
     calibration  log-cubic illuminance calibration (fit, eval, invert)
     acquisition  raw ADC frames to volts/amps/watts/lux
-    dataset      run persistence and power-vs-illuminance characterization
+    dataset      run loading and power-vs-illuminance characterization
     svgchart     dependency-free SVG chart emission
     files        the one CSV reader and the one atomic writer for every file
     cli          command-line interface
 """
 
 from .acquisition import (
-    AdcFrame,
     ChannelConfig,
     PowerSample,
     counts_to_volts,
@@ -19,7 +18,6 @@ from .acquisition import (
     instantaneous_power,
     needle_voltage,
     Samples,
-    process_frame,
     replay_stream,
     shunt_current,
 )
@@ -36,13 +34,11 @@ from .calibration import (
 )
 from .dataset import (
     Characterization,
-    ExperimentMeta,
     ExperimentRun,
     characterize,
     load_characterization,
     load_run,
     save_characterization,
-    summary_stats,
     usable_mask,
 )
 from .errors import (
@@ -67,7 +63,6 @@ from .probe import (
     design_probe,
     frequency_response,
     is_compensated,
-    stage_impedance,
     transfer_function,
 )
 

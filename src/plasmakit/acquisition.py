@@ -33,14 +33,12 @@ from .files import CONVERT, PARSE, Cells, Errors
 
 __all__ = [
     "ChannelConfig",
-    "AdcFrame",
     "PowerSample",
     "Samples",
     "counts_to_volts",
     "needle_voltage",
     "shunt_current",
     "instantaneous_power",
-    "process_frame",
     "replay_stream",
     "detect_ignition",
     "write_samples_csv",
@@ -87,16 +85,6 @@ class ChannelConfig:
     @property
     def max_count(self) -> int:
         return (1 << self.adc_bits) - 1
-
-
-@dataclass(frozen=True)
-class AdcFrame:
-    """One raw multi-channel ADC reading."""
-
-    timestamp_ms: float
-    raw_hv: int
-    raw_shunt: int
-    raw_ldr: Optional[int] = None
 
 
 # The fields a sample must hold as finite numbers, in the order they are checked.
@@ -218,11 +206,6 @@ def instantaneous_power(v: float, i: float) -> float:
 DEFAULT_CONFIG = ChannelConfig()
 
 
-def _check_light_curve(curve: Optional[CalibrationCurve]) -> None:
-    if curve is not None and curve.input_kind is not InputKind.SENSOR_VOLTAGE:
-        raise PreconditionError("light-channel curve must have input kind 'voltage'")
-
-
 def _channel(cfg: ChannelConfig, name: str, raw: int,
              curve: Optional[CalibrationCurve] = None) -> float:
     """One count of the hv, shunt or ldr channel in engineering units; an
@@ -236,22 +219,6 @@ def _channel(cfg: ChannelConfig, name: str, raw: int,
         return lux_from_input(curve, volts) if volts > 0.0 else 0.0
     except DomainError as exc:
         raise DomainError(f"{name} channel: {exc}") from exc
-
-
-def process_frame(cfg: ChannelConfig, frame: AdcFrame,
-                  ldr_curve: Optional[CalibrationCurve] = None) -> PowerSample:
-    """Full conversion of one raw frame to a PowerSample.
-
-    The lux field is present only when the frame carries a light-channel
-    reading and a calibration curve is supplied.
-    """
-    _check_light_curve(ldr_curve)
-    v = _channel(cfg, "hv", frame.raw_hv)
-    i = _channel(cfg, "shunt", frame.raw_shunt)
-    lux = None
-    if frame.raw_ldr is not None and ldr_curve is not None:
-        lux = _channel(cfg, "ldr", frame.raw_ldr, ldr_curve)
-    return PowerSample.from_vi(frame.timestamp_ms, v, i, lux)
 
 
 # ------------------------------------------------------------ CSV columns
@@ -373,7 +340,8 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
         if not fields:
             return Samples.of(())
         if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
-            _check_light_curve(ldr_curve)
+            if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
+                raise PreconditionError("light-channel curve must have input kind 'voltage'")
             hv = _CountTable(lambda raw: _channel(cfg, "hv", raw))
             shunt = _CountTable(lambda raw: _channel(cfg, "shunt", raw))
             ldr = _CountTable(None if ldr_curve is None else

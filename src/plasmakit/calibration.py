@@ -44,6 +44,9 @@ __all__ = [
 _U_MIN, _U_MAX = -700.0, 700.0
 _U_TOL = 1e-12
 
+# Largest error in ln lux that input_from_lux accepts in the lux its result gives.
+INVERT_ATOL = 1e-9
+
 
 class InputKind(str, Enum):
     SENSOR_VOLTAGE = "voltage"
@@ -154,7 +157,9 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
 
     Solves a3*u^3 + a2*u^2 + a1*u + (a0 - ln(lux)) = 0 for u = ln(x) by
     Newton iteration seeded at u = ln(lux), falling back to bisection on a
-    bracket grown by step doubling when Newton stalls or escapes.
+    bracket grown by step doubling when Newton stalls or escapes.  Raises
+    DomainError where the cubic overflows during the search, and when the
+    result's ln lux is more than INVERT_ATOL off ln(lux).
     """
     if not (lux > 0.0 and math.isfinite(lux)):
         raise DomainError(f"lux must be > 0, got {lux}")
@@ -165,7 +170,18 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
     target = math.log(lux)
 
     def g(u: float) -> float:
-        return eval_log_poly(curve, u) - target
+        value = eval_log_poly(curve, u) - target
+        if not math.isfinite(value):
+            raise DomainError(f"the curve's ln lux overflows at ln(input) = {u}")
+        return value
+
+    def result(u: float) -> float:
+        x = math.exp(u)
+        error = eval_log_poly(curve, math.log(x)) - target
+        if not abs(error) <= INVERT_ATOL:
+            raise DomainError(f"no input gives lux {lux}: the closest found, {x}, "
+                              f"is {error:.3g} off in ln lux")
+        return x
 
     u = min(max(target, _U_MIN), _U_MAX)
     for _ in range(100):
@@ -177,9 +193,9 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
         if not (_U_MIN <= u_next <= _U_MAX):
             break
         if abs(step) <= _U_TOL * max(1.0, abs(u_next)):
-            return math.exp(u_next)
+            return result(u_next)
         u = u_next
-    return math.exp(_bisect(g, direction, seed=min(max(target, _U_MIN), _U_MAX)))
+    return result(_bisect(g, direction, seed=min(max(target, _U_MIN), _U_MAX)))
 
 
 def _bisect(g, direction: int, seed: float) -> float:

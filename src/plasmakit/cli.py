@@ -100,12 +100,11 @@ def _cmd_probe_design(args) -> int:
 
 def _cmd_probe_bode(args) -> int:
     net = _network_from_args(args)
-    responses = probe.bode_sweep(net, args.fmin, args.fmax, args.points, args.spacing)
+    sweep = probe.bode_sweep(net, args.fmin, args.fmax, args.points, args.spacing)
     if args.out and args.out.endswith(".svg"):
-        freqs = tuple(r.frequency for r in responses)
         svg = svgchart.render_chart(
-            [svgchart.Series(freqs, tuple(r.magnitude for r in responses), "magnitude"),
-             svgchart.Series(freqs, tuple(r.phase for r in responses), "phase (rad)")],
+            [svgchart.Series(sweep.frequency, sweep.magnitude, "magnitude"),
+             svgchart.Series(sweep.frequency, sweep.phase, "phase (rad)")],
             title="Probe frequency response", x_label="frequency (Hz)",
             y_label="gain", x_log=True)
         with files.atomic_write(args.out) as fh:
@@ -113,10 +112,10 @@ def _cmd_probe_bode(args) -> int:
         print(f"wrote {args.out}")
     elif args.out:
         with files.atomic_write(args.out) as fh:
-            probe.write_sweep_csv(responses, fh)
+            probe.write_sweep_csv(sweep, fh)
         print(f"wrote {args.out}")
     else:
-        probe.write_sweep_csv(responses, sys.stdout)
+        probe.write_sweep_csv(sweep, sys.stdout)
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Experiment-run persistence and the power-versus-illuminance characterization.
+"""Experiment runs and the power-versus-illuminance characterization.
 
-A run is an ordered, columnar `Samples` plus descriptive metadata.  The
+A run is an ordered, columnar `Samples` loaded from an engineering CSV.  The
 headline operation, `characterize`, drops pre-ignition samples, fits the
 log-domain cubic of illuminance against plasma power, and optionally runs a
 single 3-sigma outlier-trim pass for ignition transients.
@@ -8,15 +8,14 @@ single 3-sigma outlier-trim pass for ignition transients.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
 
 from . import files
-from .acquisition import Samples, _collect, detect_ignition, write_samples_csv
+from .acquisition import Samples, _collect, detect_ignition
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -31,42 +30,21 @@ from .calibration import (
 from .errors import DomainError, FitError, SchemaError
 
 __all__ = [
-    "ExperimentMeta",
     "ExperimentRun",
     "Characterization",
     "load_run",
-    "save_run",
     "characterize",
     "usable_mask",
-    "summary_stats",
     "save_characterization",
     "load_characterization",
 ]
 
 
 @dataclass(frozen=True)
-class ExperimentMeta:
-    """Descriptive run metadata; no physics is derived from these fields."""
-
-    ballast_ohms: Optional[float] = None
-    supply_max_volts: Optional[float] = None
-    ignition_threshold_volts: Optional[float] = None
-    gap_mm: Optional[float] = None
-    notes: str = ""
-
-    def __post_init__(self):
-        for name in ("ballast_ohms", "supply_max_volts", "ignition_threshold_volts", "gap_mm"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise DomainError(f"{name} must be positive when present, got {value}")
-
-
-@dataclass(frozen=True)
 class ExperimentRun:
-    """A run's samples (PowerSamples are converted to Samples) and metadata."""
+    """A run's samples; PowerSamples are converted to Samples."""
 
     samples: Samples
-    meta: ExperimentMeta = field(default_factory=ExperimentMeta)
 
     def __post_init__(self):
         samples = Samples.of(self.samples)
@@ -97,72 +75,46 @@ class Characterization:
             raise DomainError(f"trimmed_count must be an integer >= 0, got {count!r}")
 
 
-def load_run(source: TextIO | str,
-             schema_map: Optional[dict[str, tuple[str, float]]] = None,
-             meta: Optional[ExperimentMeta] = None,
-             strict: bool = True,
+def load_run(source: TextIO | str, strict: bool = True,
              diagnostics: Optional[list] = None) -> ExperimentRun:
     """Load an engineering-unit CSV as an ExperimentRun.
 
-    schema_map renames and rescales columns, e.g.
-    {"v_volts": ("voltage_kv", 1e3), "i_amps": ("current_ma", 1e-3)}.
     p_watts is always recomputed from v*i.  t_ms and lux are optional:
     missing timestamps become the record index.  A rejected row is reported
     with the physical line it ends on.
     """
-    schema_map = schema_map or {}
     with files.read_csv(source) as (fields, chunks):
-        def column(name: str) -> tuple[Optional[str], float]:
-            if name in schema_map:
-                src, scale = schema_map[name]
-                if src not in fields:
-                    raise SchemaError(f"mapped column {src!r} for {name!r} not in file")
-                return src, scale
-            return (name, 1.0) if name in fields else (None, 1.0)
-
-        v_col, v_scale = column("v_volts")
-        i_col, i_scale = column("i_amps")
-        if v_col is None or i_col is None:
+        if not {"v_volts", "i_amps"} <= set(fields):
             raise SchemaError("run CSV must provide v_volts and i_amps "
                               f"(have {sorted(set(fields))})")
-        t_col, t_scale = column("t_ms")
-        lux_col, lux_scale = column("lux")
+        has_t = "t_ms" in fields
 
         def convert(cells, n, start):
-            v, _, v_errors = files.floats(cells[v_col], n)
-            i, _, i_errors = files.floats(cells[i_col], n)
-            if t_col:
-                t, _, t_errors = files.floats(cells[t_col], n)
+            v, _, v_errors = files.floats(cells["v_volts"], n)
+            i, _, i_errors = files.floats(cells["i_amps"], n)
+            if has_t:
+                t, _, t_errors = files.floats(cells["t_ms"], n)
             else:
                 t, t_errors = np.arange(start, start + n, dtype=float), {}
-            lux, has_lux, lux_errors = files.floats(cells.get(lux_col), n, optional=True)
-            return ((t * t_scale, v * v_scale, i * i_scale, lux * lux_scale, has_lux),
-                    [v_errors, i_errors, t_errors, lux_errors])
+            lux, has_lux, lux_errors = files.floats(cells.get("lux"), n, optional=True)
+            return (t, v, i, lux, has_lux), [v_errors, i_errors, t_errors, lux_errors]
 
-        samples = _collect(chunks, convert, strict, diagnostics, "")
-    return ExperimentRun(samples=samples, meta=meta or ExperimentMeta())
+        return ExperimentRun(samples=_collect(chunks, convert, strict, diagnostics, ""))
 
 
-def save_run(run: ExperimentRun, path) -> None:
-    """Write the run back out in the canonical engineering CSV layout."""
-    with files.atomic_write(path) as fh:
-        write_samples_csv(run.samples, fh)
-
-
-def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3,
-                ignition_sustain: int = 3) -> np.ndarray:
+def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:
     """Mask of the samples characterize fits: from the ignition (the first
-    sustained |i| >= ignition_i_min) on, with power > 0 and a lux > 0."""
+    3 samples in a row with |i| >= ignition_i_min) on, with power > 0 and a
+    lux > 0."""
     s = run.samples
-    t0 = detect_ignition(s, i_min=ignition_i_min, sustain=ignition_sustain)
+    t0 = detect_ignition(s, i_min=ignition_i_min, sustain=3)
     if t0 is None:
         return np.zeros(len(s), dtype=bool)
     return (s.t_ms >= t0) & (s.p_watts > 0.0) & s.has_lux & (s.lux > 0.0)
 
 
 def characterize(run: ExperimentRun, trim: bool = False,
-                 ignition_i_min: float = 1e-3,
-                 ignition_sustain: int = 3) -> Characterization:
+                 ignition_i_min: float = 1e-3) -> Characterization:
     """Fit the power-to-illuminance curve of a run.
 
     Pre-ignition samples (before the first sustained |i| >= ignition_i_min)
@@ -171,7 +123,7 @@ def characterize(run: ExperimentRun, trim: bool = False,
     removes transient outliers, guarded to never discard more than 20% of
     the data.
     """
-    used = run.samples[usable_mask(run, ignition_i_min, ignition_sustain)]
+    used = run.samples[usable_mask(run, ignition_i_min)]
     if len(used) < 4:
         raise FitError(f"only {len(used)} usable post-ignition samples; need >= 4")
     p, lux = used.p_watts, used.lux
@@ -188,24 +140,6 @@ def characterize(run: ExperimentRun, trim: bool = False,
         input_range=(float(p.min()), float(p.max())),
         trimmed_count=trimmed,
     )
-
-
-def summary_stats(run: ExperimentRun) -> dict[str, dict[str, float]]:
-    """Per-signal min/max/mean/stddev (sample stddev; 0 for a single value)."""
-    s = run.samples
-    if not len(s):
-        raise DomainError("summary of an empty run is undefined")
-    signals = {"v": s.v_volts, "i": s.i_amps, "p": s.p_watts, "lux": s.lux[s.has_lux]}
-    out = {}
-    for name, values in signals.items():
-        n = len(values)
-        if not n:
-            continue
-        mean = float(values.mean())
-        var = float(((values - mean) ** 2).sum()) / (n - 1) if n > 1 else 0.0
-        out[name] = {"min": float(values.min()), "max": float(values.max()),
-                     "mean": mean, "stddev": math.sqrt(var)}
-    return out
 
 
 def characterization_to_dict(char: Characterization) -> dict:

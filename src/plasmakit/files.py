@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional, TextIO
 
@@ -107,9 +108,10 @@ def atomic_write(path):
     """A UTF-8 text stream whose bytes replace the file at `path` on success.
 
     The stream writes a new file beside the target, created with the mode
-    open() gives a new file (0o666 less the umask), and renames it onto the
-    target only when the `with` block succeeds; on failure the target is
-    untouched and the new file removed.  A symlink is followed: its target
+    open() gives a new file (0o666 less the umask) or, when the target is
+    an existing regular file, with the target's permission bits.  It is
+    renamed onto the target only when the `with` block succeeds; on failure
+    the target is untouched and the new file removed.  A symlink is followed: its target
     gets the bytes and the link stays.  A target that exists and is not a
     regular file, such as a FIFO or a device, cannot be replaced by a rename
     and is written in place.
@@ -123,6 +125,8 @@ def atomic_write(path):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if os.path.isfile(target):
+                os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
             yield fh
         os.replace(tmp, target)
     except BaseException:

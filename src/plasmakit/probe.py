@@ -35,7 +35,6 @@ __all__ = [
     "RationalTransferFunction",
     "ComplexResponse",
     "FrequencySweep",
-    "stage_impedance",
     "transfer_function",
     "frequency_response",
     "dc_attenuation",
@@ -83,16 +82,11 @@ class ProbeNetwork:
     def n(self) -> int:
         return len(self.ladder)
 
-    def has_uniform_ladder(self, rtol: float = UNIFORMITY_RTOL) -> bool:
-        if self.n <= 1:
-            return True
-        first = self.ladder[0]
-        for st in self.ladder[1:]:
-            if not math.isclose(st.resistance, first.resistance, rel_tol=rtol, abs_tol=0.0):
-                return False
-            if not math.isclose(st.capacitance, first.capacitance, rel_tol=rtol, abs_tol=0.0):
-                return False
-        return True
+    def has_uniform_ladder(self) -> bool:
+        return all(math.isclose(st.resistance, self.ladder[0].resistance, rel_tol=UNIFORMITY_RTOL)
+                   and math.isclose(st.capacitance, self.ladder[0].capacitance,
+                                    rel_tol=UNIFORMITY_RTOL)
+                   for st in self.ladder[1:])
 
     @classmethod
     def uniform(cls, n: int, ladder_r: float, ladder_c: float,
@@ -119,11 +113,10 @@ class RationalTransferFunction:
         object.__setattr__(self, "denominator", den)
 
     def __call__(self, s: complex) -> complex:
-        den = _horner(self.denominator, s)
-        num = _horner(self.numerator, s)
-        if abs(den) == 0.0:
+        den = complex(np.polyval(self.denominator[::-1], s))
+        if den == 0.0:
             raise SingularityError(f"transfer function pole at s = {s}")
-        return num / den
+        return complex(np.polyval(self.numerator[::-1], s)) / den
 
 
 @dataclass(frozen=True)
@@ -189,27 +182,6 @@ def _trim(coeffs: Iterable[float]) -> tuple[float, ...]:
     while out and out[-1] == 0.0:
         out.pop()
     return tuple(out)
-
-
-def _horner(coeffs: Sequence[float], s: complex) -> complex:
-    acc: complex = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
-def stage_impedance(stage: RCStage, s: complex) -> complex:
-    """Impedance R/(1 + R*C*s) of a parallel RC stage.
-
-    Raises SingularityError at the real pole s = -1/(R*C); for physical
-    components the pole never lies on the imaginary axis, so evaluation at
-    s = j*omega is always safe.
-    """
-    denom = 1.0 + stage.resistance * stage.capacitance * complex(s)
-    scale = max(1.0, abs(stage.resistance * stage.capacitance * complex(s)))
-    if abs(denom) <= 1e-15 * scale:
-        raise SingularityError(f"stage impedance pole at s = {s}")
-    return stage.resistance / denom
 
 
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -64,12 +64,7 @@ class _Axis:
 def _fmt(v: float) -> str:
     if v == 0.0:
         return "0"
-    a = abs(v)
-    if 1e-3 <= a < 1e5:
-        s = f"{v:.6g}"
-    else:
-        s = f"{v:.3e}"
-    return s
+    return f"{v:.6g}" if 1e-3 <= abs(v) < 1e5 else f"{v:.3e}"
 
 
 def render_chart(series: Sequence[Series], *, title: str = "",

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (
-    AdcFrame,
     CalibrationCurve,
     ChannelConfig,
     DomainError,
     InputKind,
     PowerSample,
     PreconditionError,
+    RowError,
     Samples,
     SchemaError,
     counts_to_volts,
@@ -21,7 +21,6 @@ from plasmakit import (
     instantaneous_power,
     lux_from_input,
     needle_voltage,
-    process_frame,
     replay_stream,
     shunt_current,
 )
@@ -189,56 +188,67 @@ class TestSamples:
             Samples([0.0, 1.0], [1.0], [1.0, 2.0], [0.0, 0.0], [False, False])
 
 
+def replay_frames(*frames, cfg=CFG, curve=None):
+    """Samples of a raw CSV with one row per (t_ms, raw_hv, raw_shunt[, raw_ldr])
+    frame; the raw_ldr column is present when the first frame has a fourth count."""
+    header = ["t_ms", "raw_hv", "raw_shunt", "raw_ldr"][:len(frames[0])]
+    text = "\n".join([",".join(header)] + [",".join(map(str, f)) for f in frames]) + "\n"
+    return replay_stream(io.StringIO(text), cfg, curve, strict=True)
+
+
 class TestProcessFrame:
+    """One raw frame through replay_stream: the per-frame conversion chain."""
+
     def test_zero_current_frame(self):
         raw_shunt = round(1.25 * 4095 / 3.3)
         cfg = ChannelConfig(offset_volts=counts_to_volts(CFG, raw_shunt))
-        s = process_frame(cfg, AdcFrame(0.0, raw_hv=100, raw_shunt=raw_shunt))
+        (s,) = replay_frames((0, 100, raw_shunt), cfg=cfg)
         assert s.i_amps == 0.0
         assert s.p_watts == 0.0
 
     def test_matches_explicit_chain_on_random_frames(self):
         rng = random.Random(99)
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
-        for _ in range(1000):
-            frame = AdcFrame(rng.uniform(0, 1e5), rng.randint(0, 4095),
-                             rng.randint(0, 4095), rng.randint(1, 4095))
-            got = process_frame(CFG, frame, curve)
-            v = needle_voltage(CFG, counts_to_volts(CFG, frame.raw_hv))
-            i = shunt_current(CFG, counts_to_volts(CFG, frame.raw_shunt))
+        frames = [(rng.uniform(0, 1e5), rng.randint(0, 4095), rng.randint(0, 4095),
+                   rng.randint(1, 4095)) for _ in range(1000)]
+        for (t, hv, shunt, ldr), got in zip(frames, replay_frames(*frames, curve=curve)):
+            v = needle_voltage(CFG, counts_to_volts(CFG, hv))
+            i = shunt_current(CFG, counts_to_volts(CFG, shunt))
+            assert got.t_ms == t
             assert got.v_volts == v
             assert got.i_amps == i
             assert got.p_watts == v * i
-            assert got.lux == lux_from_input(curve, counts_to_volts(CFG, frame.raw_ldr))
+            assert got.lux == lux_from_input(curve, counts_to_volts(CFG, ldr))
 
     def test_reproduces_reference_snapshot(self):
         # counts quantized from the 498 V / 36.6 mA reading
-        frame = AdcFrame(0.0, raw_hv=652, raw_shunt=2596)
-        s = process_frame(CFG, frame)
+        (s,) = replay_frames((0, 652, 2596))
         assert s.p_watts == pytest.approx(18.227, rel=5e-3)
 
     def test_lux_requires_curve_and_channel(self):
-        frame = AdcFrame(0.0, 100, 2000, None)
-        assert process_frame(CFG, frame).lux is None
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
-        assert process_frame(CFG, frame, curve).lux is None
-        frame2 = AdcFrame(0.0, 100, 2000, 1241)
-        assert process_frame(CFG, frame2, curve).lux is not None
+        assert replay_frames((0, 100, 2000))[0].lux is None
+        assert replay_frames((0, 100, 2000), curve=curve)[0].lux is None
+        assert replay_frames((0, 100, 2000, ""), curve=curve)[0].lux is None
+        assert replay_frames((0, 100, 2000, 1241))[0].lux is None
+        assert replay_frames((0, 100, 2000, 1241), curve=curve)[0].lux is not None
 
     def test_dark_light_channel_reads_zero_lux(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
-        assert process_frame(CFG, AdcFrame(0.0, 100, 2000, 0), curve).lux == 0.0
+        assert replay_frames((0, 100, 2000, 0), curve=curve)[0].lux == 0.0
 
     def test_power_kind_curve_rejected(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_kind=InputKind.PLASMA_POWER)
         with pytest.raises(PreconditionError):
-            process_frame(CFG, AdcFrame(0.0, 1, 1, 1), curve)
+            replay_frames((0, 1, 1, 1), curve=curve)
 
     def test_channel_identified_in_errors(self):
-        with pytest.raises(DomainError, match="hv channel"):
-            process_frame(CFG, AdcFrame(0.0, 9999, 0))
-        with pytest.raises(DomainError, match="shunt channel"):
-            process_frame(CFG, AdcFrame(0.0, 0, 9999))
+        with pytest.raises(RowError, match="line 2: hv channel: count 9999 outside"):
+            replay_frames((0, 9999, 0))
+        with pytest.raises(RowError, match="line 2: shunt channel: count 9999 outside"):
+            replay_frames((0, 0, 9999))
+        with pytest.raises(RowError, match="line 2: ldr channel: count -1 outside"):
+            replay_frames((0, 0, 0, -1), curve=CalibrationCurve(*VOLTAGE_COEFFS))
 
 
 class TestReplayStream:

@@ -2,7 +2,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (
@@ -144,6 +144,26 @@ class TestInversion:
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
         assert input_from_lux(curve, lux_from_input(curve, x)) == pytest.approx(
             x, rel=1e-9)
+
+    @given(st.tuples(*[st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300))] * 4),
+           st.floats(1e-300, 1e300))
+    @example((1e300, 1e300, 0.0, 1e300), 10.0)   # the root is not representable
+    @example((0.0, 1e300, 0.0, 1e300), 1e300)    # a3*u^3 overflows at the seed
+    @settings(max_examples=1000, deadline=None)
+    def test_round_trip_or_raise_property(self, coeffs, lux):
+        curve = CalibrationCurve(*coeffs)
+        try:
+            x = input_from_lux(curve, lux)
+        except (PreconditionError, BracketError, DomainError):
+            return
+        assert abs(eval_log_poly(curve, math.log(x)) - math.log(lux)) <= 1e-9
+
+    def test_overflowing_cubic_raises(self):
+        curve = CalibrationCurve(1e300, 1e300, 0.0, 1e300)
+        with pytest.raises(DomainError, match="off in ln lux"):
+            input_from_lux(curve, 10.0)
+        with pytest.raises(DomainError, match="overflows"):
+            input_from_lux(CalibrationCurve(0.0, 1e300, 0.0, 1e300), 1e300)
 
     def test_non_monotone_curve_rejected(self):
         with pytest.raises(PreconditionError):

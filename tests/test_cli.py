@@ -116,6 +116,14 @@ class TestCalCommands:
                 for _ in range(3)}
         assert len(outs) == 1
 
+    def test_invert_overflowing_curve_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "cal", "invert", "--a0", "1e300", "--a1", "1e300",
+                                 "--a2", "0", "--a3", "1e300", "--kind", "voltage",
+                                 "--lux", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no input gives lux 10.0")
+
     def test_invert_worked_example(self, capsys):
         code, out, _ = run_cli(capsys, "cal", "invert", *CAL_FLAGS,
                                "--lux", "12.5952")

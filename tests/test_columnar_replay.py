@@ -1,5 +1,6 @@
 """Columnar replay, run loading and the sample writer against a per-row
-reference built from csv.DictReader, AdcFrame and process_frame.
+reference built from csv.DictReader, the conversion formulas of the
+acquisition module's docstring and lux_from_input.
 
 The reference is the row-at-a-time algorithm the columnar code replaced,
 with diagnostics numbered by the physical line a record ends on.  Columns
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (
-    AdcFrame,
     CalibrationCurve,
     ChannelConfig,
     DomainError,
@@ -26,7 +26,7 @@ from plasmakit import (
     RowError,
     Samples,
     load_run,
-    process_frame,
+    lux_from_input,
     replay_stream,
 )
 from plasmakit import files
@@ -37,6 +37,28 @@ from conftest import VOLTAGE_COEFFS
 CURVES = (None, CalibrationCurve(*VOLTAGE_COEFFS),
           # ln lux = 600 u^3 overflows exp() above about 2.88 V
           CalibrationCurve(0.0, 0.0, 0.0, 600.0))
+
+
+def reference_frame(cfg, curve, t, hv, shunt, ldr):
+    """The sample of one raw frame by the conversion formulas; a count
+    outside the ADC range or an overflowing lux raises DomainError naming
+    its channel."""
+    def volts(channel, raw):
+        if not 0 <= raw <= 2 ** cfg.adc_bits - 1:
+            raise DomainError(f"{channel} channel: count {raw} outside "
+                              f"[0, {2 ** cfg.adc_bits - 1}]")
+        return raw * cfg.adc_fullscale_volts / (2 ** cfg.adc_bits - 1)
+
+    v = volts("hv", hv) / cfg.probe_ratio
+    i = (volts("shunt", shunt) - cfg.offset_volts) / cfg.shunt_ohms
+    lux = None
+    if ldr is not None and curve is not None:
+        x = volts("ldr", ldr)
+        try:
+            lux = lux_from_input(curve, x) if x > 0.0 else 0.0
+        except DomainError as exc:
+            raise DomainError(f"ldr channel: {exc}") from exc
+    return PowerSample.from_vi(t, v, i, lux)
 
 
 def reference_replay(text, cfg, curve):
@@ -51,11 +73,11 @@ def reference_replay(text, cfg, curve):
             if raw:
                 try:
                     ldr = row.get("raw_ldr")
-                    frame = AdcFrame(float(row["t_ms"]), int(row["raw_hv"]), int(row["raw_shunt"]),
-                                     int(ldr) if ldr not in (None, "") else None)
+                    frame = (float(row["t_ms"]), int(row["raw_hv"]), int(row["raw_shunt"]),
+                             int(ldr) if ldr not in (None, "") else None)
                 except (ValueError, TypeError) as exc:
                     raise RowError(line, f"bad raw frame: {exc}") from exc
-                samples.append(process_frame(cfg, frame, curve))
+                samples.append(reference_frame(cfg, curve, *frame))
             else:
                 lux = row.get("lux")
                 try:

@@ -7,7 +7,6 @@ import pytest
 from plasmakit import (
     Characterization,
     DomainError,
-    ExperimentMeta,
     ExperimentRun,
     FitError,
     InputKind,
@@ -18,10 +17,10 @@ from plasmakit import (
     load_run,
     lux_from_input,
     save_characterization,
-    summary_stats,
 )
+from plasmakit import files
+from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import CalibrationCurve
-from plasmakit.dataset import save_run
 from plasmakit.errors import RowError
 
 from conftest import POWER_COEFFS
@@ -52,12 +51,6 @@ class TestRunTypes:
         with pytest.raises(DomainError):
             ExperimentRun(samples=bad)
 
-    def test_meta_positivity(self):
-        ExperimentMeta(ballast_ohms=120e3, supply_max_volts=10e3,
-                       ignition_threshold_volts=4.5e3, gap_mm=5.0)
-        with pytest.raises(DomainError):
-            ExperimentMeta(ballast_ohms=-1.0)
-
     def test_characterization_invariants(self):
         curve = CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
         with pytest.raises(DomainError):
@@ -78,24 +71,9 @@ class TestLoadRun:
         run = load_run(io.StringIO(text))
         assert run.samples[0].p_watts == 20.0
 
-    def test_schema_map_unit_conversion(self):
-        text = "t_ms,voltage_kv,current_ma\n0,0.498,36.6\n"
-        run = load_run(io.StringIO(text), schema_map={
-            "v_volts": ("voltage_kv", 1e3),
-            "i_amps": ("current_ma", 1e-3),
-        })
-        assert run.samples[0].v_volts == pytest.approx(498.0)
-        assert run.samples[0].i_amps == pytest.approx(0.0366)
-        assert run.samples[0].p_watts == pytest.approx(18.2268)
-
     def test_missing_mandatory_columns(self):
         with pytest.raises(SchemaError):
             load_run(io.StringIO("t_ms,lux\n0,5\n"))
-
-    def test_mapped_column_absent(self):
-        with pytest.raises(SchemaError):
-            load_run(io.StringIO("t_ms,v_volts,i_amps\n0,1,1\n"),
-                     schema_map={"v_volts": ("kv", 1e3)})
 
     def test_strict_row_error_carries_line_number(self):
         text = "t_ms,v_volts,i_amps\n0,1,1\n1,oops,1\n"
@@ -118,12 +96,16 @@ class TestLoadRun:
         assert [e.line_number for e in diagnostics] == [4]
 
     def test_save_then_reload_idempotent(self, tmp_path):
+        def save(run, path):
+            with files.atomic_write(path) as fh:
+                write_samples_csv(run.samples, fh)
+
         run = synthetic_run(n=10)
         path = tmp_path / "run.csv"
-        save_run(run, path)
+        save(run, path)
         again = load_run(str(path))
         assert again.samples == run.samples
-        save_run(again, tmp_path / "run2.csv")
+        save(again, tmp_path / "run2.csv")
         assert (tmp_path / "run2.csv").read_text() == path.read_text()
 
 
@@ -181,31 +163,6 @@ class TestCharacterize:
         run = synthetic_run()
         with pytest.raises(FitError):
             characterize(run, ignition_i_min=1e3)
-
-
-class TestSummaryStats:
-    def test_single_sample(self):
-        run = ExperimentRun(samples=(PowerSample.from_vi(0.0, 10.0, 2.0, lux=7.0),))
-        stats = summary_stats(run)
-        assert stats["p"] == {"min": 20.0, "max": 20.0, "mean": 20.0, "stddev": 0.0}
-
-    def test_two_powers(self):
-        run = ExperimentRun(samples=(
-            PowerSample.from_vi(0.0, 10.0, 1.0),
-            PowerSample.from_vi(1.0, 20.0, 1.0),
-        ))
-        stats = summary_stats(run)
-        assert stats["p"]["mean"] == pytest.approx(15.0)
-        assert stats["p"]["stddev"] == pytest.approx(7.0710678118654755)
-
-    def test_constant_trace(self):
-        run = ExperimentRun(samples=tuple(PowerSample.from_vi(float(t), 5.0, 2.0)
-                                          for t in range(5)))
-        assert summary_stats(run)["p"]["stddev"] == 0.0
-
-    def test_empty_run_rejected(self):
-        with pytest.raises(DomainError):
-            summary_stats(ExperimentRun(samples=()))
 
 
 class TestCharacterizationIO:

@@ -1,7 +1,8 @@
-"""Every writer goes through files.atomic_write: the library's save_* functions
-and each CLI output file.  Each must give a new file the mode open() gives,
-write through a symlink to its target, write a FIFO in place, and leave the
-old file and no temp file when the final rename fails."""
+"""Every writer goes through files.atomic_write: the library's save_* functions,
+a run saved with write_samples_csv, and each CLI output file.  Each must give a new file the
+mode open() gives, keep an existing file's mode, write through a symlink to
+its target, write a FIFO in place, and leave the old file and no temp file
+when the final rename fails."""
 
 import math
 import os
@@ -11,9 +12,10 @@ import threading
 import pytest
 
 from plasmakit import CalibrationCurve, InputKind, characterize, files, load_run, lux_from_input
+from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import save_curve
 from plasmakit.cli import main
-from plasmakit.dataset import save_characterization, save_run
+from plasmakit.dataset import save_characterization
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
 
@@ -42,10 +44,17 @@ def cli(*argv):
         raise OSError(f"plasmakit {' '.join(argv)} failed")
 
 
+def save_run(path, inputs):
+    """Save a run's samples as `acq replay --out` does: write_samples_csv
+    through atomic_write."""
+    with files.atomic_write(path) as fh:
+        write_samples_csv(load_run(str(inputs / "run.csv")).samples, fh)
+
+
 # name -> (suffix, write(path, inputs))
 WRITERS = {
     "save_curve": (".json", lambda path, d: save_curve(CalibrationCurve(*VOLTAGE_COEFFS), path)),
-    "save_run": (".csv", lambda path, d: save_run(load_run(str(d / "run.csv")), path)),
+    "save_run": (".csv", save_run),
     "save_characterization": (".json", lambda path, d: save_characterization(
         characterize(load_run(str(d / "run.csv"))), path)),
     "acq replay --out": (".csv", lambda path, d: cli(
@@ -85,6 +94,17 @@ def test_new_file_has_umask_mode(writer, tmp_path, umask_022):
     path = tmp_path / ("out" + suffix)
     write(path)
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+def test_existing_file_keeps_its_mode(writer, tmp_path, umask_022, mode):
+    suffix, write, want = writer
+    path = tmp_path / ("out" + suffix)
+    path.write_text("old")
+    path.chmod(mode)
+    write(path)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert path.read_bytes() == want
 
 
 def test_symlink_is_followed(writer, tmp_path):

@@ -1,0 +1,60 @@
+"""Package hygiene: every exported name exists, and no module imports a name
+it never uses.  The unused-import check is a small `ast` walk, so it needs no
+linter installed."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import plasmakit
+
+PACKAGE = pathlib.Path(plasmakit.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def tree(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"plasmakit.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_init_imports_exist():
+    for node in ast.walk(tree("__init__")):
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"plasmakit.{node.module}")
+            assert [a.name for a in node.names if not hasattr(module, a.name)] == []
+
+
+def unused_imports(module_tree, exported=()):
+    """name -> line of every imported name (except `from __future__`) that
+    the module neither reads nor lists in `exported`."""
+    bound = {}
+    for node in ast.walk(module_tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(module_tree) if isinstance(node, ast.Name)}
+    return {n: line for n, line in bound.items() if n not in used and n not in exported}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    exported = getattr(importlib.import_module(f"plasmakit.{name}"), "__all__", ())
+    assert unused_imports(tree(name), exported) == {}
+
+
+def test_unused_import_check_sees_a_leftover():
+    leftover = ast.parse("from __future__ import annotations\nimport math\n"
+                         "import numpy as np\nfrom os import path, sep\nx = np.zeros(1)\n")
+    assert unused_imports(leftover) == {"math": 2, "path": 4, "sep": 4}
+    assert unused_imports(leftover, exported=("sep",)) == {"math": 2, "path": 4}

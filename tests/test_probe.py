@@ -21,7 +21,6 @@ from plasmakit import (
     design_probe,
     frequency_response,
     is_compensated,
-    stage_impedance,
     transfer_function,
 )
 
@@ -47,34 +46,6 @@ def networks(draw, max_n=200):
 
 
 class TestStageImpedance:
-    def test_dc_returns_resistance(self):
-        assert stage_impedance(RCStage(10e6, 15e-12), 0) == 10e6
-
-    def test_at_1mhz_matches_complex_division_oracle(self):
-        # oracle: plain complex division R/(1 + j*omega*R*C)
-        s = 2j * math.pi * 1e6
-        oracle = 10e6 / (1.0 + 10e6 * 15e-12 * s)
-        z = stage_impedance(RCStage(10e6, 15e-12), s)
-        assert z == pytest.approx(oracle, rel=1e-15)
-        # frozen magnitude from the oracle above
-        assert abs(z) == pytest.approx(10610.323566958356, rel=1e-12)
-
-    def test_pure_resistor_is_frequency_independent(self):
-        stage = RCStage(52.8e3, 0.0)
-        for s in (0, 1j, 2j * math.pi * 1e9):
-            assert stage_impedance(stage, s) == 52.8e3
-
-    def test_pole_on_negative_real_axis_raises(self):
-        stage = RCStage(1e3, 1e-6)
-        with pytest.raises(SingularityError):
-            stage_impedance(stage, -1.0 / (1e3 * 1e-6))
-
-    def test_magnitude_nonincreasing_in_frequency(self):
-        stage = RCStage(10e6, 15e-12)
-        freqs = [10.0 ** k for k in range(9)]
-        mags = [abs(stage_impedance(stage, 2j * math.pi * f)) for f in freqs]
-        assert all(a >= b for a, b in zip(mags, mags[1:]))
-
     def test_invalid_components_rejected(self):
         with pytest.raises(DomainError):
             RCStage(0.0, 1e-12)
@@ -105,6 +76,13 @@ class TestTransferFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DomainError):
             RationalTransferFunction((1.0,), (0.0, 0.0))
+
+    def test_pole_raises_and_value_is_a_python_complex(self):
+        tf = RationalTransferFunction((1.0,), (1.0, 1e-3))  # 1/(1 + s/1000)
+        with pytest.raises(SingularityError, match="pole"):
+            tf(-1000.0)
+        assert type(tf(1000j)) is complex and tf(1000j) == 1 / (1 + 1j)
+        assert type(tf(0)) is complex and tf(0) == 1.0
 
     def test_trailing_zeros_trimmed(self):
         tf = RationalTransferFunction((1.0, 0.0, 0.0), (2.0, 1.0, 0.0))
