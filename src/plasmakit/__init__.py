@@ -42,7 +42,6 @@ from .dataset import (
     usable_mask,
 )
 from .errors import (
-    BracketError,
     DomainError,
     FitError,
     PlasmaKitError,
@@ -61,7 +60,6 @@ from .probe import (
     compensation_capacitor,
     dc_attenuation,
     design_probe,
-    frequency_response,
     is_compensated,
     transfer_function,
 )

@@ -5,14 +5,15 @@ watts) to illuminance in lux through a cubic polynomial in log space:
 
     ln(lux) = a3*u^3 + a2*u^2 + a1*u + a0,   u = ln(input).
 
-Fitting, forward evaluation, inversion (Newton with a bisection fallback),
-and residual statistics all operate on this representation.
+Fitting, forward evaluation, inversion (Newton kept inside a bracket of the
+root) and residual statistics all operate on this representation.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
@@ -20,7 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from . import files
-from .errors import BracketError, DomainError, FitError, PreconditionError, RowError, SchemaError
+from .errors import DomainError, FitError, PreconditionError, RowError, SchemaError
 
 __all__ = [
     "InputKind",
@@ -40,7 +41,7 @@ __all__ = [
     "read_samples_csv",
 ]
 
-# Newton/bisection search window for u = ln(input); exp() overflows past ~709.
+# Search window for u = ln(input) in inversion; exp() overflows past ~709.
 _U_MIN, _U_MAX = -700.0, 700.0
 _U_TOL = 1e-12
 
@@ -114,13 +115,19 @@ def _dpoly(curve: CalibrationCurve, x: float) -> float:
 
 
 def lux_from_input(curve: CalibrationCurve, x: float) -> float:
-    """Forward map: exp of the log-domain cubic at ln(x)."""
+    """Forward map: exp of the log-domain cubic at ln(x).
+
+    Raises DomainError where the illuminance over- or underflows: a lux
+    below the smallest normal float would read as a dark sensor."""
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"curve input must be > 0, got {x}")
     log_lux = eval_log_poly(curve, math.log(x))
     try:
         if log_lux < math.inf:  # the cubic itself may overflow, and exp(inf) is inf
-            return math.exp(log_lux)
+            lux = math.exp(log_lux)
+            if lux < sys.float_info.min:
+                raise DomainError(f"illuminance underflows at input {x} (ln lux = {log_lux})")
+            return lux
     except OverflowError:
         pass
     raise DomainError(f"illuminance overflows at input {x} (ln lux = {log_lux})")
@@ -155,11 +162,14 @@ def is_monotone(curve: CalibrationCurve) -> bool:
 def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
     """Invert the forward map: find x with lux_from_input(curve, x) == lux.
 
-    Solves a3*u^3 + a2*u^2 + a1*u + (a0 - ln(lux)) = 0 for u = ln(x) by
-    Newton iteration seeded at u = ln(lux), falling back to bisection on a
-    bracket grown by step doubling when Newton stalls or escapes.  Raises
-    DomainError where the cubic overflows during the search, and when the
-    result's ln lux is more than INVERT_ATOL off ln(lux).
+    Solves g(u) = a3*u^3 + a2*u^2 + a1*u + (a0 - ln(lux)) = 0 for u = ln(x)
+    by Newton iteration seeded at u = ln(lux), kept inside a bracket of the
+    root (Press et al., Numerical Recipes, rtsafe).  The bracket starts as
+    the search window and each evaluated point narrows it by the sign of g;
+    a Newton step that is undefined or leaves the bracket is replaced by
+    the bracket's midpoint.  Raises DomainError where the cubic overflows
+    during the search, and when the result's ln lux is more than
+    INVERT_ATOL off ln(lux), as it is when the root lies outside the window.
     """
     if not (lux > 0.0 and math.isfinite(lux)):
         raise DomainError(f"lux must be > 0, got {lux}")
@@ -169,12 +179,6 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
 
     target = math.log(lux)
 
-    def g(u: float) -> float:
-        value = eval_log_poly(curve, u) - target
-        if not math.isfinite(value):
-            raise DomainError(f"the curve's ln lux overflows at ln(input) = {u}")
-        return value
-
     def result(u: float) -> float:
         x = math.exp(u)
         error = eval_log_poly(curve, math.log(x)) - target
@@ -183,58 +187,26 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
                               f"is {error:.3g} off in ln lux")
         return x
 
+    lo, hi = _U_MIN, _U_MAX
     u = min(max(target, _U_MIN), _U_MAX)
     for _ in range(100):
+        g = eval_log_poly(curve, u) - target
+        if not math.isfinite(g):
+            raise DomainError(f"the curve's ln lux overflows at ln(input) = {u}")
+        if direction * g < 0.0:  # the root lies above u
+            lo = u
+        else:
+            hi = u
         d = _dpoly(curve, u)
-        if d == 0.0:
-            break
-        step = g(u) / d
+        step = g / d if d != 0.0 else math.nan
         u_next = u - step
-        if not (_U_MIN <= u_next <= _U_MAX):
-            break
+        if not lo <= u_next <= hi:  # also false for NaN
+            u_next = 0.5 * (lo + hi)
+            step = u - u_next
         if abs(step) <= _U_TOL * max(1.0, abs(u_next)):
             return result(u_next)
         u = u_next
-    return result(_bisect(g, direction, seed=min(max(target, _U_MIN), _U_MAX)))
-
-
-def _bisect(g, direction: int, seed: float) -> float:
-    # Work with h(u) = direction * g(u), which is increasing through the
-    # root; grow a sign-change bracket around the seed by step doubling.
-    def h(u: float) -> float:
-        return direction * g(u)
-
-    h_seed = h(seed)
-    if h_seed == 0.0:
-        return seed
-    step = 1.0
-    if h_seed < 0.0:  # root lies above the seed
-        lo, hi = seed, seed
-        while hi < _U_MAX:
-            lo, hi = hi, min(hi + step, _U_MAX)
-            if h(hi) >= 0.0:
-                break
-            step *= 2.0
-        if h(hi) < 0.0:
-            raise BracketError(f"no root bracket found in [{seed}, {_U_MAX}]")
-    else:  # root lies below the seed
-        lo, hi = seed, seed
-        while lo > _U_MIN:
-            hi, lo = lo, max(lo - step, _U_MIN)
-            if h(lo) <= 0.0:
-                break
-            step *= 2.0
-        if h(lo) > 0.0:
-            raise BracketError(f"no root bracket found in [{_U_MIN}, {seed}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _U_TOL * max(1.0, abs(mid)):
-            return mid
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return result(u)
 
 
 def _log_columns(inputs, illuminance) -> tuple[np.ndarray, np.ndarray]:

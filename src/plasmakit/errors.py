@@ -21,10 +21,6 @@ class FitError(PlasmaKitError, ValueError):
     """Least-squares fit cannot be performed (rank deficiency, too few samples)."""
 
 
-class BracketError(PlasmaKitError, ValueError):
-    """Root bracketing failed within the search interval."""
-
-
 class SchemaError(PlasmaKitError, ValueError):
     """A file does not match the expected column set or JSON schema."""
 

@@ -36,7 +36,6 @@ __all__ = [
     "ComplexResponse",
     "FrequencySweep",
     "transfer_function",
-    "frequency_response",
     "dc_attenuation",
     "compensation_capacitor",
     "is_compensated",
@@ -206,12 +205,11 @@ def _gain(net: ProbeNetwork, f: np.ndarray) -> np.ndarray:
     Raises DomainError where the gain comes out zero or non-finite, which
     only over- or underflow of the stage impedances can cause.
     """
-    s = 2j * math.pi * f
-
     def z(st: RCStage) -> np.ndarray:
         return st.resistance / (1.0 + st.resistance * st.capacitance * s)
 
     with np.errstate(all="ignore"):
+        s = 2j * math.pi * f
         z0 = z(net.base)
         gain = _quotient(z0, z0 + sum(map(z, net.ladder)))
     bad = ~np.isfinite(gain) | (gain == 0)
@@ -238,7 +236,7 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
     result is checked against Z0/sum(Zi) at DC and at the corner frequency
     1/(2*pi*Ri*Ci) of every stage with a capacitor; a relative error above
     EXPANSION_RTOL raises DomainError.  Sweeps do not use this form:
-    bode_sweep and frequency_response evaluate Z0/sum(Zi) directly.
+    bode_sweep evaluates Z0/sum(Zi) directly.
     """
     def times(p: list[float], tau: float) -> list[float]:  # p * (1 + tau*s)
         return [a + tau * b for a, b in zip(p + [0.0], [0.0] + p)]
@@ -266,19 +264,8 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
         raise DomainError(
             f"transfer function of a {net.n}-stage ladder loses precision in its "
             f"expansion: relative error {float(err[k]):.3g} at f = {float(f[k]):.6g} Hz; "
-            "use frequency_response or bode_sweep, which evaluate Z0/sum(Zi) directly")
+            "use bode_sweep, which evaluates Z0/sum(Zi) directly")
     return tf
-
-
-def frequency_response(net: ProbeNetwork, f: float) -> ComplexResponse:
-    """Gain of the network at s = j*2*pi*f, evaluated as Z0/(Z0 + sum Zi).
-
-    Uses the same stage-by-stage evaluation as bode_sweep, at one point;
-    f = 0 gives dc_attenuation exactly.
-    """
-    if not 0.0 <= f < math.inf:
-        raise DomainError(f"frequency must be finite and >= 0, got {f}")
-    return ComplexResponse(frequency=f, gain=complex(_gain(net, np.array([f], float))[0]))
 
 
 def dc_attenuation(net: ProbeNetwork) -> float:
@@ -345,8 +332,9 @@ def bode_sweep(net: ProbeNetwork, f_min: float, f_max: float, points: int,
     """Gains over a log- or linearly-spaced grid from f_min to f_max.
 
     Evaluates Z0/(Z0 + sum Zi) on the whole grid at once, one stage at a
-    time, so the cost is O(n * points).  Raises DomainError for a grid that
-    is not finite and ordered, and where the gain over- or underflows.
+    time, so the cost is O(n * points).  Raises DomainError for bounds that
+    are not finite and ordered, for a grid whose points overflow, and where
+    the gain over- or underflows.
     """
     if not 0.0 < f_min < f_max < math.inf:
         raise DomainError(f"need 0 < f_min < f_max < inf, got [{f_min}, {f_max}]")
@@ -354,13 +342,19 @@ def bode_sweep(net: ProbeNetwork, f_min: float, f_max: float, points: int,
         raise DomainError(f"need at least 2 sweep points, got {points}")
     if spacing == "log":
         lo, hi = math.log10(f_min), math.log10(f_max)
-        grid = [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+        try:
+            grid = [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+        except OverflowError:  # a float power raises where a product gives inf
+            grid = [math.inf] * points
     elif spacing == "linear":
         grid = [f_min + (f_max - f_min) * i / (points - 1) for i in range(points)]
     else:
         raise DomainError(f"spacing must be 'log' or 'linear', got {spacing!r}")
     grid[0], grid[-1] = f_min, f_max  # pin endpoints against rounding
     f = np.array(grid, float)
+    if not np.isfinite(f).all():
+        raise DomainError(f"the {spacing} frequency grid of {points} points from {f_min!r} "
+                          f"to {f_max!r} Hz overflows")
     return FrequencySweep(f, _gain(net, f))
 
 

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (
-    BracketError,
     CalibrationCurve,
     DomainError,
     FitError,
@@ -87,6 +86,11 @@ class TestForwardEvaluation:
         with pytest.raises(DomainError, match="illuminance overflows"):
             lux_from_input(CalibrationCurve(*coeffs), x)
 
+    @pytest.mark.parametrize("a0", [-800.0, -720.0])  # exp() gives 0.0, a subnormal
+    def test_underflow_rejected(self, a0):
+        with pytest.raises(DomainError, match="illuminance underflows"):
+            lux_from_input(CalibrationCurve(a0, 0.0, 0.0, 1e-9), 1.0)
+
 
 class TestMonotonicity:
     def test_both_published_curves_monotone_increasing(self, voltage_curve, power_curve):
@@ -154,7 +158,7 @@ class TestInversion:
         curve = CalibrationCurve(*coeffs)
         try:
             x = input_from_lux(curve, lux)
-        except (PreconditionError, BracketError, DomainError):
+        except (PreconditionError, DomainError):
             return
         assert abs(eval_log_poly(curve, math.log(x)) - math.log(lux)) <= 1e-9
 
@@ -169,11 +173,13 @@ class TestInversion:
         with pytest.raises(PreconditionError):
             input_from_lux(CalibrationCurve(0.0, -1.0, 0.0, 1.0), 10.0)
 
-    def test_unreachable_lux_raises_bracket_error(self):
-        # lux below the infimum exp(a0 - ...) of a bounded-below curve shape
+    def test_unreachable_lux_raises_domain_error(self):
         curve = CalibrationCurve(0.0, 1.0, 0.0, 0.0)  # lux = input
-        with pytest.raises((BracketError, DomainError)):
+        with pytest.raises(DomainError, match="must be > 0"):
             input_from_lux(curve, 0.0)
+        # the root u = ln(1e305) = 702.3 lies above the search window
+        with pytest.raises(DomainError, match="no input gives lux"):
+            input_from_lux(curve, 1e305)
 
 
 class TestFitting:

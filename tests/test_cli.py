@@ -70,6 +70,18 @@ class TestProbeCommands:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--fmax", "1.7976931348623157e308"],
+        ["--fmin", "1e300", "--fmax", "1.7976931348623157e308", "--points", "5"],
+        ["--fmax", "1.7976931348623157e308", "--spacing", "linear"],
+    ])
+    def test_bode_grid_overflow_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "probe", "bode", "--n", "1", "--r1", "1", "--c1", "1",
+                                 "--r0", "1", "--c0", "1", "--fmin", "1", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the ") and "frequency grid" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
     def test_analyze_bad_tolerance_exits_1(self, capsys, tol):
         code, out, err = run_cli(capsys, "probe", "analyze", "--n", "5", "--r1", "10e6",
@@ -123,6 +135,20 @@ class TestCalCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: no input gives lux 10.0")
+
+    def test_invert_root_outside_window_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "cal", "invert", "--a0", "0", "--a1", "1", "--a2", "0",
+                                 "--a3", "0", "--kind", "voltage", "--lux", "1e305")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no input gives lux 1e+305")
+
+    def test_eval_underflow_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "cal", "eval", "--a0", "-800", "--a1", "0", "--a2", "0",
+                                 "--a3", "1e-9", "--kind", "voltage", "--input", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: illuminance underflows")
 
     def test_invert_worked_example(self, capsys):
         code, out, _ = run_cli(capsys, "cal", "invert", *CAL_FLAGS,

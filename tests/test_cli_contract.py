@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from plasmakit.cli import main
 
-EDGE_FLOATS = ("0", "-0", "0.0", "-0.0", "1e308", "-1e308", "1e-308", "-1e-308",
-               "5e-324", "-5e-324", "2.5e-310", "nan", "-nan", "inf", "-inf")
+EDGE_FLOATS = ("0", "-0", "0.0", "-0.0", "1e308", "-1e308", "1.7976931348623157e308",
+               "-1.7976931348623157e308", "1e-308", "-1e-308", "5e-324", "-5e-324",
+               "2.5e-310", "nan", "-nan", "inf", "-inf")
 FLOAT = st.one_of(st.sampled_from(EDGE_FLOATS), st.integers(-3, 10).map(str))
 # JSON values: numbers at the same edges (json.dumps writes NaN and Infinity),
 # an int too large for a float, and values of the wrong type.
@@ -143,6 +144,9 @@ def call(command, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+UNIT_NETWORK = ["--n", "1", "--r1", "1", "--c1", "1", "--r0", "1", "--c0", "1"]
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -154,6 +158,12 @@ def reject_constant(name):
 @example(("probe analyze", ["--n", "1", "--r1", "1e308", "--c1", "1e308", "--r0", "1",
                             "--c0", "1"]))
 @example(("probe design", ["--ratio", "0.5", "--n", "1", "--r1", "1e308", "--c1", "1e-300"]))
+@example(("probe bode", [*UNIT_NETWORK, "--fmin", "1", "--fmax", "1.7976931348623157e308"]))
+@example(("probe bode", [*UNIT_NETWORK, "--fmin", "1e300", "--fmax", "1.7976931348623157e308",
+                         "--points", "5"]))
+@example(("probe bode", [*UNIT_NETWORK, "--fmin", "1", "--fmax", "1.7976931348623157e308",
+                         "--spacing", "linear"]))
+@example(("probe bode", [*UNIT_NETWORK, "--fmin", "1", "--fmax", "1e308", "--points", "3"]))
 @example(("cal eval", ["--input", "10", "--a0", "1e308", "--a1", "1e308", "--a2", "0",
                        "--a3", "0", "--kind", "voltage"]))
 @example(("cal eval", ["--input", "1e308", "--a0", "0", "--a1", "0", "--a2", "0",
