@@ -12,7 +12,6 @@ Modules:
 
 from .acquisition import (
     ChannelConfig,
-    PowerSample,
     counts_to_volts,
     detect_ignition,
     instantaneous_power,
@@ -51,7 +50,6 @@ from .errors import (
     SingularityError,
 )
 from .probe import (
-    ComplexResponse,
     FrequencySweep,
     ProbeNetwork,
     RCStage,

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .files import CONVERT, PARSE, Cells, Errors
 
 __all__ = [
     "ChannelConfig",
-    "PowerSample",
     "Samples",
     "counts_to_volts",
     "needle_voltage",
@@ -87,49 +85,23 @@ class ChannelConfig:
         return (1 << self.adc_bits) - 1
 
 
-# The fields a sample must hold as finite numbers, in the order they are checked.
+# The columns a replayed or loaded row must hold as finite numbers, in the
+# order they are checked.
 _FINITE = ("t_ms", "v_volts", "i_amps", "p_watts")
 
-
-def _not_finite(name: str, value: float) -> str:
-    return f"{name} must be finite, got {value}"
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    """One engineering-unit record: t, v, i and p are finite and p equals
-    v*i; lux may be NaN."""
-
-    t_ms: float
-    v_volts: float
-    i_amps: float
-    p_watts: float
-    lux: Optional[float] = None
-
-    def __post_init__(self):
-        for name in _FINITE:
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(_not_finite(name, getattr(self, name)))
-        expected = self.v_volts * self.i_amps
-        if not math.isclose(self.p_watts, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise DomainError(f"p_watts={self.p_watts} inconsistent with v*i={expected}")
-
-    @classmethod
-    def from_vi(cls, t_ms: float, v: float, i: float,
-                lux: Optional[float] = None) -> "PowerSample":
-        return cls(t_ms=t_ms, v_volts=v, i_amps=i, p_watts=v * i, lux=lux)
+# Samples in a row with |i| >= i_min that mark the ignition.
+IGNITION_SUSTAIN = 3
 
 
 @dataclass(frozen=True, eq=False)
-class Samples(Sequence):
+class Samples:
     """Engineering samples held as columns: a replay's output or a run.
 
     `t_ms`, `v_volts`, `i_amps`, `p_watts` and `lux` are read-only float
     arrays of one length, with p_watts = v_volts * i_amps computed here.
     `has_lux` marks the rows that carry a lux value; `lux` is NaN elsewhere,
-    and a row may also carry a NaN lux.  Samples also read as a sequence of
-    PowerSample: an index gives one sample, a slice or a boolean mask gives
-    Samples, and Samples compare equal to any sequence of equal samples.
+    and a row may also carry a NaN lux.  len() counts the rows, and a slice
+    or a boolean mask selects rows as Samples.
     """
 
     t_ms: np.ndarray
@@ -151,29 +123,14 @@ class Samples(Sequence):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
-    @classmethod
-    def of(cls, samples: Iterable[PowerSample]) -> "Samples":
-        """Samples of PowerSamples (p is recomputed as v*i); Samples pass through."""
-        if isinstance(samples, Samples):
-            return samples
-        rows = [(s.t_ms, s.v_volts, s.i_amps, math.nan if s.lux is None else s.lux,
-                 s.lux is not None) for s in samples]
-        return cls(*(zip(*rows) if rows else [()] * 5))
+    __iter__ = None  # columns, not rows: __getitem__ must not make Samples iterable
 
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def __getitem__(self, k):
-        if isinstance(k, numbers.Integral):
-            return PowerSample(float(self.t_ms[k]), float(self.v_volts[k]),
-                               float(self.i_amps[k]), float(self.p_watts[k]),
-                               float(self.lux[k]) if self.has_lux[k] else None)
-        return Samples(self.t_ms[k], self.v_volts[k], self.i_amps[k], self.lux[k], self.has_lux[k])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+    def __getitem__(self, rows) -> "Samples":
+        return Samples(self.t_ms[rows], self.v_volts[rows], self.i_amps[rows], self.lux[rows],
+                       self.has_lux[rows])
 
 
 def counts_to_volts(cfg: ChannelConfig, raw: int) -> float:
@@ -288,10 +245,10 @@ def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict
     record `start`, into the columns (t, v, i, lux, has_lux) and the errors
     of each column, listed in the order a row parser reads the cells.  A
     row's first error is the one reported: parse errors first, then the
-    column order, and last a non-finite t, v, i or p, with PowerSample's
-    message (prefixed by power_prefix).  In
-    lenient mode each rejected row adds a RowError with its physical line
-    number to `diagnostics`; in strict mode the first one is raised.
+    column order, and last a non-finite t, v, i or p, as "<name> must be
+    finite, got <value>" (prefixed by power_prefix).  In lenient mode each
+    rejected row adds a RowError with its physical line number to
+    `diagnostics`; in strict mode the first one is raised.
     """
     parts, start = [], 0
     for lines, cells in chunks:
@@ -306,7 +263,8 @@ def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict
             p = columns[1] * columns[2]
         for name, col in zip(_FINITE, (*columns[:3], p)):
             for k in np.flatnonzero(~np.isfinite(col)).tolist():
-                first.setdefault(k, (CONVERT, power_prefix + _not_finite(name, float(col[k]))))
+                first.setdefault(k, (CONVERT, f"{power_prefix}{name} must be finite, "
+                                              f"got {float(col[k])}"))
         if first:
             for k in sorted(first):
                 err = RowError(lines[k], first[k][1])
@@ -319,7 +277,7 @@ def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict
             columns = tuple(c[keep] for c in columns)
         parts.append(columns)
     if not parts:
-        return Samples.of(())
+        return Samples(*[()] * 5)
     return Samples(*(np.concatenate(c) for c in zip(*parts)))
 
 
@@ -338,7 +296,7 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
     """
     with files.read_csv(source) as (fields, chunks):
         if not fields:
-            return Samples.of(())
+            return Samples(*[()] * 5)
         if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
             if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
                 raise PreconditionError("light-channel curve must have input kind 'voltage'")
@@ -370,19 +328,15 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
         raise SchemaError(f"unrecognized frame CSV header: {fields}")
 
 
-def detect_ignition(samples: Sequence[PowerSample], i_min: float = 1e-3,
-                    sustain: int = 3) -> Optional[float]:
-    """Timestamp of the first sample opening a run of >= sustain samples
-    with |i| >= i_min; None when no such run exists."""
+def detect_ignition(samples: Samples, i_min: float = 1e-3) -> Optional[float]:
+    """Timestamp of the first sample opening a run of >= IGNITION_SUSTAIN
+    samples with |i| >= i_min; None when no such run exists."""
     if not i_min > 0.0:
         raise DomainError(f"i_min must be > 0, got {i_min}")
-    if sustain < 1:
-        raise DomainError(f"sustain must be >= 1, got {sustain}")
-    samples = Samples.of(samples)
     hot = np.abs(samples.i_amps) >= i_min
     edges = np.diff(np.concatenate(([0], hot, [0])).astype(np.int8))
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    long_runs = np.flatnonzero(stops - starts >= sustain)
+    long_runs = np.flatnonzero(stops - starts >= IGNITION_SUSTAIN)
     return float(samples.t_ms[starts[long_runs[0]]]) if len(long_runs) else None
 
 
@@ -393,10 +347,9 @@ def _reprs(col: np.ndarray) -> np.ndarray:
     return np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)[index]
 
 
-def write_samples_csv(samples: Iterable[PowerSample], out: TextIO) -> None:
+def write_samples_csv(samples: Samples, out: TextIO) -> None:
     """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs,
     files.CHUNK_ROWS at a time; a missing lux is an empty cell."""
-    samples = Samples.of(samples)
     out.write(",".join(OUT_HEADER) + "\n")
     for start in range(0, len(samples), files.CHUNK_ROWS):
         part = samples[start:start + files.CHUNK_ROWS]

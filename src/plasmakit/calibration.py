@@ -173,6 +173,8 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
     """
     if not (lux > 0.0 and math.isfinite(lux)):
         raise DomainError(f"lux must be > 0, got {lux}")
+    if lux < sys.float_info.min:  # lux_from_input never returns such a lux
+        raise DomainError(f"lux {lux} underflows: it is below the smallest normal float")
     direction = monotone_direction(curve)
     if direction == 0:
         raise PreconditionError("curve is not monotone; inversion is ambiguous")

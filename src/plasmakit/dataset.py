@@ -42,14 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    """A run's samples; PowerSamples are converted to Samples."""
+    """A run's samples, in non-decreasing time order."""
 
     samples: Samples
 
     def __post_init__(self):
-        samples = Samples.of(self.samples)
-        object.__setattr__(self, "samples", samples)
-        if np.any(samples.t_ms[1:] < samples.t_ms[:-1]):
+        t = self.samples.t_ms
+        if np.any(t[1:] < t[:-1]):
             raise DomainError("run timestamps must be non-decreasing")
 
 
@@ -104,10 +103,10 @@ def load_run(source: TextIO | str, strict: bool = True,
 
 def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:
     """Mask of the samples characterize fits: from the ignition (the first
-    3 samples in a row with |i| >= ignition_i_min) on, with power > 0 and a
-    lux > 0."""
+    acquisition.IGNITION_SUSTAIN samples in a row with |i| >= ignition_i_min)
+    on, with power > 0 and a lux > 0."""
     s = run.samples
-    t0 = detect_ignition(s, i_min=ignition_i_min, sustain=3)
+    t0 = detect_ignition(s, i_min=ignition_i_min)
     if t0 is None:
         return np.zeros(len(s), dtype=bool)
     return (s.t_ms >= t0) & (s.p_watts > 0.0) & s.has_lux & (s.lux > 0.0)

@@ -18,10 +18,9 @@ grows, so it raises instead of returning a wrong expansion.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -33,7 +32,6 @@ __all__ = [
     "RCStage",
     "ProbeNetwork",
     "RationalTransferFunction",
-    "ComplexResponse",
     "FrequencySweep",
     "transfer_function",
     "dc_attenuation",
@@ -118,34 +116,12 @@ class RationalTransferFunction:
         return complex(np.polyval(self.numerator[::-1], s)) / den
 
 
-@dataclass(frozen=True)
-class ComplexResponse:
-    """Gain of a network at one frequency, stored as a complex number."""
-
-    frequency: float
-    gain: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.gain)
-
-    @property
-    def phase(self) -> float:
-        return cmath.phase(self.gain)
-
-    @property
-    def magnitude_db(self) -> float:
-        return 20.0 * math.log10(self.magnitude)
-
-
 @dataclass(frozen=True, eq=False)
-class FrequencySweep(Sequence):
+class FrequencySweep:
     """Gains of a network over a frequency grid, held as columns.
 
     `frequency` (Hz) is a float array and `gain` a complex array, both
     read-only; magnitude, phase and dB are derived from `gain` as arrays.
-    The sweep also reads as a sequence of ComplexResponse: an index gives
-    one response and a slice gives a shorter sweep.
     """
 
     frequency: np.ndarray
@@ -166,14 +142,6 @@ class FrequencySweep(Sequence):
     @property
     def magnitude_db(self) -> np.ndarray:
         return 20.0 * np.log10(self.magnitude)
-
-    def __len__(self) -> int:
-        return len(self.frequency)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return FrequencySweep(self.frequency[k], self.gain[k])
-        return ComplexResponse(float(self.frequency[k]), complex(self.gain[k]))
 
 
 def _trim(coeffs: Iterable[float]) -> tuple[float, ...]:
@@ -234,14 +202,14 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
     adds Rk*P to den.  The expanded coefficients lose precision as the
     ladder grows (from about 55 stages for typical components), so the
     result is checked against Z0/sum(Zi) at DC and at the corner frequency
-    1/(2*pi*Ri*Ci) of every stage with a capacitor; a relative error above
-    EXPANSION_RTOL raises DomainError.  Sweeps do not use this form:
+    1/(2*pi*Ri*Ci) of every stage with Ri*Ci > 0 (one whose Ri*Ci underflows
+    to 0 is a bare resistor, in the check as in the expansion); a relative
+    error above EXPANSION_RTOL raises DomainError.  Sweeps do not use this form:
     bode_sweep evaluates Z0/sum(Zi) directly.
     """
     def times(p: list[float], tau: float) -> list[float]:  # p * (1 + tau*s)
         return [a + tau * b for a, b in zip(p + [0.0], [0.0] + p)]
 
-    stages = [net.base, *net.ladder]
     r0 = net.base.resistance
     num, den, prod = [r0], [r0], [1.0, r0 * net.base.capacitance]
     for st in net.ladder:
@@ -251,8 +219,8 @@ def transfer_function(net: ProbeNetwork) -> RationalTransferFunction:
         prod = times(prod, tau)
 
     tf = RationalTransferFunction(tuple(num), tuple(den))
-    f = np.array([0.0] + [1.0 / (2.0 * math.pi * st.resistance * st.capacitance)
-                          for st in stages if st.capacitance > 0.0])
+    taus = [st.resistance * st.capacitance for st in (net.base, *net.ladder)]
+    f = np.array([0.0] + [1.0 / (2.0 * math.pi * tau) for tau in taus if tau > 0.0])
     want = _gain(net, f)
     s = 2j * math.pi * f
     with np.errstate(all="ignore"):

@@ -30,7 +30,7 @@ from plasmakit import (
     monotone_direction,
     transfer_function,
 )
-from plasmakit.acquisition import PowerSample
+from plasmakit.acquisition import Samples
 from plasmakit.dataset import ExperimentRun
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS, direct_gain, reference_network
@@ -67,9 +67,9 @@ def test_criterion_3_flatness_and_oracle_agreement():
         n = rng.randint(1, 8)
         net = design_probe(k, n, 10 ** rng.uniform(3, 7), 10 ** rng.uniform(-12, -9))
         responses = bode_sweep(net, 1.0, 1e7, 200, "log")
-        mags = [r.magnitude for r in responses]
-        assert max(mags) / min(mags) - 1.0 <= 1e-9
-        assert all(abs(r.phase) <= 1e-9 for r in responses)
+        mags = responses.magnitude
+        assert mags.max() / mags.min() - 1.0 <= 1e-9
+        assert all(abs(phase) <= 1e-9 for phase in responses.phase.tolist())
     # polynomial transfer function vs direct complex oracle
     for _ in range(1000):
         n = rng.randint(0, 6)
@@ -135,15 +135,16 @@ def test_criterion_8_characterization_path():
     # synthetic-run stand-in applies: full characterize path with ignition
     # filtering and trim verified on constructed traces.
     curve = CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
-    samples = [PowerSample.from_vi(float(t), 0.0, 0.0) for t in range(5)]
+    # five zero-current samples without lux, then 40 on the curve
+    v, i, lux = [0.0] * 5, [0.0] * 5, [math.nan] * 5
     for k in range(40):
         p = 5.0 * 8.0 ** (k / 39)
-        i = 0.02
-        lux = lux_from_input(curve, p)
+        i.append(0.02)
+        v.append(p / i[-1])
+        lux.append(lux_from_input(curve, p))
         if k == 11:
-            lux *= math.exp(2.5)  # injected ignition-transient outlier
-        samples.append(PowerSample.from_vi(float(5 + k), p / i, i, lux=lux))
-    run = ExperimentRun(samples=tuple(samples))
+            lux[-1] *= math.exp(2.5)  # injected ignition-transient outlier
+    run = ExperimentRun(samples=Samples(range(45), v, i, lux, [False] * 5 + [True] * 40))
 
     plain = characterize(run, trim=False)
     trimmed = characterize(run, trim=True)

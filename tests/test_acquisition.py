@@ -11,7 +11,6 @@ from plasmakit import (
     ChannelConfig,
     DomainError,
     InputKind,
-    PowerSample,
     PreconditionError,
     RowError,
     Samples,
@@ -19,12 +18,13 @@ from plasmakit import (
     counts_to_volts,
     detect_ignition,
     instantaneous_power,
+    load_run,
     lux_from_input,
     needle_voltage,
     replay_stream,
     shunt_current,
 )
-from plasmakit.acquisition import write_samples_csv
+from plasmakit.acquisition import IGNITION_SUSTAIN, write_samples_csv
 
 from conftest import VOLTAGE_COEFFS
 
@@ -142,44 +142,28 @@ class TestInstantaneousPower:
             instantaneous_power(v, i)
 
 
-class TestPowerSample:
-    def test_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            PowerSample(t_ms=0.0, v_volts=2.0, i_amps=3.0, p_watts=7.0)
-
-    def test_from_vi(self):
-        s = PowerSample.from_vi(1.0, 2.0, 3.0)
-        assert s.p_watts == 6.0
-
-    @pytest.mark.parametrize("t, v, i, p, message", [
-        (math.nan, math.inf, 1.0, math.inf, "t_ms must be finite, got nan"),
-        (0.0, -math.inf, math.nan, math.nan, "v_volts must be finite, got -inf"),
-        (0.0, 1.0, math.inf, math.inf, "i_amps must be finite, got inf"),
-        (0.0, 1e308, 10.0, math.inf, "p_watts must be finite, got inf"),
-    ])
-    def test_non_finite_rejected_in_order(self, t, v, i, p, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            PowerSample(t, v, i, p)
-        assert math.isnan(PowerSample.from_vi(0.0, 1.0, 2.0, lux=math.nan).lux)
-
-
 class TestSamples:
-    ROWS = [PowerSample.from_vi(0.0, 2.0, 3.0, lux=5.0),
-            PowerSample.from_vi(1.0, -0.0, 4.0),
-            PowerSample.from_vi(2.0, 1.5, 2.0, lux=float("nan"))]
+    # t, v, i, lux and has_lux of three rows; the second carries no lux and
+    # the third a NaN lux
+    COLUMNS = ([0.0, 1.0, 2.0], [2.0, -0.0, 1.5], [3.0, 4.0, 2.0],
+               [5.0, math.nan, math.nan], [True, False, True])
 
     def test_columns_and_rows(self):
-        s = Samples.of(self.ROWS)
+        s = Samples(*self.COLUMNS)
         assert s.p_watts.tolist() == [6.0, -0.0, 3.0]
         assert s.has_lux.tolist() == [True, False, True]
-        assert len(s) == 3 and s[0] == self.ROWS[0] and s[-2] == self.ROWS[1]
-        assert s[2].lux != s[2].lux and s[1].lux is None
-        assert s[:2] == self.ROWS[:2] and s[s.has_lux][0] == self.ROWS[0]
-        assert s[:2] != self.ROWS[:1] and Samples.of(s) is s
-        assert Samples.of([]) == [] == Samples.of(()) and not len(Samples.of(()))
+        assert len(s) == 3 and math.isnan(s.lux[1]) and math.isnan(s.lux[2])
+        head, lit = s[:2], s[s.has_lux]
+        assert isinstance(head, Samples) and isinstance(lit, Samples)
+        assert head.t_ms.tolist() == [0.0, 1.0] and head.p_watts.tolist() == [6.0, -0.0]
+        assert head.has_lux.tolist() == [True, False]
+        assert lit.t_ms.tolist() == [0.0, 2.0] and lit.lux[0] == 5.0
+        assert not len(Samples(*[()] * 5))
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(s)
 
     def test_read_only(self):
-        s = Samples.of(self.ROWS)
+        s = Samples(*self.COLUMNS)
         with pytest.raises(ValueError):
             s.t_ms[0] = 5.0
 
@@ -202,40 +186,44 @@ class TestProcessFrame:
     def test_zero_current_frame(self):
         raw_shunt = round(1.25 * 4095 / 3.3)
         cfg = ChannelConfig(offset_volts=counts_to_volts(CFG, raw_shunt))
-        (s,) = replay_frames((0, 100, raw_shunt), cfg=cfg)
-        assert s.i_amps == 0.0
-        assert s.p_watts == 0.0
+        s = replay_frames((0, 100, raw_shunt), cfg=cfg)
+        assert s.i_amps.tolist() == [0.0]
+        assert s.p_watts.tolist() == [0.0]
 
     def test_matches_explicit_chain_on_random_frames(self):
         rng = random.Random(99)
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
         frames = [(rng.uniform(0, 1e5), rng.randint(0, 4095), rng.randint(0, 4095),
                    rng.randint(1, 4095)) for _ in range(1000)]
-        for (t, hv, shunt, ldr), got in zip(frames, replay_frames(*frames, curve=curve)):
+        got = replay_frames(*frames, curve=curve)
+        assert len(got) == len(frames)
+        for k, (t, hv, shunt, ldr) in enumerate(frames):
             v = needle_voltage(CFG, counts_to_volts(CFG, hv))
             i = shunt_current(CFG, counts_to_volts(CFG, shunt))
-            assert got.t_ms == t
-            assert got.v_volts == v
-            assert got.i_amps == i
-            assert got.p_watts == v * i
-            assert got.lux == lux_from_input(curve, counts_to_volts(CFG, ldr))
+            assert got.t_ms[k] == t
+            assert got.v_volts[k] == v
+            assert got.i_amps[k] == i
+            assert got.p_watts[k] == v * i
+            assert got.lux[k] == lux_from_input(curve, counts_to_volts(CFG, ldr))
 
     def test_reproduces_reference_snapshot(self):
         # counts quantized from the 498 V / 36.6 mA reading
-        (s,) = replay_frames((0, 652, 2596))
-        assert s.p_watts == pytest.approx(18.227, rel=5e-3)
+        s = replay_frames((0, 652, 2596))
+        assert len(s) == 1
+        assert s.p_watts[0] == pytest.approx(18.227, rel=5e-3)
 
     def test_lux_requires_curve_and_channel(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
-        assert replay_frames((0, 100, 2000))[0].lux is None
-        assert replay_frames((0, 100, 2000), curve=curve)[0].lux is None
-        assert replay_frames((0, 100, 2000, ""), curve=curve)[0].lux is None
-        assert replay_frames((0, 100, 2000, 1241))[0].lux is None
-        assert replay_frames((0, 100, 2000, 1241), curve=curve)[0].lux is not None
+        assert replay_frames((0, 100, 2000)).has_lux.tolist() == [False]
+        assert replay_frames((0, 100, 2000), curve=curve).has_lux.tolist() == [False]
+        assert replay_frames((0, 100, 2000, ""), curve=curve).has_lux.tolist() == [False]
+        assert replay_frames((0, 100, 2000, 1241)).has_lux.tolist() == [False]
+        assert replay_frames((0, 100, 2000, 1241), curve=curve).has_lux.tolist() == [True]
 
     def test_dark_light_channel_reads_zero_lux(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
-        assert replay_frames((0, 100, 2000, 0), curve=curve)[0].lux == 0.0
+        s = replay_frames((0, 100, 2000, 0), curve=curve)
+        assert s.has_lux.tolist() == [True] and s.lux.tolist() == [0.0]
 
     def test_power_kind_curve_rejected(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_kind=InputKind.PLASMA_POWER)
@@ -253,21 +241,22 @@ class TestProcessFrame:
 
 class TestReplayStream:
     def test_empty_source(self):
-        assert replay_stream(io.StringIO("")) == []
-        assert replay_stream(io.StringIO("t_ms,raw_hv,raw_shunt\n")) == []
+        for text in ("", "t_ms,raw_hv,raw_shunt\n"):
+            samples = replay_stream(io.StringIO(text))
+            assert isinstance(samples, Samples) and len(samples) == 0
 
     def test_raw_mode(self):
         text = "t_ms,raw_hv,raw_shunt\n0,652,2596\n10,652,2596\n"
         samples = replay_stream(io.StringIO(text))
         assert len(samples) == 2
-        assert samples[0].p_watts == pytest.approx(18.23, abs=0.05)
+        assert samples.p_watts[0] == pytest.approx(18.23, abs=0.05)
 
     def test_engineering_mode(self):
         text = "t_ms,v_volts,i_amps,lux\n0,498,0.0366,150\n5,479,0.03813,140\n"
         samples = replay_stream(io.StringIO(text))
         assert len(samples) == 2
-        assert samples[0].lux == 150.0
-        assert samples[0].p_watts == pytest.approx(18.2268)
+        assert samples.lux[0] == 150.0
+        assert samples.p_watts[0] == pytest.approx(18.2268)
 
     def test_lenient_mode_reports_and_continues(self):
         text = ("t_ms,raw_hv,raw_shunt\n"
@@ -299,16 +288,30 @@ class TestReplayStream:
         with pytest.raises(SchemaError):
             replay_stream(io.StringIO("time,volts\n1,2\n"))
 
+    @pytest.mark.parametrize("t, v, i, message", [
+        (math.nan, math.inf, 1.0, "t_ms must be finite, got nan"),
+        (0.0, -math.inf, math.nan, "v_volts must be finite, got -inf"),
+        (0.0, 1.0, math.inf, "i_amps must be finite, got inf"),
+        (0.0, 1e308, 10.0, "p_watts must be finite, got inf"),
+    ])
+    def test_non_finite_rejected_in_order(self, t, v, i, message):
+        # a row's first non-finite value of t, v, i and p = v*i is the one reported
+        text = f"t_ms,v_volts,i_amps\n0,1,2\n{t!r},{v!r},{i!r}\n"
+        with pytest.raises(RowError, match=f"^line 3: bad engineering row: {message}$"):
+            replay_stream(io.StringIO(text), strict=True)
+        with pytest.raises(RowError, match=f"^line 3: {message}$"):
+            load_run(io.StringIO(text))
+
     def test_order_preserved(self):
         rows = "".join(f"{t},100,2000\n" for t in range(50))
         samples = replay_stream(io.StringIO("t_ms,raw_hv,raw_shunt\n" + rows))
-        assert [s.t_ms for s in samples] == [float(t) for t in range(50)]
+        assert samples.t_ms.tolist() == [float(t) for t in range(50)]
 
 
 class TestDetectIgnition:
     def _trace(self, currents):
-        return [PowerSample.from_vi(float(t), 100.0, i)
-                for t, i in enumerate(currents)]
+        n = len(currents)
+        return Samples(range(n), [100.0] * n, currents, [math.nan] * n, [False] * n)
 
     def test_all_zero_returns_none(self):
         assert detect_ignition(self._trace([0.0] * 10), 1e-3) is None
@@ -318,19 +321,20 @@ class TestDetectIgnition:
         assert detect_ignition(samples, 1e-3) == 2.0
 
     def test_sustain_requirement(self):
-        # two-sample blips never qualify with the default 3-sample sustain
+        # two-sample blips never qualify: ignition needs 3 samples in a row
+        assert IGNITION_SUSTAIN == 3
         samples = self._trace([0.0, 5e-3, 5e-3, 0.0, 5e-3, 5e-3, 0.0])
         assert detect_ignition(samples, 1e-3) is None
 
     def test_ramp_matches_brute_force_scan(self):
         currents = [1e-4 * t for t in range(40)]
         samples = self._trace(currents)
-        got = detect_ignition(samples, 1e-3, sustain=3)
+        got = detect_ignition(samples, 1e-3)
         # oracle: scan every index for a qualifying run
         want = None
         for k in range(len(currents) - 2):
             if all(abs(c) >= 1e-3 for c in currents[k:k + 3]):
-                want = samples[k].t_ms
+                want = samples.t_ms[k]
                 break
         assert got == want
 
@@ -340,15 +344,13 @@ class TestDetectIgnition:
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            detect_ignition([], 0.0)
-        with pytest.raises(DomainError):
-            detect_ignition([], 1e-3, sustain=0)
+            detect_ignition(self._trace([]), 0.0)
 
 
 class TestSamplesCsv:
     def test_round_trip_layout(self):
-        samples = [PowerSample.from_vi(0.0, 498.0, 0.0366, lux=150.0),
-                   PowerSample.from_vi(1.0, 479.0, 0.877 / 23.0)]
+        samples = Samples([0.0, 1.0], [498.0, 479.0], [0.0366, 0.877 / 23.0],
+                          [150.0, math.nan], [True, False])
         buf = io.StringIO()
         write_samples_csv(samples, buf)
         lines = buf.getvalue().splitlines()

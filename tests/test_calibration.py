@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +181,15 @@ class TestInversion:
         # the root u = ln(1e305) = 702.3 lies above the search window
         with pytest.raises(DomainError, match="no input gives lux"):
             input_from_lux(curve, 1e305)
+
+    def test_subnormal_lux_rejected(self, voltage_curve):
+        # lux_from_input never returns a lux below the smallest normal float,
+        # so no input may be reported for one
+        for lux in (5e-324, sys.float_info.min / 2):
+            with pytest.raises(DomainError, match="underflows"):
+                input_from_lux(voltage_curve, lux)
+        x = input_from_lux(voltage_curve, sys.float_info.min)
+        assert lux_from_input(voltage_curve, x) == pytest.approx(sys.float_info.min, rel=1e-9)
 
 
 class TestFitting:

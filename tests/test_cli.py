@@ -143,6 +143,13 @@ class TestCalCommands:
         assert out == ""
         assert err.startswith("error: no input gives lux 1e+305")
 
+    def test_invert_subnormal_lux_exits_1(self, capsys):
+        # cal eval refuses the input a subnormal lux would invert to
+        code, out, err = run_cli(capsys, "cal", "invert", *CAL_FLAGS, "--lux", "5e-324")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: lux 5e-324 underflows")
+
     def test_eval_underflow_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "cal", "eval", "--a0", "-800", "--a1", "0", "--a2", "0",
                                  "--a3", "1e-9", "--kind", "voltage", "--input", "1")

@@ -12,6 +12,7 @@ writer must produce the same bytes.
 import csv
 import io
 import math
+from typing import NamedTuple, Optional
 from unittest import mock
 
 import pytest
@@ -22,7 +23,6 @@ from plasmakit import (
     CalibrationCurve,
     ChannelConfig,
     DomainError,
-    PowerSample,
     RowError,
     Samples,
     load_run,
@@ -37,6 +37,26 @@ from conftest import VOLTAGE_COEFFS
 CURVES = (None, CalibrationCurve(*VOLTAGE_COEFFS),
           # ln lux = 600 u^3 overflows exp() above about 2.88 V
           CalibrationCurve(0.0, 0.0, 0.0, 600.0))
+
+
+class Row(NamedTuple):
+    """One reference sample; lux is None when the row carries none."""
+
+    t_ms: float
+    v_volts: float
+    i_amps: float
+    p_watts: float
+    lux: Optional[float]
+
+
+def reference_row(t, v, i, lux=None):
+    """The row with p = v*i; raises DomainError for the first of t, v, i
+    and p that is not finite."""
+    row = Row(t, v, i, v * i, lux)
+    for name, value in zip(Row._fields, row[:4]):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    return row
 
 
 def reference_frame(cfg, curve, t, hv, shunt, ldr):
@@ -58,7 +78,7 @@ def reference_frame(cfg, curve, t, hv, shunt, ldr):
             lux = lux_from_input(curve, x) if x > 0.0 else 0.0
         except DomainError as exc:
             raise DomainError(f"ldr channel: {exc}") from exc
-    return PowerSample.from_vi(t, v, i, lux)
+    return reference_row(t, v, i, lux)
 
 
 def reference_replay(text, cfg, curve):
@@ -81,7 +101,7 @@ def reference_replay(text, cfg, curve):
             else:
                 lux = row.get("lux")
                 try:
-                    samples.append(PowerSample.from_vi(
+                    samples.append(reference_row(
                         float(row["t_ms"]), float(row["v_volts"]), float(row["i_amps"]),
                         lux=float(lux) if lux not in (None, "") else None))
                 except (ValueError, TypeError) as exc:
@@ -103,7 +123,7 @@ def reference_load_run(text):
             v, i = float(row["v_volts"]), float(row["i_amps"])
             t = float(row["t_ms"]) if has_t else float(idx)
             lux = row.get("lux")
-            samples.append(PowerSample.from_vi(
+            samples.append(reference_row(
                 t, v, i, lux=float(lux) if lux not in (None, "") else None))
         except (ValueError, TypeError) as exc:
             diagnostics.append((reader.line_num, str(RowError(reader.line_num, str(exc)))))

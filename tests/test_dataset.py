@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from plasmakit import (
@@ -10,7 +11,7 @@ from plasmakit import (
     ExperimentRun,
     FitError,
     InputKind,
-    PowerSample,
+    Samples,
     SchemaError,
     characterize,
     load_characterization,
@@ -30,26 +31,28 @@ def synthetic_run(curve=None, n=40, p_lo=5.0, p_hi=40.0, pre_ignition=3,
                   lux_noise=None):
     """Run whose post-ignition samples lie exactly on a power curve."""
     curve = curve or CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
-    samples = [PowerSample.from_vi(float(t), 0.0, 0.0, lux=None)
-               for t in range(pre_ignition)]
+    # pre-ignition samples carry no current, voltage or lux
+    v, i, lux = [0.0] * pre_ignition, [0.0] * pre_ignition, [math.nan] * pre_ignition
     for k in range(n):
         p = p_lo * (p_hi / p_lo) ** (k / (n - 1))
-        i = 0.02 + 0.0005 * k  # well above the 1 mA ignition threshold
-        v = p / i
-        lux = lux_from_input(curve, p)
+        i.append(0.02 + 0.0005 * k)  # well above the 1 mA ignition threshold
+        v.append(p / i[-1])
+        lux.append(lux_from_input(curve, p))
         if lux_noise:
-            lux *= math.exp(lux_noise(k))
-        samples.append(PowerSample.from_vi(float(pre_ignition + k), v, i, lux=lux))
-    return ExperimentRun(samples=tuple(samples))
+            lux[-1] *= math.exp(lux_noise(k))
+    has_lux = [False] * pre_ignition + [True] * n
+    return ExperimentRun(samples=Samples(range(pre_ignition + n), v, i, lux, has_lux))
 
 
 class TestRunTypes:
     def test_timestamps_must_be_nondecreasing(self):
-        good = (PowerSample.from_vi(0.0, 1, 1), PowerSample.from_vi(0.0, 1, 1))
-        ExperimentRun(samples=good)
-        bad = (PowerSample.from_vi(1.0, 1, 1), PowerSample.from_vi(0.0, 1, 1))
+        def run(*t):
+            n = len(t)
+            return ExperimentRun(samples=Samples(t, [1.0] * n, [1.0] * n, [math.nan] * n,
+                                                 [False] * n))
+        run(0.0, 0.0)
         with pytest.raises(DomainError):
-            ExperimentRun(samples=bad)
+            run(1.0, 0.0)
 
     def test_characterization_invariants(self):
         curve = CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
@@ -64,12 +67,12 @@ class TestLoadRun:
         text = "t_ms,v_volts,i_amps,lux\n0,498,0.0366,150\n5,479,0.0381,140\n"
         run = load_run(io.StringIO(text))
         assert len(run.samples) == 2
-        assert run.samples[0].p_watts == pytest.approx(18.2268)
+        assert run.samples.p_watts[0] == pytest.approx(18.2268)
 
     def test_output_layout_with_p_column(self):
         text = "t_ms,v_volts,i_amps,p_watts,lux\n0,10,2,20,5\n"
         run = load_run(io.StringIO(text))
-        assert run.samples[0].p_watts == 20.0
+        assert run.samples.p_watts.tolist() == [20.0]
 
     def test_missing_mandatory_columns(self):
         with pytest.raises(SchemaError):
@@ -104,7 +107,9 @@ class TestLoadRun:
         path = tmp_path / "run.csv"
         save(run, path)
         again = load_run(str(path))
-        assert again.samples == run.samples
+        for name in ("t_ms", "v_volts", "i_amps", "p_watts", "lux", "has_lux"):
+            np.testing.assert_array_equal(getattr(again.samples, name),
+                                          getattr(run.samples, name), err_msg=name)
         save(again, tmp_path / "run2.csv")
         assert (tmp_path / "run2.csv").read_text() == path.read_text()
 
@@ -154,10 +159,9 @@ class TestCharacterize:
         assert char.trimmed_count == 0
 
     def test_all_zero_lux_fails(self):
-        samples = [PowerSample.from_vi(float(t), 100.0, 0.02, lux=None)
-                   for t in range(10)]
+        samples = Samples(range(10), [100.0] * 10, [0.02] * 10, [math.nan] * 10, [False] * 10)
         with pytest.raises(FitError):
-            characterize(ExperimentRun(samples=tuple(samples)))
+            characterize(ExperimentRun(samples=samples))
 
     def test_never_ignited_fails(self):
         run = synthetic_run()
