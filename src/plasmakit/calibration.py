@@ -168,8 +168,9 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
     the search window and each evaluated point narrows it by the sign of g;
     a Newton step that is undefined or leaves the bracket is replaced by
     the bracket's midpoint.  Raises DomainError where the cubic overflows
-    during the search, and when the result's ln lux is more than
-    INVERT_ATOL off ln(lux), as it is when the root lies outside the window.
+    during the search, when the result's ln lux is more than INVERT_ATOL
+    off ln(lux), as it is when the root lies outside the window, and for a
+    lux below the smallest normal float, which lux_from_input never returns.
     """
     if not (lux > 0.0 and math.isfinite(lux)):
         raise DomainError(f"lux must be > 0, got {lux}")

@@ -285,6 +285,6 @@ class TestBodeSweep:
     @settings(max_examples=100, deadline=None)
     def test_sweep_and_point_match_oracle(self, net, f):
         sweep = bode_sweep(net, 1.0, 1e8, 41)
-        for f, gain in zip(sweep.frequency.tolist(), sweep.gain.tolist()):
-            assert gain == pytest.approx(direct_gain(net, f), rel=1e-12)
+        for freq, gain in zip(sweep.frequency.tolist(), sweep.gain.tolist()):
+            assert gain == pytest.approx(direct_gain(net, freq), rel=1e-12)
         assert _gain(net, np.array([f]))[0] == pytest.approx(direct_gain(net, f), rel=1e-12)
