@@ -129,6 +129,8 @@ class Samples:
         return len(self.t_ms)
 
     def __getitem__(self, rows) -> "Samples":
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("Samples selects rows by slice or mask, not by integer index")
         return Samples(self.t_ms[rows], self.v_volts[rows], self.i_amps[rows], self.lux[rows],
                        self.has_lux[rows])
 

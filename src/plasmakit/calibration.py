@@ -120,7 +120,7 @@ def lux_from_input(curve: CalibrationCurve, x: float) -> float:
     Raises DomainError where the illuminance over- or underflows: a lux
     below the smallest normal float would read as a dark sensor."""
     if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"curve input must be > 0, got {x}")
+        raise DomainError(f"curve input must be {'> 0' if math.isfinite(x) else 'finite'}, got {x}")
     log_lux = eval_log_poly(curve, math.log(x))
     try:
         if log_lux < math.inf:  # the cubic itself may overflow, and exp(inf) is inf
@@ -173,7 +173,7 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
     lux below the smallest normal float, which lux_from_input never returns.
     """
     if not (lux > 0.0 and math.isfinite(lux)):
-        raise DomainError(f"lux must be > 0, got {lux}")
+        raise DomainError(f"lux must be {'> 0' if math.isfinite(lux) else 'finite'}, got {lux}")
     if lux < sys.float_info.min:  # lux_from_input never returns such a lux
         raise DomainError(f"lux {lux} underflows: it is below the smallest normal float")
     direction = monotone_direction(curve)

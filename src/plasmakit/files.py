@@ -4,12 +4,13 @@ chunked CSV reader, one JSON loader, and one atomic writer."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import stat
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Optional, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -42,10 +43,11 @@ def read_csv(source: TextIO | str | os.PathLike):
     """
     opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
     with opened as fh:
-        reader = csv.reader(fh)
+        lines, raw = itertools.tee(fh)
+        reader = csv.reader(lines)
         try:
             fields = tuple(next(reader, ()))
-            yield fields, _chunks(reader, fields)
+            yield fields, _chunks(reader, raw, fields)
         except UnicodeDecodeError as exc:
             raise SchemaError("input is not UTF-8 text: cannot decode "
                               f"{exc.object[exc.start:exc.end]!r}") from exc
@@ -53,22 +55,24 @@ def read_csv(source: TextIO | str | os.PathLike):
             raise RowError(reader.line_num, str(exc)) from exc
 
 
-def _chunks(reader, fields: tuple[str, ...]) -> Iterator[tuple[list[int], dict]]:
-    def chunk(lines, rows):
-        if min(map(len, rows)) < len(fields):
-            rows = [row + [None] * (len(fields) - len(row)) for row in rows]
-        return lines, dict(zip(fields, zip(*rows)))
-
-    lines, rows = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == CHUNK_ROWS:
-                yield chunk(lines, rows)
-                lines, rows = [], []
-    if rows:
-        yield chunk(lines, rows)
+def _chunks(reader, raw, fields: tuple[str, ...]) -> Iterator[tuple[Sequence[int], dict]]:
+    """CHUNK_ROWS records at a time; `raw` yields the reader's lines again, to skip or re-read."""
+    end = reader.line_num
+    next(itertools.islice(raw, end, end), None)  # skip the header's lines
+    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+        start, end = end, reader.line_num
+        if end - start == len(rows):  # one line per record
+            next(itertools.islice(raw, len(rows), len(rows)), None)
+            lines = range(start + 1, end + 1)
+        else:  # a quoted field spans lines: re-read the chunk for each record's last line
+            again = csv.reader(itertools.islice(raw, end - start))
+            lines = [start + again.line_num for _ in again]
+        if not all(rows):  # a blank line holds no record
+            lines, rows = list(itertools.compress(lines, rows)), list(filter(None, rows))
+        if rows:
+            if min(map(len, rows)) < len(fields):
+                rows = [row + [None] * (len(fields) - len(row)) for row in rows]
+            yield lines, dict(zip(fields, zip(*rows)))
 
 
 def floats(cells: Optional[Cells], n: int, prefix: str = "",

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["Series", "render_chart"]
 
 WIDTH, HEIGHT = 720, 480
@@ -17,27 +19,31 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: np.ndarray  # float64, as y; every point must be finite
+    y: np.ndarray
     label: str = ""
     style: str = "line"  # "line" or "dots"
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
+        x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+        if len(x) != len(y):
             raise ValueError("series x and y lengths differ")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
+        finite = np.isfinite(x) & np.isfinite(y)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"series {self.label!r}: point {k} is not finite: ({x[k]}, {y[k]})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 class _Axis:
-    def __init__(self, values: Sequence[float], log: bool, lo_px: float, hi_px: float):
+    def __init__(self, columns, log: bool, lo_px: float, hi_px: float):
         self.log = log
-        vals = [v for v in values if not log or v > 0.0]
-        if not vals:
-            vals = [1.0, 10.0]
-        lo, hi = min(vals), max(vals)
+        values = np.concatenate([np.empty(0), *columns])
+        values = values[values > 0.0] if log else values
+        lo, hi = (float(values.min()), float(values.max())) if values.size else (1.0, 10.0)
         if log:
             lo, hi = math.log10(lo), math.log10(hi)
         if hi - lo < 1e-12:
@@ -45,10 +51,12 @@ class _Axis:
         self.lo, self.hi = lo, hi
         self.lo_px, self.hi_px = lo_px, hi_px
 
-    def to_px(self, v: float) -> float:
-        t = math.log10(v) if self.log else v
-        frac = (t - self.lo) / (self.hi - self.lo)
-        return self.lo_px + frac * (self.hi_px - self.lo_px)
+    def to_px(self, v, log10=math.log10):
+        """Pixel of a tick, or with log10=np.log10 of a column; as with floats,
+        a span past the largest float gives inf or nan, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            frac = ((log10(v) if self.log else v) - self.lo) / (self.hi - self.lo)
+            return self.lo_px + frac * (self.hi_px - self.lo_px)
 
     def ticks(self, count: int = 6) -> list[float]:
         if self.log:
@@ -71,10 +79,8 @@ def render_chart(series: Sequence[Series], *, title: str = "",
                  x_label: str = "", y_label: str = "",
                  x_log: bool = False, y_log: bool = False) -> str:
     """Render series into a standalone SVG document string."""
-    xs = [v for s in series for v in s.x]
-    ys = [v for s in series for v in s.y]
-    ax = _Axis(xs, x_log, MARGIN_L, WIDTH - MARGIN_R)
-    ay = _Axis(ys, y_log, HEIGHT - MARGIN_B, MARGIN_T)
+    ax = _Axis((s.x for s in series), x_log, MARGIN_L, WIDTH - MARGIN_R)
+    ay = _Axis((s.y for s in series), y_log, HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -109,13 +115,13 @@ def render_chart(series: Sequence[Series], *, title: str = "",
 
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = [(ax.to_px(px), ay.to_px(py)) for px, py in zip(s.x, s.y)
-               if (not x_log or px > 0) and (not y_log or py > 0)]
+        shown = ((s.x > 0.0) | (not x_log)) & ((s.y > 0.0) | (not y_log))
+        pts = list(zip(ax.to_px(s.x[shown], np.log10).tolist(),
+                       ay.to_px(s.y[shown], np.log10).tolist()))
         if s.style == "dots":
-            for px, py in pts:
-                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{color}"/>')
+            parts.extend(map(f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'.__mod__, pts))
         else:
-            path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+            path = " ".join(map("%.2f,%.2f".__mod__, pts))
             parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                          f'stroke-width="1.5"/>')
         if s.label:

@@ -2,6 +2,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +162,12 @@ class TestSamples:
         assert not len(Samples(*[()] * 5))
         with pytest.raises(TypeError, match="not iterable"):
             iter(s)
+
+    @pytest.mark.parametrize("index", [0, -1, np.int64(1)])
+    def test_integer_index_rejected(self, index):
+        with pytest.raises(TypeError, match="^Samples selects rows by slice or mask, "
+                                            "not by integer index$"):
+            Samples(*self.COLUMNS)[index]
 
     def test_read_only(self):
         s = Samples(*self.COLUMNS)

@@ -182,6 +182,15 @@ class TestInversion:
         with pytest.raises(DomainError, match="no input gives lux"):
             input_from_lux(curve, 1e305)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_named_as_such(self, voltage_curve, value):
+        with pytest.raises(DomainError, match=f"^lux must be finite, got {value}$"):
+            input_from_lux(voltage_curve, value)
+        with pytest.raises(DomainError, match=f"^curve input must be finite, got {value}$"):
+            lux_from_input(voltage_curve, value)
+        with pytest.raises(DomainError, match="^curve input must be > 0, got -1.0$"):
+            lux_from_input(voltage_curve, -1.0)
+
     def test_subnormal_lux_rejected(self, voltage_curve):
         # lux_from_input never returns a lux below the smallest normal float,
         # so no input may be reported for one

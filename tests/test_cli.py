@@ -150,6 +150,15 @@ class TestCalCommands:
         assert out == ""
         assert err.startswith("error: lux 5e-324 underflows")
 
+    @pytest.mark.parametrize("flag, name", [("invert", "lux"), ("eval", "curve input")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_exits_1(self, capsys, flag, name, value):
+        option = "--lux" if flag == "invert" else "--input"
+        code, out, err = run_cli(capsys, "cal", flag, *CAL_FLAGS, option, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {name} must be finite, got {value}\n"
+
     def test_eval_underflow_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "cal", "eval", "--a0", "-800", "--a1", "0", "--a2", "0",
                                  "--a3", "1e-9", "--kind", "voltage", "--input", "1")

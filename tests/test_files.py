@@ -4,12 +4,18 @@ mode open() gives, keep an existing file's mode, write through a symlink to
 its target, write a FIFO in place, and leave the old file and no temp file
 when the final rename fails."""
 
+import csv
+import io
 import math
 import os
 import stat
+import tempfile
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plasmakit import CalibrationCurve, InputKind, characterize, files, load_run, lux_from_input
 from plasmakit.acquisition import write_samples_csv
@@ -165,3 +171,73 @@ def test_read_csv_takes_a_path_or_a_stream(tmp_path):
     values, present, errors = files.floats(("1.5", "", "x"), 3, "bad: ", optional=True)
     assert values[0] == 1.5 and math.isnan(values[1]) and present.tolist() == [True, False, True]
     assert errors == {2: (files.PARSE, "bad: could not convert string to float: 'x'")}
+
+
+# ---------------------------------------------------------------- reader line numbers
+# read_csv numbers each record by the physical line it ends on.  The
+# reference is a per-record csv.reader loop over the same source, which reads
+# line_num after each record.
+
+def reference_records(fh):
+    reader = csv.reader(fh)
+    fields = next(reader, [])
+    return [(reader.line_num, tuple((row + [None] * len(fields))[:len(fields)]))
+            for row in reader if row]
+
+
+def read_records(source):
+    with files.read_csv(source) as (fields, chunks):
+        return [(line, tuple(cells[f][k] for f in fields))
+                for lines, cells in chunks for k, line in enumerate(lines)]
+
+
+# Raw cell texts: plain, empty, and quoted fields holding a quote, a LF, a
+# CRLF or a lone CR, so that some records span several physical lines.
+CELLS = st.sampled_from(["1", "2.5", "", "a b", '"w""x"', '"q\nr"', '"s\r\nt"', '"u\rv"'])
+RECORDS = st.lists(st.lists(CELLS, max_size=4).map(",".join), max_size=12)
+
+
+def csv_text(header, records, ending):
+    return "".join(line + ending for line in [header, *records])
+
+
+def check_line_numbers(text):
+    """The records and line numbers of read_csv on the text as a path
+    (LF and CRLF), a StringIO and an open(newline="") stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        for chunk_rows in (1, 2, 3, files.CHUNK_ROWS):
+            with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
+                with open(path, encoding="utf-8") as fh:
+                    assert read_records(path) == reference_records(fh)
+                assert read_records(io.StringIO(text)) == reference_records(io.StringIO(text))
+                with open(path, encoding="utf-8", newline="") as a, \
+                        open(path, encoding="utf-8", newline="") as b:
+                    assert read_records(a) == reference_records(b)
+
+
+@given(st.sampled_from(["h1,h2", '"h\n1",h2', '"h\r\n1","h\r2",h3']), RECORDS,
+       st.sampled_from(["\n", "\r\n"]))
+@example('"h\n1",h2', ["1,2", "", '"u\rv",3', "", "", '"q\nr","s\r\nt"', "4"], "\r\n")
+@example("h1,h2", ["1,2", "3,4", "", "5", "6,7,8"], "\n")
+@settings(max_examples=150, deadline=None)
+def test_read_csv_line_numbers_match_a_per_record_reader(header, records, ending):
+    check_line_numbers(csv_text(header, records, ending))
+
+
+def test_read_csv_numbers_a_lone_cr_as_the_stream_splits_it():
+    # A StringIO splits lines at LF only.  A path, read with universal
+    # newlines, and a newline="" stream also end a line at the lone CR inside
+    # the quoted field, which holds no LF.
+    text = 'a,b\n1,"x\ry"\n2,3\n'
+    assert [line for line, _ in read_records(io.StringIO(text))] == [2, 3]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert [line for line, _ in read_records(path)] == [3, 4]
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert [line for line, _ in read_records(fh)] == [3, 4]
+        check_line_numbers(text)

@@ -1,6 +1,12 @@
-import pytest
+import math
 
-from plasmakit.svgchart import Series, render_chart
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from plasmakit.svgchart import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH,
+                                Series, _esc, _fmt, render_chart)
 
 
 def test_deterministic_output():
@@ -29,6 +35,166 @@ def test_mismatched_lengths_rejected():
         Series((1.0, 2.0), (1.0,))
 
 
+@pytest.mark.parametrize("x, y, bad", [
+    ((1.0, math.nan, 3.0), (1.0, 2.0, 3.0), "point 1 is not finite: (nan, 2.0)"),
+    ((1.0, 2.0, 3.0), (1.0, 2.0, -math.inf), "point 2 is not finite: (3.0, -inf)"),
+    ((1.0, math.inf), (math.nan, 2.0), "point 0 is not finite: (1.0, nan)"),
+])
+def test_non_finite_point_rejected(x, y, bad):
+    with pytest.raises(ValueError) as exc:
+        Series(x, y, "fit")
+    assert str(exc.value) == f"series 'fit': {bad}"
+
+
 def test_escapes_labels():
     svg = render_chart([Series((1.0,), (1.0,))], title="a < b & c")
     assert "a &lt; b &amp; c" in svg
+
+
+# ---------------------------------------------------------------- reference
+# The per-point renderer that the columnar one replaced: scalar math.log10,
+# min and max over lists, one f-string per point.  render_chart must give
+# the same bytes.
+
+class RefAxis:
+    def __init__(self, values, log, lo_px, hi_px):
+        self.log = log
+        vals = [v for v in values if not log or v > 0.0]
+        if not vals:
+            vals = [1.0, 10.0]
+        lo, hi = min(vals), max(vals)
+        if log:
+            lo, hi = math.log10(lo), math.log10(hi)
+        if hi - lo < 1e-12:
+            lo, hi = lo - 0.5, hi + 0.5
+        self.lo, self.hi = lo, hi
+        self.lo_px, self.hi_px = lo_px, hi_px
+
+    def to_px(self, v):
+        t = math.log10(v) if self.log else v
+        frac = (t - self.lo) / (self.hi - self.lo)
+        return self.lo_px + frac * (self.hi_px - self.lo_px)
+
+    def ticks(self, count=6):
+        if self.log:
+            first, last = math.ceil(self.lo), math.floor(self.hi)
+            decades = [10.0 ** d for d in range(first, last + 1)]
+            if decades:
+                return decades
+        step = (self.hi - self.lo) / (count - 1)
+        raw = [self.lo + i * step for i in range(count)]
+        return [10.0 ** t for t in raw] if self.log else raw
+
+
+def ref_render_chart(series, *, title="", x_label="", y_label="", x_log=False, y_log=False):
+    """series: (x, y, label, style) tuples of float lists."""
+    xs = [v for s in series for v in s[0]]
+    ys = [v for s in series for v in s[1]]
+    ax = RefAxis(xs, x_log, MARGIN_L, WIDTH - MARGIN_R)
+    ay = RefAxis(ys, y_log, HEIGHT - MARGIN_B, MARGIN_T)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+                     f'font-size="15">{_esc(title)}</text>')
+    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
+    for tv in ax.ticks():
+        px = ax.to_px(tv)
+        parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y1}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+        parts.append(f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle">{_fmt(tv)}</text>')
+    for tv in ay.ticks():
+        py = ay.to_px(tv)
+        parts.append(f'<line x1="{x0}" y1="{py:.1f}" x2="{x1}" y2="{py:.1f}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+        parts.append(f'<text x="{x0 - 6}" y="{py + 4:.1f}" text-anchor="end">{_fmt(tv)}</text>')
+    parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+                 f'fill="none" stroke="#333333"/>')
+    if x_label:
+        parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" '
+                     f'text-anchor="middle">{_esc(x_label)}</text>')
+    if y_label:
+        parts.append(f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+                     f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{_esc(y_label)}</text>')
+    for k, (sx, sy, label, style) in enumerate(series):
+        color = PALETTE[k % len(PALETTE)]
+        pts = [(ax.to_px(px), ay.to_px(py)) for px, py in zip(sx, sy)
+               if (not x_log or px > 0) and (not y_log or py > 0)]
+        if style == "dots":
+            for px, py in pts:
+                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{color}"/>')
+        else:
+            path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+            parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
+                         f'stroke-width="1.5"/>')
+        if label:
+            ly = MARGIN_T + 16 + 16 * k
+            parts.append(f'<rect x="{x1 - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
+            parts.append(f'<text x="{x1 - 135}" y="{ly}">{_esc(label)}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# Plotted values: small sets that repeat (equal values, zero and negative
+# points a log axis drops), measurement-like magnitudes, and any finite float.
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 10.0, 1e-3, 5e-324]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def series_strategy(draw):
+    n = draw(st.integers(0, 25))
+    x = draw(st.lists(VALUES, min_size=n, max_size=n))
+    y = draw(st.lists(VALUES, min_size=n, max_size=n))
+    return x, y, draw(st.sampled_from(["", "data", "a<b"])), draw(st.sampled_from(["line", "dots"]))
+
+
+def outcome(render, series, **kw):
+    """The SVG, or ZeroDivisionError: both renderers raise it for an axis
+    whose values are one float so large that +-0.5 leaves its span 0."""
+    try:
+        return render(series, **kw)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def check_chart(series, **kw):
+    got = outcome(render_chart, [Series(np.array(x), y, label, style)
+                                 for x, y, label, style in series], **kw)
+    want = outcome(ref_render_chart, series, **kw)
+    if got != want:  # report the first differing line: a diff of two documents is slow
+        lines = zip(str(got).splitlines(), str(want).splitlines())
+        pytest.fail(f"got, want: {next(((a, b) for a, b in lines if a != b), (got, want))}")
+
+
+class TestAgainstPerPointReference:
+    @given(st.lists(series_strategy(), max_size=5), st.booleans(), st.booleans())
+    @example([], False, False)
+    @example([([], [], "", "dots")], True, True)
+    @example([([5.0], [2.0], "one", "dots")], True, False)  # a single point
+    @example([([3.0, 3.0, 3.0], [-2.0, -2.0, -2.0], "", "line")], False, False)  # equal values
+    @example([([0.0, -1.0, 2.0, 20.0], [1.0, 3.0, 0.0, 7.0], "a", "dots"),
+              ([0.5, 4.0], [1e-3, 1e3], "b", "line")], True, True)  # drops, two series
+    @example([([-1e308, 1e308], [1.0, 2.0], "", "line")], False, False)  # span past max float
+    @example([([0.0], [2.0 ** 52 + 2], "", "line")], False, False)  # a zero span
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes(self, series, x_log, y_log):
+        check_chart(series, title="t & u", x_label="x", y_label="y", x_log=x_log, y_log=y_log)
+
+    def test_bench_like_scatter_and_fit(self):
+        rng = np.random.default_rng(3)
+        p = 10.0 ** rng.uniform(0.3, 1.8, 5000)
+        lux = np.exp(1.0 + 1.2 * np.log(p) + rng.normal(0, 0.05, p.size))
+        grid = np.exp(np.linspace(np.log(p.min()), np.log(p.max()), 200))
+        fit = np.exp(1.0 + 1.2 * np.log(grid))
+        check_chart([(p.tolist(), lux.tolist(), "data", "dots"),
+                     (grid.tolist(), fit.tolist(), "fit", "line")],
+                    title="Plasma characterization", x_label="plasma power (W)",
+                    y_label="illuminance (lux)", x_log=True, y_log=True)
