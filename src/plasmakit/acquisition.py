@@ -21,13 +21,13 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
 from . import files
 from .calibration import CalibrationCurve, InputKind, is_finite_number, lux_from_input
-from .errors import DomainError, PreconditionError, RowError, SchemaError
+from .errors import DomainError, PreconditionError, SchemaError
 from .files import CONVERT, PARSE, Cells, Errors
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "shunt_current",
     "instantaneous_power",
     "replay_stream",
+    "finite_errors",
     "detect_ignition",
     "write_samples_csv",
     "DEFAULT_CONFIG",
@@ -84,10 +85,6 @@ class ChannelConfig:
     def max_count(self) -> int:
         return (1 << self.adc_bits) - 1
 
-
-# The columns a replayed or loaded row must hold as finite numbers, in the
-# order they are checked.
-_FINITE = ("t_ms", "v_volts", "i_amps", "p_watts")
 
 # Samples in a row with |i| >= i_min that mark the ignition.
 IGNITION_SUSTAIN = 3
@@ -165,122 +162,63 @@ def instantaneous_power(v: float, i: float) -> float:
 DEFAULT_CONFIG = ChannelConfig()
 
 
-def _channel(cfg: ChannelConfig, name: str, raw: int,
-             curve: Optional[CalibrationCurve] = None) -> float:
-    """One count of the hv, shunt or ldr channel in engineering units; an
-    error names the channel."""
-    try:
-        volts = counts_to_volts(cfg, raw)
-        if name == "hv":
-            return needle_voltage(cfg, volts)
-        if name == "shunt":
-            return shunt_current(cfg, volts)
-        return lux_from_input(curve, volts) if volts > 0.0 else 0.0
-    except DomainError as exc:
-        raise DomainError(f"{name} channel: {exc}") from exc
-
-
 # ------------------------------------------------------------ CSV columns
 
-class _CountTable(dict):
-    """The cells of one count column, each distinct cell converted once.
+def finite_errors(t: np.ndarray, v: np.ndarray, i: np.ndarray, prefix: str = "") -> list[Errors]:
+    """The rule every replayed or loaded row keeps: t, v, i and p = v*i are
+    finite.  CONVERT errors of the rows that break it, one dict per column
+    in that order: "<name> must be finite, got <value>"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = v * i
+    return [{k: (CONVERT, f"{prefix}{name} must be finite, got {float(col[k])}")
+             for k in np.flatnonzero(~np.isfinite(col)).tolist()}
+            for name, col in zip(OUT_HEADER, (t, v, i, p))]
 
-    The table maps each cell it has met to a slot.  A new cell is parsed
-    with int() and the count converted by `convert`; the slot keeps the
-    value, or the text of the error the cell causes (never the exception,
-    whose traceback would keep a chunk's rows alive).  An ADC channel has
-    at most 2^adc_bits codes, so the table stays small.  With `optional`,
-    an empty or missing cell holds no value and no error; without
-    `convert`, no count does.
+
+class _CountTable(dict):
+    """The cells of the `name` count column, each distinct cell mapped once
+    to its value in engineering units.
+
+    A new cell is parsed with int(), and its count converted to volts and
+    then by `to_units`.  NaN stands for no value: an empty or missing cell
+    of an `optional` column, every cell without `to_units`, and a cell that
+    fails, whose error text goes to `errors` (the text, never the exception,
+    whose traceback would keep a chunk's rows alive).  A converted count is
+    never NaN: ChannelConfig guarantees a finite v and i for every count,
+    and lux_from_input raises rather than return NaN.  An ADC channel has at
+    most 2^adc_bits codes, so the table stays small.
     """
 
-    def __init__(self, convert: Optional[Callable[[int], float]], optional: bool = False):
+    def __init__(self, cfg: ChannelConfig, name: str,
+                 to_units: Optional[Callable[[float], float]], optional: bool = False):
         super().__init__()
-        self.convert = convert
-        self.optional = optional
-        self.new: list = []                     # cells not yet converted
-        self.values = np.empty(0)               # per slot; NaN without a value
-        self.present = np.empty(0, dtype=bool)
-        self.failed = np.empty(0, dtype=bool)
-        self.errors: list[Optional[tuple[int, str]]] = []
+        self.cfg, self.name, self.to_units, self.optional = cfg, name, to_units, optional
+        self.errors: dict = {}  # cell -> (PARSE or CONVERT, message)
 
-    def __missing__(self, cell) -> int:
-        self[cell] = slot = len(self)
-        self.new.append(cell)
-        return slot
-
-    def _entry(self, cell) -> tuple[float, bool, Optional[tuple[int, str]]]:
+    def __missing__(self, cell) -> float:
+        self[cell] = math.nan
         if self.optional and not cell:
-            return math.nan, False, None
+            return math.nan
         try:
             raw = int(cell)
         except (ValueError, TypeError) as exc:
-            return math.nan, False, (PARSE, f"bad raw frame: {exc}")
-        if self.convert is None:
-            return math.nan, False, None
+            self.errors[cell] = (PARSE, f"bad raw frame: {exc}")
+            return math.nan
         try:
-            return self.convert(raw), True, None
+            if self.to_units is not None:
+                self[cell] = self.to_units(counts_to_volts(self.cfg, raw))
         except DomainError as exc:
-            return math.nan, False, (CONVERT, str(exc))
+            self.errors[cell] = (CONVERT, f"{self.name} channel: {exc}")
+        return self[cell]
 
-    def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, np.ndarray, Errors]:
-        """Values of the cells, the mask of those that hold one, and errors."""
-        ids = np.fromiter(map(self.__getitem__, (None,) * n if cells is None else cells),
-                          np.intp, n)
-        if self.new:
-            values, present, errors = zip(*map(self._entry, self.new))
-            self.new.clear()
-            self.values = np.append(self.values, values)
-            self.present = np.append(self.present, present)
-            self.failed = np.append(self.failed, [e is not None for e in errors])
-            self.errors.extend(errors)
-        rows = np.flatnonzero(self.failed[ids]).tolist()
-        return (self.values[ids], self.present[ids],
-                {k: self.errors[ids[k]] for k in rows})
-
-
-def _collect(chunks: Iterator[tuple[list[int], dict]], convert: Callable, strict: bool,
-             diagnostics: Optional[list], power_prefix: str) -> Samples:
-    """Samples of the rows of a CSV that convert, in order.
-
-    convert(cells, n, start) turns a chunk of n records, the first of them
-    record `start`, into the columns (t, v, i, lux, has_lux) and the errors
-    of each column, listed in the order a row parser reads the cells.  A
-    row's first error is the one reported: parse errors first, then the
-    column order, and last a non-finite t, v, i or p, as "<name> must be
-    finite, got <value>" (prefixed by power_prefix).  In lenient mode each
-    rejected row adds a RowError with its physical line number to
-    `diagnostics`; in strict mode the first one is raised.
-    """
-    parts, start = [], 0
-    for lines, cells in chunks:
-        columns, per_column = convert(cells, len(lines), start)
-        start += len(lines)
-        first: dict[int, tuple[int, str]] = {}
-        for errors in per_column:
-            for k, err in errors.items():
-                if k not in first or err[0] < first[k][0]:
-                    first[k] = err
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = columns[1] * columns[2]
-        for name, col in zip(_FINITE, (*columns[:3], p)):
-            for k in np.flatnonzero(~np.isfinite(col)).tolist():
-                first.setdefault(k, (CONVERT, f"{power_prefix}{name} must be finite, "
-                                              f"got {float(col[k])}"))
-        if first:
-            for k in sorted(first):
-                err = RowError(lines[k], first[k][1])
-                if strict:
-                    raise err
-                if diagnostics is not None:
-                    diagnostics.append(err)
-            keep = np.ones(len(lines), dtype=bool)
-            keep[list(first)] = False
-            columns = tuple(c[keep] for c in columns)
-        parts.append(columns)
-    if not parts:
-        return Samples(*[()] * 5)
-    return Samples(*(np.concatenate(c) for c in zip(*parts)))
+    def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, Errors]:
+        """Values of the cells (NaN without one) and errors."""
+        cells = (None,) * n if cells is None else cells
+        values = np.fromiter(map(self.__getitem__, cells), float, n)
+        if not self.errors:
+            return values, {}
+        rows = np.flatnonzero(np.isnan(values)).tolist()
+        return values, {k: self.errors[cells[k]] for k in rows if cells[k] in self.errors}
 
 
 def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
@@ -293,8 +231,10 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
     for raw counts, `t_ms,v_volts,i_amps[,lux]` for pre-scaled rows.  In
     lenient mode malformed rows are reported into `diagnostics` (as RowError
     instances, numbered by the physical line the row ends on) and skipped;
-    in strict mode the first one aborts the replay.  A raw replay converts
-    each distinct count of a channel once, with the scalar functions above.
+    in strict mode the first one aborts the replay.  A row reports its first
+    error (see files.collect); a non-finite t, v, i or p (finite_errors)
+    comes last.  A raw replay converts each distinct count of a channel
+    once, with the scalar functions above.
     """
     with files.read_csv(source) as (fields, chunks):
         if not fields:
@@ -302,20 +242,20 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
         if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
             if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
                 raise PreconditionError("light-channel curve must have input kind 'voltage'")
-            hv = _CountTable(lambda raw: _channel(cfg, "hv", raw))
-            shunt = _CountTable(lambda raw: _channel(cfg, "shunt", raw))
-            ldr = _CountTable(None if ldr_curve is None else
-                              (lambda raw: _channel(cfg, "ldr", raw, ldr_curve)), optional=True)
+            hv = _CountTable(cfg, "hv", lambda volts: needle_voltage(cfg, volts))
+            shunt = _CountTable(cfg, "shunt", lambda volts: shunt_current(cfg, volts))
+            ldr = _CountTable(cfg, "ldr", None if ldr_curve is None else (
+                lambda volts: lux_from_input(ldr_curve, volts) if volts > 0.0 else 0.0),
+                optional=True)
 
             def convert(cells, n, start):
                 t, _, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
-                v, _, v_errors = hv.column(cells["raw_hv"], n)
-                i, _, i_errors = shunt.column(cells["raw_shunt"], n)
-                lux, has_lux, lux_errors = ldr.column(cells.get("raw_ldr"), n)
-                return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
-
-            return _collect(chunks, convert, strict, diagnostics, "")
-        if set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
+                v, v_errors = hv.column(cells["raw_hv"], n)
+                i, i_errors = shunt.column(cells["raw_shunt"], n)
+                lux, lux_errors = ldr.column(cells.get("raw_ldr"), n)
+                return ((t, v, i, lux, ~np.isnan(lux)),
+                        [t_errors, v_errors, i_errors, lux_errors, *finite_errors(t, v, i)])
+        elif set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
             prefix = "bad engineering row: "
 
             def convert(cells, n, start):
@@ -324,10 +264,11 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
                 i, _, i_errors = files.floats(cells["i_amps"], n, prefix)
                 lux, has_lux, lux_errors = files.floats(cells.get("lux"), n, prefix,
                                                         optional=True)
-                return (t, v, i, lux, has_lux), [t_errors, v_errors, i_errors, lux_errors]
-
-            return _collect(chunks, convert, strict, diagnostics, prefix)
-        raise SchemaError(f"unrecognized frame CSV header: {fields}")
+                return ((t, v, i, lux, has_lux),
+                        [t_errors, v_errors, i_errors, lux_errors, *finite_errors(t, v, i, prefix)])
+        else:
+            raise SchemaError(f"unrecognized frame CSV header: {fields}")
+        return Samples(*(files.collect(chunks, convert, strict, diagnostics) or [()] * 5))
 
 
 def detect_ignition(samples: Samples, i_min: float = 1e-3) -> Optional[float]:

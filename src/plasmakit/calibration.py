@@ -21,7 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from . import files
-from .errors import DomainError, FitError, PreconditionError, RowError, SchemaError
+from .errors import DomainError, FitError, PreconditionError, SchemaError
 
 __all__ = [
     "InputKind",
@@ -47,6 +47,11 @@ _U_TOL = 1e-12
 
 # Largest error in ln lux that input_from_lux accepts in the lux its result gives.
 INVERT_ATOL = 1e-9
+
+# trim_refit drops residuals beyond TRIM_SIGMA times the rmse, unless that
+# drops more than MAX_TRIM_FRACTION of the samples.
+TRIM_SIGMA = 3.0
+MAX_TRIM_FRACTION = 0.2
 
 
 class InputKind(str, Enum):
@@ -266,24 +271,21 @@ def fit_residuals(curve: CalibrationCurve, inputs, illuminance) -> dict[str, flo
     return _stats(y - eval_log_poly(curve, u))
 
 
-def trim_refit(inputs, illuminance,
-               kind: InputKind = InputKind.SENSOR_VOLTAGE,
-               sigma: float = 3.0,
-               max_trim_fraction: float = 0.2,
+def trim_refit(inputs, illuminance, kind: InputKind = InputKind.SENSOR_VOLTAGE
                ) -> tuple[CalibrationCurve, np.ndarray, int]:
-    """Single outlier-trim pass: fit, drop residuals beyond sigma*rmse, refit once.
+    """Single outlier-trim pass: fit, drop residuals beyond TRIM_SIGMA*rmse, refit once.
 
-    If trimming would remove more than max_trim_fraction of the samples the
+    If trimming would remove more than MAX_TRIM_FRACTION of the samples the
     untrimmed fit is kept (trimmed_count = 0).  Returns (curve, kept,
     trimmed), where kept holds the indices of the rows the curve was fitted on.
     """
     u, y = _log_columns(inputs, illuminance)
     first = _fit(u, y, kind)
     res = np.abs(y - eval_log_poly(first, u))
-    cutoff = sigma * _stats(res)["rmse_log"]
+    cutoff = TRIM_SIGMA * _stats(res)["rmse_log"]
     keep = res <= cutoff
     trimmed = len(u) - int(keep.sum())
-    if trimmed == 0 or trimmed > max_trim_fraction * len(u) or len(u) - trimmed < 4:
+    if trimmed == 0 or trimmed > MAX_TRIM_FRACTION * len(u) or len(u) - trimmed < 4:
         return first, np.arange(len(u)), 0
     return _fit(u[keep], y[keep], kind), np.flatnonzero(keep), trimmed
 
@@ -298,10 +300,13 @@ def curve_to_dict(curve: CalibrationCurve) -> dict:
 
 def curve_from_dict(data: dict) -> CalibrationCurve:
     try:
-        coeffs = [float(data[k]) for k in ("a0", "a1", "a2", "a3")]
-        return CalibrationCurve(*coeffs, input_kind=InputKind(data["kind"]),
+        coeffs = [data[k] for k in ("a0", "a1", "a2", "a3")]
+        for name, value in zip(("a0", "a1", "a2", "a3"), coeffs):
+            if not is_finite_number(value):
+                raise DomainError(f"coefficient {name} must be a finite number, got {value!r}")
+        return CalibrationCurve(*map(float, coeffs), input_kind=InputKind(data["kind"]),
                                 input_range=data.get("input_range"))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # DomainError: ValueError
+    except (KeyError, ValueError, TypeError) as exc:  # DomainError is a ValueError
         raise SchemaError(f"bad calibration curve object: {exc}") from exc
 
 
@@ -317,19 +322,18 @@ def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:
     """The input and lux columns of an `input,lux` sample file (header
     required); a row that is not two positive finite numbers raises RowError
     with its line."""
-    inputs, lux = [], []
     with files.read_csv(source) as (fields, chunks):
         if not {"input", "lux"} <= set(fields):
             raise SchemaError("sample CSV must have header columns: input,lux")
-        for lines, cells in chunks:
-            x, _, x_errors = files.floats(cells["input"], len(lines))
-            y, _, y_errors = files.floats(cells["lux"], len(lines))
-            bad = {k: err for k, (_, err) in {**y_errors, **x_errors}.items()}
+
+        def convert(cells, n, start):
+            x, _, x_errors = files.floats(cells["input"], n)
+            y, _, y_errors = files.floats(cells["lux"], n)
+            errors = [x_errors, y_errors]
             for name, col in (("input", x), ("illuminance", y)):
-                for k in np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist():
-                    bad.setdefault(k, f"sample {name} must be > 0, got {float(col[k])}")
-            if bad:
-                raise RowError(lines[min(bad)], bad[min(bad)])
-            inputs.append(x)
-            lux.append(y)
-    return np.concatenate([np.empty(0), *inputs]), np.concatenate([np.empty(0), *lux])
+                bad = np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist()
+                errors.append({k: (files.CONVERT, f"sample {name} must be > 0, got {float(col[k])}")
+                               for k in bad})
+            return (x, y), errors
+
+        return files.collect(chunks, convert) or (np.empty(0), np.empty(0))

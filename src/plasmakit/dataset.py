@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from . import files
-from .acquisition import Samples, _collect, detect_ignition
+from .acquisition import Samples, detect_ignition, finite_errors
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -74,13 +74,12 @@ class Characterization:
             raise DomainError(f"trimmed_count must be an integer >= 0, got {count!r}")
 
 
-def load_run(source: TextIO | str, strict: bool = True,
-             diagnostics: Optional[list] = None) -> ExperimentRun:
+def load_run(source: TextIO | str) -> ExperimentRun:
     """Load an engineering-unit CSV as an ExperimentRun.
 
     p_watts is always recomputed from v*i.  t_ms and lux are optional:
-    missing timestamps become the record index.  A rejected row is reported
-    with the physical line it ends on.
+    missing timestamps become the record index.  The first rejected row
+    raises RowError with the physical line it ends on.
     """
     with files.read_csv(source) as (fields, chunks):
         if not {"v_volts", "i_amps"} <= set(fields):
@@ -96,9 +95,10 @@ def load_run(source: TextIO | str, strict: bool = True,
             else:
                 t, t_errors = np.arange(start, start + n, dtype=float), {}
             lux, has_lux, lux_errors = files.floats(cells.get("lux"), n, optional=True)
-            return (t, v, i, lux, has_lux), [v_errors, i_errors, t_errors, lux_errors]
+            return ((t, v, i, lux, has_lux),
+                    [v_errors, i_errors, t_errors, lux_errors, *finite_errors(t, v, i)])
 
-        return ExperimentRun(samples=_collect(chunks, convert, strict, diagnostics, ""))
+        return ExperimentRun(Samples(*(files.collect(chunks, convert) or [()] * 5)))
 
 
 def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Every file plasmakit reads or writes goes through this module: one
-chunked CSV reader, one JSON loader, and one atomic writer."""
+chunked CSV reader with its one row collector, one JSON loader, and one
+atomic writer."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 import os
 import stat
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -96,6 +97,41 @@ def floats(cells: Optional[Cells], n: int, prefix: str = "",
         except (ValueError, TypeError) as exc:
             values[k], errors[k] = math.nan, (PARSE, prefix + str(exc))
     return values, present, errors
+
+
+def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
+            strict: bool = True, diagnostics: Optional[list] = None) -> tuple[np.ndarray, ...]:
+    """The columns of the CSV records that convert, in order; () without records.
+
+    convert(cells, n, start) turns a chunk of read_csv, n records of which
+    the first is record `start`, into its columns and a list of error dicts,
+    in the order a row parser meets them.  A record's first error is the one
+    reported: a PARSE error before a CONVERT one, and the list order between
+    two of a kind.  In strict mode the first rejected record raises RowError
+    with the physical line it ends on; in lenient mode each adds one to
+    `diagnostics` and is dropped.
+    """
+    parts, start = [], 0
+    for lines, cells in chunks:
+        columns, per_column = convert(cells, len(lines), start)
+        start += len(lines)
+        first: Errors = {}
+        for errors in per_column:
+            for k, err in errors.items():
+                if k not in first or err[0] < first[k][0]:
+                    first[k] = err
+        if first:
+            for k in sorted(first):
+                err = RowError(lines[k], first[k][1])
+                if strict:
+                    raise err
+                if diagnostics is not None:
+                    diagnostics.append(err)
+            keep = np.ones(len(lines), dtype=bool)
+            keep[list(first)] = False
+            columns = tuple(c[keep] for c in columns)
+        parts.append(columns)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def read_json(path):

@@ -17,6 +17,7 @@ __all__ = ["Series", "render_chart"]
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+TICKS = 6  # ticks on a linear axis, or on a log axis that holds no decade
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +40,7 @@ class Series:
 
 
 class _Axis:
-    def __init__(self, columns, log: bool, lo_px: float, hi_px: float):
+    def __init__(self, name: str, columns, log: bool, lo_px: float, hi_px: float):
         self.log = log
         values = np.concatenate([np.empty(0), *columns])
         values = values[values > 0.0] if log else values
@@ -48,24 +49,24 @@ class _Axis:
             lo, hi = math.log10(lo), math.log10(hi)
         if hi - lo < 1e-12:
             lo, hi = lo - 0.5, hi + 0.5
+        if not 0.0 < hi - lo < math.inf:
+            raise ValueError(f"{name} axis: cannot draw the span from {lo} to {hi}")
         self.lo, self.hi = lo, hi
         self.lo_px, self.hi_px = lo_px, hi_px
 
     def to_px(self, v, log10=math.log10):
-        """Pixel of a tick, or with log10=np.log10 of a column; as with floats,
-        a span past the largest float gives inf or nan, not a warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            frac = ((log10(v) if self.log else v) - self.lo) / (self.hi - self.lo)
-            return self.lo_px + frac * (self.hi_px - self.lo_px)
+        """Pixel of a tick, or with log10=np.log10 of a column."""
+        frac = ((log10(v) if self.log else v) - self.lo) / (self.hi - self.lo)
+        return self.lo_px + frac * (self.hi_px - self.lo_px)
 
-    def ticks(self, count: int = 6) -> list[float]:
+    def ticks(self) -> list[float]:
         if self.log:
             first, last = math.ceil(self.lo), math.floor(self.hi)
             decades = [10.0 ** d for d in range(first, last + 1)]
             if decades:
                 return decades
-        step = (self.hi - self.lo) / (count - 1)
-        raw = [self.lo + i * step for i in range(count)]
+        step = (self.hi - self.lo) / (TICKS - 1)
+        raw = [self.lo + i * step for i in range(TICKS)]
         return [10.0 ** t for t in raw] if self.log else raw
 
 
@@ -78,9 +79,10 @@ def _fmt(v: float) -> str:
 def render_chart(series: Sequence[Series], *, title: str = "",
                  x_label: str = "", y_label: str = "",
                  x_log: bool = False, y_log: bool = False) -> str:
-    """Render series into a standalone SVG document string."""
-    ax = _Axis((s.x for s in series), x_log, MARGIN_L, WIDTH - MARGIN_R)
-    ay = _Axis((s.y for s in series), y_log, HEIGHT - MARGIN_B, MARGIN_T)
+    """Render series into a standalone SVG document string; ValueError names
+    an axis whose span is zero after the +-0.5 padding, or not finite."""
+    ax = _Axis("x", (s.x for s in series), x_log, MARGIN_L, WIDTH - MARGIN_R)
+    ay = _Axis("y", (s.y for s in series), y_log, HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

@@ -313,6 +313,11 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             curve_from_dict({"kind": "voltage", "a0": 1.0, "a1": 2.0, "a2": 3.0})
 
+    def test_int_coefficients_load_as_floats(self):
+        curve = curve_from_dict({"kind": "voltage", "a0": 1, "a1": 2, "a2": 0, "a3": -1})
+        assert [(type(c), c) for c in curve.coefficients] == \
+            [(float, 1.0), (float, 2.0), (float, 0.0), (float, -1.0)]
+
     def test_samples_csv(self):
         text = "input,lux\n1.0,12.6\n2.0,80.5\n"
         inputs, lux = read_samples_csv(io.StringIO(text))

@@ -437,6 +437,28 @@ class TestUnreadableInput:
         assert err.startswith("error: bad calibration curve object: input_range")
 
 
+    @pytest.mark.parametrize("coeffs", [
+        '"a0": true, "a1": 1.96, "a2": 2.1, "a3": 2.1',
+        '"a0": 2.5, "a1": "1.96", "a2": 2.1, "a3": 2.1',
+        '"a0": 2.5, "a1": 1.96, "a2": null, "a3": 2.1',
+        '"a0": 2.5, "a1": 1.96, "a2": 2.1, "a3": [2.1]',
+        '"a0": 2.5, "a1": NaN, "a2": 2.1, "a3": 2.1',
+        '"a0": 2.5, "a1": 1.96, "a2": 1e400, "a3": 2.1'])
+    @pytest.mark.parametrize("command", ["cal eval", "acq replay"])
+    def test_curve_wrongly_typed_coefficient_exits_1(self, capsys, tmp_path, coeffs, command):
+        path = tmp_path / "curve.json"
+        path.write_text(f'{{"kind": "voltage", {coeffs}}}')
+        src = tmp_path / "frames.csv"
+        src.write_text("t_ms,raw_hv,raw_shunt,raw_ldr\n0,652,2596,100\n")
+        argv = (["cal", "eval", "--input", "1.0"] if command == "cal eval"
+                else ["acq", "replay", "--in", str(src)])
+        code, out, err = run_cli(capsys, *argv, "--curve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad calibration curve object: coefficient a")
+        assert "must be a finite number" in err
+
+
 class TestDeterminism:
     def test_svg_byte_stable(self, capsys, tmp_path):
         args = ["probe", "bode", "--n", "5", "--r1", "10e6", "--c1", "15e-12",

@@ -7,6 +7,7 @@ QR) of a design matrix built row by row.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from plasmakit import (
     fit_log_cubic,
     fit_residuals,
 )
+from plasmakit import calibration
 from plasmakit.calibration import trim_refit
 
 KIND = InputKind.PLASMA_POWER
@@ -114,16 +116,21 @@ class TestAgainstPerRowReference:
                3.8523659807439126, 3.8523659807439126]), 1.0, 0.5)
     def test_fit_residuals_and_trim(self, run, sigma, max_trim_fraction):
         xs, ys = run
+        with mock.patch.object(calibration, "TRIM_SIGMA", sigma), \
+                mock.patch.object(calibration, "MAX_TRIM_FRACTION", max_trim_fraction):
+            self.check_trim(xs, ys, sigma, max_trim_fraction)
+
+    @staticmethod
+    def check_trim(xs, ys, sigma, max_trim_fraction):
         try:
             want, want_kept, want_trimmed = ref_trim(xs, ys, sigma, max_trim_fraction)
         except FitError:
             with pytest.raises(FitError):
-                trim_refit(xs, ys, KIND, sigma, max_trim_fraction)
+                trim_refit(xs, ys, KIND)
             return
 
         assert_same_curve(fit_log_cubic(np.array(xs), np.array(ys), KIND), ref_fit(xs, ys))
-        curve, kept, trimmed = trim_refit(np.array(xs), np.array(ys), KIND, sigma,
-                                          max_trim_fraction)
+        curve, kept, trimmed = trim_refit(np.array(xs), np.array(ys), KIND)
         assert trimmed == want_trimmed
         assert kept.tolist() == want_kept
         assert_same_curve(curve, want)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (
@@ -25,12 +25,14 @@ from plasmakit import (
     DomainError,
     RowError,
     Samples,
+    counts_to_volts,
     load_run,
     lux_from_input,
     replay_stream,
 )
-from plasmakit import files
+from plasmakit import acquisition, files
 from plasmakit.acquisition import write_samples_csv
+from plasmakit.calibration import read_samples_csv
 
 from conftest import VOLTAGE_COEFFS
 
@@ -128,6 +130,26 @@ def reference_load_run(text):
         except (ValueError, TypeError) as exc:
             diagnostics.append((reader.line_num, str(RowError(reader.line_num, str(exc)))))
     return samples, diagnostics
+
+
+def reference_samples_csv(text):
+    """The input and lux columns of a calibration sample file, and the
+    (line, message) of its first bad row, or None."""
+    reader = csv.DictReader(io.StringIO(text))
+    columns = ([], [])
+    for row in reader:
+        line = reader.line_num
+        try:
+            x, y = float(row["input"]), float(row["lux"])
+        except (ValueError, TypeError) as exc:
+            return columns, (line, str(RowError(line, str(exc))))
+        for name, value in (("input", x), ("illuminance", y)):
+            if not 0.0 < value < math.inf:
+                return columns, (line, str(RowError(line, f"sample {name} must be > 0, "
+                                                          f"got {value}")))
+        columns[0].append(x)
+        columns[1].append(y)
+    return columns, None
 
 
 def reference_csv(samples):
@@ -255,10 +277,29 @@ class TestAgainstRowReference:
         if any(b.t_ms < a.t_ms for a, b in zip(want, want[1:])):
             return  # ExperimentRun rejects the run; covered by TestRunTypes
         with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
-            diagnostics = []
-            run = load_run(io.StringIO(text), strict=False, diagnostics=diagnostics)
-        assert [(e.line_number, str(e)) for e in diagnostics] == want_diags
-        assert_same_columns(run.samples, want)
+            if want_diags:  # load_run is strict: the first bad row raises
+                with pytest.raises(RowError) as exc:
+                    load_run(io.StringIO(text))
+                assert (exc.value.line_number, str(exc.value)) == want_diags[0]
+            else:
+                assert_same_columns(load_run(io.StringIO(text)).samples, want)
+
+    @given(csv_text(["input", "lux"], [FLOATS, FLOATS]), st.sampled_from((1, 2, 3)))
+    @example("input,lux\n1,2\n0,x\n-1,-2\n", 1)  # two faults: a bad value, a bad cell
+    @example('lux,input\n1,2\n"3\n",4\n-1,"x\ny"\n5,6\n', 2)  # multi-line cells
+    @example("input,lux\n1,2\n3,4\n5\ninf,nan\n", 3)  # a short row, two non-finite values
+    @settings(max_examples=200, deadline=None)
+    def test_read_samples_csv(self, text, chunk_rows):
+        want, want_error = reference_samples_csv(text)
+        with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
+            if want_error:
+                with pytest.raises(RowError) as exc:
+                    read_samples_csv(io.StringIO(text))
+                assert (exc.value.line_number, str(exc.value)) == want_error
+            else:
+                got = read_samples_csv(io.StringIO(text))
+                assert [[repr(v) for v in col.tolist()] for col in got] == \
+                    [[repr(v) for v in col] for col in want]
 
     def test_writer_signed_zero_nan_inf_and_missing_lux(self):
         text = ("t_ms,v_volts,i_amps,lux\n"
@@ -283,3 +324,22 @@ class TestAgainstRowReference:
         assert out.getvalue() == ("t_ms,v_volts,i_amps,p_watts,lux\n"
                                   "1.0,inf,2.0,inf,-0.0\n"
                                   "2.0,1e+308,-1e+308,-inf,inf\n")
+
+
+def test_replay_converts_each_distinct_count_once():
+    """Over several chunks, each distinct hv and ldr cell is converted once;
+    a dark or failing count reaches no conversion."""
+    codes = ["0", "17", "17", "4095", "9999", "x", "300", "", "17", "300"] * 5
+    text = "t_ms,raw_hv,raw_shunt,raw_ldr\n" + "".join(
+        f"{k},{code or 5},2000,{code}\n" for k, code in enumerate(codes))
+    cfg, curve = ChannelConfig(), CURVES[1]
+    with mock.patch.object(files, "CHUNK_ROWS", 3), \
+            mock.patch.object(acquisition, "lux_from_input", wraps=lux_from_input) as lux, \
+            mock.patch.object(acquisition, "needle_voltage",
+                              wraps=acquisition.needle_voltage) as hv:
+        diagnostics = []
+        samples = replay_stream(io.StringIO(text), cfg, curve, diagnostics=diagnostics)
+    assert sorted(c.args[1] for c in lux.call_args_list) == \
+        [counts_to_volts(cfg, c) for c in (17, 300, 4095)]
+    assert hv.call_count == len({"0", "17", "4095", "300", "5"})
+    assert len(samples) == 40 and len(diagnostics) == 10

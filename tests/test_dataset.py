@@ -83,20 +83,11 @@ class TestLoadRun:
         with pytest.raises(RowError, match="line 3"):
             load_run(io.StringIO(text))
 
-    def test_lenient_mode(self):
-        text = "t_ms,v_volts,i_amps\n0,1,1\n1,oops,1\n2,2,2\n"
-        diagnostics = []
-        run = load_run(io.StringIO(text), strict=False, diagnostics=diagnostics)
-        assert len(run.samples) == 2
-        assert len(diagnostics) == 1
-
     def test_line_numbers_are_physical(self):
         text = "t_ms,v_volts,i_amps\n0,1,1\n\n1,oops,1\n"
-        with pytest.raises(RowError, match="line 4"):
+        with pytest.raises(RowError) as exc:
             load_run(io.StringIO(text))
-        diagnostics = []
-        load_run(io.StringIO(text), strict=False, diagnostics=diagnostics)
-        assert [e.line_number for e in diagnostics] == [4]
+        assert exc.value.line_number == 4
 
     def test_save_then_reload_idempotent(self, tmp_path):
         def save(run, path):

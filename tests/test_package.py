@@ -1,6 +1,6 @@
-"""Package hygiene: every exported name exists, and no module imports a name
-it never uses.  The unused-import check is a small `ast` walk, so it needs no
-linter installed."""
+"""Package hygiene: every exported name exists, no module imports a name it
+never uses, and none imports a private name from a sibling module.  The
+import checks are small `ast` walks, so they need no linter installed."""
 
 import ast
 import importlib
@@ -58,3 +58,21 @@ def test_unused_import_check_sees_a_leftover():
                          "import numpy as np\nfrom os import path, sep\nx = np.zeros(1)\n")
     assert unused_imports(leftover) == {"math": 2, "path": 4, "sep": 4}
     assert unused_imports(leftover, exported=("sep",)) == {"math": 2, "path": 4}
+
+
+def private_imports(module_tree):
+    """(module, name) of every underscore name imported from a sibling module."""
+    return [(node.module, alias.name) for node in ast.walk(module_tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_imports_from_siblings(name):
+    assert private_imports(tree(name)) == []
+
+
+def test_private_import_check_sees_one():
+    module_tree = ast.parse("from . import files\nfrom .acquisition import Samples, _collect\n"
+                            "from os import _exit\n")
+    assert private_imports(module_tree) == [("acquisition", "_collect")]

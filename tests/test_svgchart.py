@@ -46,6 +46,15 @@ def test_non_finite_point_rejected(x, y, bad):
     assert str(exc.value) == f"series 'fit': {bad}"
 
 
+@pytest.mark.parametrize("x, y, axis", [
+    ((0.0,), (2.0 ** 52 + 2,), "y"),      # +-0.5 is lost in rounding: a zero span
+    ((-1e308, 1e308), (1.0, 2.0), "x"),  # a span past the largest float
+])
+def test_undrawable_span_names_the_axis(x, y, axis):
+    with pytest.raises(ValueError, match=f"^{axis} axis: cannot draw the span"):
+        render_chart([Series(x, y)])
+
+
 def test_escapes_labels():
     svg = render_chart([Series((1.0,), (1.0,))], title="a < b & c")
     assert "a &lt; b &amp; c" in svg
@@ -157,18 +166,21 @@ def series_strategy(draw):
 
 
 def outcome(render, series, **kw):
-    """The SVG, or ZeroDivisionError: both renderers raise it for an axis
-    whose values are one float so large that +-0.5 leaves its span 0."""
+    """The SVG, or the error an axis it cannot draw raises: ValueError from
+    render_chart, ZeroDivisionError from the reference for a zero span."""
     try:
         return render(series, **kw)
-    except ZeroDivisionError:
-        return ZeroDivisionError
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
 
 
 def check_chart(series, **kw):
     got = outcome(render_chart, [Series(np.array(x), y, label, style)
                                  for x, y, label, style in series], **kw)
     want = outcome(ref_render_chart, series, **kw)
+    if got is ValueError:  # the reference divides by zero or draws nan coordinates
+        assert want is ZeroDivisionError or "nan" in want
+        return
     if got != want:  # report the first differing line: a diff of two documents is slow
         lines = zip(str(got).splitlines(), str(want).splitlines())
         pytest.fail(f"got, want: {next(((a, b) for a, b in lines if a != b), (got, want))}")
