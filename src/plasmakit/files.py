@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import RowError, SchemaError
 
-# Records converted at a time when reading, and rows formatted at a time
-# when writing: enough that the per-chunk NumPy calls cost little per row,
-# few enough that a chunk's cells and strings stay a few megabytes.
+# Physical lines read at a time, and rows formatted at a time when writing:
+# enough that the per-chunk NumPy calls cost little per row, few enough that
+# a chunk's cells and strings stay a few megabytes.
 CHUNK_ROWS = 8192
 
 # Order of a row's errors: one that a row parser meets while parsing its
@@ -32,23 +32,23 @@ Errors = dict  # row in the chunk -> (PARSE or CONVERT, message)
 
 @contextmanager
 def read_csv(source: TextIO | str | os.PathLike):
-    """The header of a CSV file or stream and its records, CHUNK_ROWS at a time.
+    """The header of a CSV file or stream and its records, CHUNK_ROWS lines at a time.
 
     Yields (fields, chunks).  Each chunk is (lines, cells): the physical
     line each record ends on, and for each header name the column of cells.
     As with csv.DictReader, blank lines hold no record, a short record's
     missing cells are None, a long record's extra cells are ignored, and a
-    repeated name keeps its last column.  What the reader cannot read past
+    repeated name keeps its last column.  A path is read as UTF-8, after a
+    byte order mark if there is one.  What the reader cannot read past
     raises in lenient mode too: bytes that are not UTF-8 as SchemaError, a
     csv.Error as RowError on its line.
     """
-    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8-sig")
     with opened as fh:
-        lines, raw = itertools.tee(fh)
-        reader = csv.reader(lines)
+        reader = csv.reader(fh)
         try:
             fields = tuple(next(reader, ()))
-            yield fields, _chunks(reader, raw, fields)
+            yield fields, _chunks(fh, fields, reader.line_num)
         except UnicodeDecodeError as exc:
             raise SchemaError("input is not UTF-8 text: cannot decode "
                               f"{exc.object[exc.start:exc.end]!r}") from exc
@@ -56,24 +56,38 @@ def read_csv(source: TextIO | str | os.PathLike):
             raise RowError(reader.line_num, str(exc)) from exc
 
 
-def _chunks(reader, raw, fields: tuple[str, ...]) -> Iterator[tuple[Sequence[int], dict]]:
-    """CHUNK_ROWS records at a time; `raw` yields the reader's lines again, to skip or re-read."""
-    end = reader.line_num
-    next(itertools.islice(raw, end, end), None)  # skip the header's lines
-    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-        start, end = end, reader.line_num
-        if end - start == len(rows):  # one line per record
-            next(itertools.islice(raw, len(rows), len(rows)), None)
-            lines = range(start + 1, end + 1)
-        else:  # a quoted field spans lines: re-read the chunk for each record's last line
-            again = csv.reader(itertools.islice(raw, end - start))
-            lines = [start + again.line_num for _ in again]
-        if not all(rows):  # a blank line holds no record
-            lines, rows = list(itertools.compress(lines, rows)), list(filter(None, rows))
-        if rows:
-            if min(map(len, rows)) < len(fields):
-                rows = [row + [None] * (len(fields) - len(row)) for row in rows]
-            yield lines, dict(zip(fields, zip(*rows)))
+def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[int], dict]]:
+    """The records of `fh` after its first `end` lines, CHUNK_ROWS lines at a time.
+
+    A plain chunk, with no quote, CR or NUL (csv rejects NUL before Python
+    3.11), no blank line, len(fields) - 1 commas on every line and no line
+    over csv.field_size_limit(), is split on commas as csv.reader would
+    split it.  Any other chunk goes through csv.reader, which reads on past
+    the chunk's lines to close a quoted field."""
+    width, limit = len(fields), csv.field_size_limit()
+    while block := list(itertools.islice(fh, CHUNK_ROWS)):
+        start, text = end, "".join(block)
+        if ('"' in text or "\r" in text or "\0" in text or text[0] == "\n" or "\n\n" in text
+                or set(map(str.count, block, itertools.repeat(","))) != {width - 1}
+                or max(map(len, block)) > limit):
+            reader, rows, lines = csv.reader(itertools.chain(block, fh)), [], []
+            try:
+                while reader.line_num < len(block):
+                    rows.append(next(reader))
+                    lines.append(start + reader.line_num)
+            except csv.Error as exc:
+                raise RowError(start + reader.line_num, str(exc)) from exc
+            end = start + reader.line_num
+            if not all(rows):  # a blank line holds no record
+                lines, rows = list(itertools.compress(lines, rows)), list(filter(None, rows))
+            if rows:
+                if min(map(len, rows)) < width:
+                    rows = [row + [None] * (width - len(row)) for row in rows]
+                yield lines, dict(zip(fields, zip(*rows)))
+        else:
+            end = start + len(block)
+            cells = tuple(text.removesuffix("\n").replace("\n", ",").split(","))
+            yield range(start + 1, end + 1), {name: cells[j::width] for j, name in enumerate(fields)}
 
 
 def floats(cells: Optional[Cells], n: int, prefix: str = "",
@@ -135,8 +149,9 @@ def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
 
 
 def read_json(path):
-    """The JSON value in a file; bad JSON or bad UTF-8 raises SchemaError."""
-    with open(path, encoding="utf-8") as fh:
+    """The JSON value in a UTF-8 file, after a byte order mark if there is
+    one; bad JSON or bad UTF-8 raises SchemaError."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 
@@ -457,6 +458,56 @@ class TestUnreadableInput:
         assert out == ""
         assert err.startswith("error: bad calibration curve object: coefficient a")
         assert "must be a finite number" in err
+
+
+SAMPLES_CSV = "input,lux\n" + "".join(
+    f"{x},{lux_from_input(CalibrationCurve(*VOLTAGE_COEFFS), x)}\n" for x in (0.5, 1, 2, 4, 8))
+CURVE_JSON = json.dumps(dict(zip(("a0", "a1", "a2", "a3"), VOLTAGE_COEFFS), kind="voltage"))
+# command -> (argv with {} for the input path, input suffix, input text)
+BOM_INPUTS = {
+    "acq replay": (["acq", "replay", "--in", "{}"], ".csv",
+                   "t_ms,raw_hv,raw_shunt\n0,652,2596\n1,700,2600\n"),
+    "acq replay --config": (["acq", "replay", "--in", "frames.csv", "--config", "{}"], ".json",
+                            '{"shunt_ohms": 46.0}'),
+    "characterize": (["characterize", "--in", "{}", "--trim"], ".csv", None),
+    "cal fit": (["cal", "fit", "--in", "{}"], ".csv", SAMPLES_CSV),
+    "cal eval --curve": (["cal", "eval", "--curve", "{}", "--input", "1.0"], ".json", CURVE_JSON),
+}
+
+
+class TestByteOrderMark:
+    """A file saved as "CSV UTF-8" by a spreadsheet starts with a UTF-8 byte
+    order mark; it reads as the same file without one."""
+
+    @pytest.mark.parametrize("command", sorted(BOM_INPUTS))
+    def test_bom_input_reads_as_without_it(self, capsys, tmp_path, monkeypatch, command):
+        argv, suffix, text = BOM_INPUTS[command]
+        if text is None:  # a run with v_volts first, so that the mark would hide it
+            rows = TestCharacterizeCommand()._write_run(tmp_path, outlier=True).read_text()
+            text = "".join(f"{v},{i},{t},{lux}\n" for t, v, i, lux in
+                           (line.split(",") for line in rows.splitlines()))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "frames.csv").write_text(BOM_INPUTS["acq replay"][2])
+        results = []
+        for name, prefix in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            (tmp_path / (name + suffix)).write_bytes(prefix + text.encode())
+            results.append(run_cli(capsys, *(a.format(name + suffix) for a in argv)))
+        assert results[0][0] == 0 and results[0][2] == ""
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize("data, argv, want", [
+        (b"\xffa,b\n", ["cal", "fit", "--in", "in"],
+         "error: input is not UTF-8 text: cannot decode b'\\xff'\n"),
+        (b"\xef\xbbx,b\n", ["cal", "fit", "--in", "in"],
+         "error: input is not UTF-8 text: cannot decode b'\\xef\\xbb'\n"),
+        (b"\xef\xbb{}", ["cal", "eval", "--curve", "in", "--input", "1"],
+         "error: in: not valid JSON: 'utf-8' codec can't decode bytes in position 0-1: "
+         "invalid continuation byte\n")])
+    def test_non_utf8_start_keeps_its_error(self, capsys, tmp_path, monkeypatch, data, argv, want):
+        # Bytes that only begin like a byte order mark are not one.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in").write_bytes(data)
+        assert run_cli(capsys, *argv) == (1, "", want)
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import save_curve
 from plasmakit.cli import main
 from plasmakit.dataset import save_characterization
+from plasmakit.errors import RowError
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
 
@@ -176,29 +177,41 @@ def test_read_csv_takes_a_path_or_a_stream(tmp_path):
 # ---------------------------------------------------------------- reader line numbers
 # read_csv numbers each record by the physical line it ends on.  The
 # reference is a per-record csv.reader loop over the same source, which reads
-# line_num after each record.
+# line_num after each record; a repeated name reads its last column, and a
+# csv.Error is expected as a RowError on that line.
 
 def reference_records(fh):
     reader = csv.reader(fh)
-    fields = next(reader, [])
-    return [(reader.line_num, tuple((row + [None] * len(fields))[:len(fields)]))
-            for row in reader if row]
+    try:
+        fields = next(reader, [])
+        last = [max(j for j, name in enumerate(fields) if name == f) for f in fields]
+        return [(reader.line_num, tuple((row + [None] * len(fields))[j] for j in last))
+                for row in reader if row]
+    except csv.Error as exc:
+        return f"line {reader.line_num}: {exc}"
 
 
 def read_records(source):
-    with files.read_csv(source) as (fields, chunks):
-        return [(line, tuple(cells[f][k] for f in fields))
-                for lines, cells in chunks for k, line in enumerate(lines)]
+    try:
+        with files.read_csv(source) as (fields, chunks):
+            return [(line, tuple(cells[f][k] for f in fields))
+                    for lines, cells in chunks for k, line in enumerate(lines)]
+    except RowError as exc:
+        return str(exc)
 
 
-# Raw cell texts: plain, empty, and quoted fields holding a quote, a LF, a
-# CRLF or a lone CR, so that some records span several physical lines.
-CELLS = st.sampled_from(["1", "2.5", "", "a b", '"w""x"', '"q\nr"', '"s\r\nt"', '"u\rv"'])
+# Raw cell texts: plain, empty, whitespace-only, NUL (which csv rejects before
+# Python 3.11), characters str.splitlines() would split at, and quoted fields
+# holding a quote, a LF, a CRLF or a lone CR, so that some records span
+# several physical lines.
+CELLS = st.sampled_from(["1", "2.5", "", "a b", " ", "\t", "n\0l", "\x85", "x\x1cy",
+                         '"w""x"', '"q\nr"', '"s\r\nt"', '"u\rv"'])
 RECORDS = st.lists(st.lists(CELLS, max_size=4).map(",".join), max_size=12)
 
 
-def csv_text(header, records, ending):
-    return "".join(line + ending for line in [header, *records])
+def csv_text(header, records, ending, last_ending=True):
+    text = "".join(line + ending for line in [header, *records])
+    return text if last_ending else text[:-len(ending)]
 
 
 def check_line_numbers(text):
@@ -218,13 +231,71 @@ def check_line_numbers(text):
                     assert read_records(a) == reference_records(b)
 
 
-@given(st.sampled_from(["h1,h2", '"h\n1",h2', '"h\r\n1","h\r2",h3']), RECORDS,
-       st.sampled_from(["\n", "\r\n"]))
-@example('"h\n1",h2', ["1,2", "", '"u\rv",3', "", "", '"q\nr","s\r\nt"', "4"], "\r\n")
-@example("h1,h2", ["1,2", "3,4", "", "5", "6,7,8"], "\n")
-@settings(max_examples=150, deadline=None)
-def test_read_csv_line_numbers_match_a_per_record_reader(header, records, ending):
-    check_line_numbers(csv_text(header, records, ending))
+@given(st.sampled_from(["h1,h2", "h1", "h,h", '"h\n1",h2', '"h\r\n1","h\r2",h3']), RECORDS,
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example('"h\n1",h2', ["1,2", "", '"u\rv",3', "", "", '"q\nr","s\r\nt"', "4"], "\r\n", True)
+@example("h1,h2", ["1,2", "3,4", "", "5", "6,7,8"], "\n", True)
+@example("h1", ["1", "", "2", "", "", "3,4", " "], "\n", False)
+@example("h1,h2", ["1,2", "n\0l,3", "4,5"], "\n", True)
+@settings(max_examples=300, deadline=None)
+def test_read_csv_line_numbers_match_a_per_record_reader(header, records, ending, last_ending):
+    check_line_numbers(csv_text(header, records, ending, last_ending))
+
+
+def test_read_csv_field_limit_matches_a_per_record_reader():
+    # Lines longer than the limit whose fields all fit, then one field over it.
+    old = csv.field_size_limit(8)
+    try:
+        check_line_numbers("a,b\n1234,5678\n12345678,9\n1,2\n")
+        check_line_numbers("a,b\n1,2\n3,4\n5,123456789\n6,7\n")
+        check_line_numbers('a,b\n1,2\n"1234\n5678",3\n4,"123456789"\n')
+    finally:
+        csv.field_size_limit(old)
+
+
+def rows_through_csv_reader(source):
+    """read_records on source with CHUNK_ROWS 2, and the rows csv.reader yielded."""
+    rows, reader = [], csv.reader
+
+    class Recording:
+        def __init__(self, lines):
+            self.reader = reader(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            rows.append(next(self.reader))
+            return rows[-1]
+
+        @property
+        def line_num(self):
+            return self.reader.line_num
+
+    with mock.patch.object(files, "CHUNK_ROWS", 2), mock.patch.object(csv, "reader", Recording):
+        return read_records(source), rows
+
+
+def test_plain_chunks_are_split_without_csv_reader(tmp_path):
+    # One record per line and no quote, CR, NUL or blank line: only the
+    # header goes through csv.reader.
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n" + "".join(f"{k},{2 * k}\n" for k in range(7)))
+    records, rows = rows_through_csv_reader(str(path))
+    assert records == [(k + 2, (str(k), str(2 * k))) for k in range(7)]
+    assert rows == [["a", "b"]]
+
+
+def test_quoted_record_across_a_chunk_boundary_keeps_later_lines(tmp_path):
+    # The record on lines 3-4 starts in the first two-line chunk and ends in
+    # what would be the second; csv.reader reads on to close it, and the
+    # chunks after it are plain again.
+    path = tmp_path / "in.csv"
+    path.write_text('a,b\n1,2\n"x\ny",3\n4,5\n6,7\n8,9\n')
+    records, rows = rows_through_csv_reader(str(path))
+    assert records == [(2, ("1", "2")), (4, ("x\ny", "3")), (5, ("4", "5")), (6, ("6", "7")),
+                       (7, ("8", "9"))]
+    assert rows == [["a", "b"], ["1", "2"], ["x\ny", "3"]]
 
 
 def test_read_csv_numbers_a_lone_cr_as_the_stream_splits_it():
