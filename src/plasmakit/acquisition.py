@@ -28,7 +28,7 @@ import numpy as np
 from . import files
 from .calibration import CalibrationCurve, InputKind, is_finite_number, lux_from_input
 from .errors import DomainError, PreconditionError, SchemaError
-from .files import CONVERT, PARSE, Cells, Errors
+from .files import Cells, Errors
 
 __all__ = [
     "ChannelConfig",
@@ -166,11 +166,11 @@ DEFAULT_CONFIG = ChannelConfig()
 
 def finite_errors(t: np.ndarray, v: np.ndarray, i: np.ndarray, prefix: str = "") -> list[Errors]:
     """The rule every replayed or loaded row keeps: t, v, i and p = v*i are
-    finite.  CONVERT errors of the rows that break it, one dict per column
-    in that order: "<name> must be finite, got <value>"."""
+    finite.  The errors of the rows that break it, one dict per column in
+    that order: "<name> must be finite, got <value>"."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = v * i
-    return [{k: (CONVERT, f"{prefix}{name} must be finite, got {float(col[k])}")
+    return [{k: f"{prefix}{name} must be finite, got {float(col[k])}"
              for k in np.flatnonzero(~np.isfinite(col)).tolist()}
             for name, col in zip(OUT_HEADER, (t, v, i, p))]
 
@@ -182,10 +182,11 @@ class _CountTable(dict):
     A new cell is parsed with int(), and its count converted to volts and
     then by `to_units`.  NaN stands for no value: an empty or missing cell
     of an `optional` column, every cell without `to_units`, and a cell that
-    fails, whose error text goes to `errors` (the text, never the exception,
-    whose traceback would keep a chunk's rows alive).  A converted count is
-    never NaN: ChannelConfig guarantees a finite v and i for every count,
-    and lux_from_input raises rather than return NaN.  An ADC channel has at
+    fails, whose error text goes to `bad` if int() rejects it and else to
+    `unconverted` (the text, never the exception, whose traceback would
+    keep a chunk's rows alive).  A converted count is never NaN:
+    ChannelConfig guarantees a finite v and i for every count, and
+    lux_from_input raises rather than return NaN.  An ADC channel has at
     most 2^adc_bits codes, so the table stays small.
     """
 
@@ -193,7 +194,7 @@ class _CountTable(dict):
                  to_units: Optional[Callable[[float], float]], optional: bool = False):
         super().__init__()
         self.cfg, self.name, self.to_units, self.optional = cfg, name, to_units, optional
-        self.errors: dict = {}  # cell -> (PARSE or CONVERT, message)
+        self.bad, self.unconverted = {}, {}  # cell -> message
 
     def __missing__(self, cell) -> float:
         self[cell] = math.nan
@@ -202,23 +203,24 @@ class _CountTable(dict):
         try:
             raw = int(cell)
         except (ValueError, TypeError) as exc:
-            self.errors[cell] = (PARSE, f"bad raw frame: {exc}")
+            self.bad[cell] = f"bad raw frame: {exc}"
             return math.nan
         try:
             if self.to_units is not None:
                 self[cell] = self.to_units(counts_to_volts(self.cfg, raw))
         except DomainError as exc:
-            self.errors[cell] = (CONVERT, f"{self.name} channel: {exc}")
+            self.unconverted[cell] = f"{self.name} channel: {exc}"
         return self[cell]
 
-    def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, Errors]:
-        """Values of the cells (NaN without one) and errors."""
+    def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, Errors, Errors]:
+        """Values of the cells (NaN without one), int() errors and conversion errors."""
         cells = (None,) * n if cells is None else cells
         values = np.fromiter(map(self.__getitem__, cells), float, n)
-        if not self.errors:
-            return values, {}
+        if not (self.bad or self.unconverted):
+            return values, {}, {}
         rows = np.flatnonzero(np.isnan(values)).tolist()
-        return values, {k: self.errors[cells[k]] for k in rows if cells[k] in self.errors}
+        return values, *({k: errors[cells[k]] for k in rows if cells[k] in errors}
+                         for errors in (self.bad, self.unconverted))
 
 
 def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
@@ -250,11 +252,12 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
 
             def convert(cells, n, start):
                 t, _, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
-                v, v_errors = hv.column(cells["raw_hv"], n)
-                i, i_errors = shunt.column(cells["raw_shunt"], n)
-                lux, lux_errors = ldr.column(cells.get("raw_ldr"), n)
+                v, hv_bad, hv_unconverted = hv.column(cells["raw_hv"], n)
+                i, shunt_bad, shunt_unconverted = shunt.column(cells["raw_shunt"], n)
+                lux, ldr_bad, ldr_unconverted = ldr.column(cells.get("raw_ldr"), n)
                 return ((t, v, i, lux, ~np.isnan(lux)),
-                        [t_errors, v_errors, i_errors, lux_errors, *finite_errors(t, v, i)])
+                        [t_errors, hv_bad, shunt_bad, ldr_bad, hv_unconverted,
+                         shunt_unconverted, ldr_unconverted, *finite_errors(t, v, i)])
         elif set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
             prefix = "bad engineering row: "
 

@@ -93,8 +93,10 @@ class CalibrationCurve:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "a3"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"coefficient {name} is not finite")
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise DomainError(f"coefficient {name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.input_range is not None:
             object.__setattr__(self, "input_range", checked_range(self.input_range))
 
@@ -300,11 +302,8 @@ def curve_to_dict(curve: CalibrationCurve) -> dict:
 
 def curve_from_dict(data: dict) -> CalibrationCurve:
     try:
-        coeffs = [data[k] for k in ("a0", "a1", "a2", "a3")]
-        for name, value in zip(("a0", "a1", "a2", "a3"), coeffs):
-            if not is_finite_number(value):
-                raise DomainError(f"coefficient {name} must be a finite number, got {value!r}")
-        return CalibrationCurve(*map(float, coeffs), input_kind=InputKind(data["kind"]),
+        return CalibrationCurve(*[data[k] for k in ("a0", "a1", "a2", "a3")],
+                                input_kind=InputKind(data["kind"]),
                                 input_range=data.get("input_range"))
     except (KeyError, ValueError, TypeError) as exc:  # DomainError is a ValueError
         raise SchemaError(f"bad calibration curve object: {exc}") from exc
@@ -332,8 +331,7 @@ def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:
             errors = [x_errors, y_errors]
             for name, col in (("input", x), ("illuminance", y)):
                 bad = np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist()
-                errors.append({k: (files.CONVERT, f"sample {name} must be > 0, got {float(col[k])}")
-                               for k in bad})
+                errors.append({k: f"sample {name} must be > 0, got {float(col[k])}" for k in bad})
             return (x, y), errors
 
         return files.collect(chunks, convert) or (np.empty(0), np.empty(0))

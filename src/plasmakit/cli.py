@@ -225,13 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="RC-ladder high-voltage probe tools")
     probe_sub = p_probe.add_subparsers(dest="subcommand", required=True)
 
-    def add_network_flags(p, with_c0=True):
+    def add_network_flags(p):
         p.add_argument("--n", type=int, required=True, help="ladder stage count")
         p.add_argument("--r1", type=float, required=True, help="ladder resistance (ohms)")
         p.add_argument("--c1", type=float, required=True, help="ladder capacitance (farads)")
-        if with_c0:
-            p.add_argument("--r0", type=float, required=True, help="base resistance (ohms)")
-            p.add_argument("--c0", type=float, required=True, help="base capacitance (farads)")
+        p.add_argument("--r0", type=float, required=True, help="base resistance (ohms)")
+        p.add_argument("--c0", type=float, required=True, help="base capacitance (farads)")
 
     pa = probe_sub.add_parser("analyze", help="ratio, compensation, verdict")
     add_network_flags(pa)

@@ -22,12 +22,8 @@ from .errors import RowError, SchemaError
 # a chunk's cells and strings stay a few megabytes.
 CHUNK_ROWS = 8192
 
-# Order of a row's errors: one that a row parser meets while parsing its
-# cells comes before one met while converting the parsed values.
-PARSE, CONVERT = 0, 1
-
 Cells = tuple  # one column of a chunk: str per record, None where a record is short
-Errors = dict  # row in the chunk -> (PARSE or CONVERT, message)
+Errors = dict  # row in the chunk -> message
 
 
 @contextmanager
@@ -41,7 +37,7 @@ def read_csv(source: TextIO | str | os.PathLike):
     repeated name keeps its last column.  A path is read as UTF-8, after a
     byte order mark if there is one.  What the reader cannot read past
     raises in lenient mode too: bytes that are not UTF-8 as SchemaError, a
-    csv.Error as RowError on its line.
+    csv.Error as RowError on its line, after the records before it.
     """
     opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8-sig")
     with opened as fh:
@@ -63,20 +59,21 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
     3.11), no blank line, len(fields) - 1 commas on every line and no line
     over csv.field_size_limit(), is split on commas as csv.reader would
     split it.  Any other chunk goes through csv.reader, which reads on past
-    the chunk's lines to close a quoted field."""
+    the chunk's lines to close a quoted field; a csv.Error there yields the
+    records read before it, then raises RowError on its line."""
     width, limit = len(fields), csv.field_size_limit()
     while block := list(itertools.islice(fh, CHUNK_ROWS)):
         start, text = end, "".join(block)
         if ('"' in text or "\r" in text or "\0" in text or text[0] == "\n" or "\n\n" in text
                 or set(map(str.count, block, itertools.repeat(","))) != {width - 1}
                 or max(map(len, block)) > limit):
-            reader, rows, lines = csv.reader(itertools.chain(block, fh)), [], []
+            reader, rows, lines, error = csv.reader(itertools.chain(block, fh)), [], [], None
             try:
                 while reader.line_num < len(block):
                     rows.append(next(reader))
                     lines.append(start + reader.line_num)
             except csv.Error as exc:
-                raise RowError(start + reader.line_num, str(exc)) from exc
+                error = exc
             end = start + reader.line_num
             if not all(rows):  # a blank line holds no record
                 lines, rows = list(itertools.compress(lines, rows)), list(filter(None, rows))
@@ -84,6 +81,8 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
                 if min(map(len, rows)) < width:
                     rows = [row + [None] * (width - len(row)) for row in rows]
                 yield lines, dict(zip(fields, zip(*rows)))
+            if error is not None:
+                raise RowError(end, str(error)) from error
         else:
             end = start + len(block)
             cells = tuple(text.removesuffix("\n").replace("\n", ",").split(","))
@@ -109,7 +108,7 @@ def floats(cells: Optional[Cells], n: int, prefix: str = "",
         try:
             values[k] = float(cell)
         except (ValueError, TypeError) as exc:
-            values[k], errors[k] = math.nan, (PARSE, prefix + str(exc))
+            values[k], errors[k] = math.nan, prefix + str(exc)
     return values, present, errors
 
 
@@ -118,25 +117,23 @@ def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
     """The columns of the CSV records that convert, in order; () without records.
 
     convert(cells, n, start) turns a chunk of read_csv, n records of which
-    the first is record `start`, into its columns and a list of error dicts,
-    in the order a row parser meets them.  A record's first error is the one
-    reported: a PARSE error before a CONVERT one, and the list order between
-    two of a kind.  In strict mode the first rejected record raises RowError
-    with the physical line it ends on; in lenient mode each adds one to
-    `diagnostics` and is dropped.
+    the first is record `start`, into its columns and a list of error dicts
+    in the order a row parser meets them: every column's parse errors, then
+    the conversion errors.  A record reports its first error in that list.
+    In strict mode the first rejected record raises RowError with the line
+    it ends on, so a read reports the first bad line of the file; in lenient
+    mode each adds one to `diagnostics` and is dropped.
     """
     parts, start = [], 0
     for lines, cells in chunks:
         columns, per_column = convert(cells, len(lines), start)
         start += len(lines)
         first: Errors = {}
-        for errors in per_column:
-            for k, err in errors.items():
-                if k not in first or err[0] < first[k][0]:
-                    first[k] = err
+        for errors in reversed(per_column):
+            first.update(errors)
         if first:
             for k in sorted(first):
-                err = RowError(lines[k], first[k][1])
+                err = RowError(lines[k], first[k])
                 if strict:
                     raise err
                 if diagnostics is not None:

@@ -318,6 +318,22 @@ class TestSerialization:
         assert [(type(c), c) for c in curve.coefficients] == \
             [(float, 1.0), (float, 2.0), (float, 0.0), (float, -1.0)]
 
+    @pytest.mark.parametrize("value", [True, "1", pytest.param(10**400, id="10**400"),
+                                       math.inf, math.nan, None])
+    def test_curve_rejects_a_coefficient_that_is_not_a_finite_number(self, value):
+        with pytest.raises(DomainError) as exc:
+            CalibrationCurve(1.0, value, 0.0, 0.0)
+        assert str(exc.value) == f"coefficient a1 must be a finite number, got {value!r}"
+
+    def test_curve_stores_coefficients_as_floats(self):
+        curve = CalibrationCurve(1, 2, 0, -1)
+        assert [(type(c), c) for c in curve.coefficients] == \
+            [(float, 1.0), (float, 2.0), (float, 0.0), (float, -1.0)]
+
+    def test_bad_kind_is_reported_before_a_bad_coefficient(self):
+        with pytest.raises(SchemaError, match="'volts' is not a valid InputKind"):
+            curve_from_dict({"kind": "volts", "a0": True, "a1": 2.0, "a2": 0.0, "a3": 0.0})
+
     def test_samples_csv(self):
         text = "input,lux\n1.0,12.6\n2.0,80.5\n"
         inputs, lux = read_samples_csv(io.StringIO(text))

@@ -160,6 +160,15 @@ class TestCalCommands:
         assert out == ""
         assert err == f"error: {name} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("argv", [["eval", "--input", "1"], ["invert", "--lux", "10"]])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_coefficient_exits_1(self, capsys, argv, value):
+        flags = [value if k == 5 else flag for k, flag in enumerate(CAL_FLAGS)]  # --a2
+        code, out, err = run_cli(capsys, "cal", argv[0], *flags, *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: coefficient a2 must be a finite number, got {value}\n"
+
     def test_eval_underflow_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "cal", "eval", "--a0", "-800", "--a1", "0", "--a2", "0",
                                  "--a3", "1e-9", "--kind", "voltage", "--input", "1")
@@ -395,6 +404,30 @@ class TestUnreadableInput:
         assert err.startswith("error:") and "Traceback" not in err
         if kind == "long_field":
             assert err.startswith("error: line 3: field larger than field limit")
+
+    @pytest.mark.parametrize("argv", [["characterize"], ["acq", "replay", "--strict"],
+                                      ["cal", "fit"]])
+    def test_strict_read_reports_the_first_bad_line(self, capsys, tmp_path, argv):
+        # a bad cell on line 3 comes before a field the reader cannot read on line 5
+        header, row = {"characterize": ("t_ms,v_volts,i_amps,lux", "0,500,0.02,100"),
+                       "acq": ("t_ms,raw_hv,raw_shunt", "0,652,2596"),
+                       "cal": ("input,lux", "2.0,3.0")}[argv[0]]
+        bad = "x" + row[row.index(","):]
+        src = tmp_path / "in.csv"
+        src.write_text(f"{header}\n{row}\n{bad}\n{row}\n{'1' * 140_000}\n")
+        code, out, err = run_cli(capsys, *argv, "--in", str(src))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 3: ") and "field limit" not in err
+
+    def test_lenient_replay_fails_on_the_unreadable_line(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text(f"t_ms,raw_hv,raw_shunt\n0,652,2596\nx,652,2596\n0,652,2596\n"
+                       f"{'1' * 140_000}\n")
+        code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 5: field larger than field limit (131072)\n"
 
     def test_lenient_replay_still_exits_1(self, capsys, tmp_path):
         # replay skips malformed rows, but not what the reader cannot read

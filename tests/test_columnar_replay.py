@@ -258,6 +258,9 @@ def check_replay(text, cfg, curve, chunk_rows):
 
 class TestAgainstRowReference:
     @given(raw_case(), st.integers(1, 9))
+    # a cell int() rejects is reported before an out-of-range count in an earlier column
+    @example(("t_ms,raw_hv,raw_shunt,raw_ldr\n1,5000,x,9999\n2,5000,2000,abc\n",
+              ChannelConfig(), None), 2)
     @settings(max_examples=200, deadline=None)
     def test_raw_replay(self, case, chunk_rows):
         text, cfg, curve = case

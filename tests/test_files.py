@@ -171,7 +171,7 @@ def test_read_csv_takes_a_path_or_a_stream(tmp_path):
             ("a", "b"), [([2, 4], {"a": ("1", "3"), "b": ("2", None)})])
     values, present, errors = files.floats(("1.5", "", "x"), 3, "bad: ", optional=True)
     assert values[0] == 1.5 and math.isnan(values[1]) and present.tolist() == [True, False, True]
-    assert errors == {2: (files.PARSE, "bad: could not convert string to float: 'x'")}
+    assert errors == {2: "bad: could not convert string to float: 'x'"}
 
 
 # ---------------------------------------------------------------- reader line numbers
