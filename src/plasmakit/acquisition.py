@@ -38,7 +38,7 @@ __all__ = [
     "shunt_current",
     "instantaneous_power",
     "replay_stream",
-    "finite_errors",
+    "engineering_columns",
     "detect_ignition",
     "write_samples_csv",
     "DEFAULT_CONFIG",
@@ -96,22 +96,19 @@ class Samples:
 
     `t_ms`, `v_volts`, `i_amps`, `p_watts` and `lux` are read-only float
     arrays of one length, with p_watts = v_volts * i_amps computed here.
-    `has_lux` marks the rows that carry a lux value; `lux` is NaN elsewhere,
-    and a row may also carry a NaN lux.  len() counts the rows, and a slice
-    or a boolean mask selects rows as Samples.
+    A NaN lux is the one mark of a row without a light reading.  len()
+    counts the rows, and a slice or a boolean mask selects rows as Samples.
     """
 
     t_ms: np.ndarray
     v_volts: np.ndarray
     i_amps: np.ndarray
     lux: np.ndarray
-    has_lux: np.ndarray
     p_watts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         cols = {name: np.asarray(getattr(self, name), dtype=float)
                 for name in ("t_ms", "v_volts", "i_amps", "lux")}
-        cols["has_lux"] = np.asarray(self.has_lux, dtype=bool)
         if any(c.ndim != 1 or len(c) != len(cols["t_ms"]) for c in cols.values()):
             raise DomainError("sample columns must be 1-D and of one length")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -128,8 +125,7 @@ class Samples:
     def __getitem__(self, rows) -> "Samples":
         if isinstance(rows, (int, np.integer)):
             raise TypeError("Samples selects rows by slice or mask, not by integer index")
-        return Samples(self.t_ms[rows], self.v_volts[rows], self.i_amps[rows], self.lux[rows],
-                       self.has_lux[rows])
+        return Samples(self.t_ms[rows], self.v_volts[rows], self.i_amps[rows], self.lux[rows])
 
 
 def counts_to_volts(cfg: ChannelConfig, raw: int) -> float:
@@ -150,13 +146,13 @@ def shunt_current(cfg: ChannelConfig, v3: float) -> float:
 
 
 def instantaneous_power(v: float, i: float) -> float:
-    """p = v*i; raises DomainError for a non-finite v or i, or a product
-    that over- or underflows."""
-    p = v * i
-    if not math.isfinite(p) or (abs(p) < sys.float_info.min and v != 0.0 and i != 0.0):
-        raise DomainError(f"power v*i = {p} for v = {v}, i = {i} is not finite or "
-                          "over- or underflows")
-    return p
+    """p = v*i; raises DomainError with the first error of the sample-row
+    rule (_row_errors): a non-finite v or i, or a product that over- or
+    underflows."""
+    for errors in _row_errors(*np.array([[0.0], [v], [i], [math.nan]])):
+        if errors:
+            raise DomainError(errors[0])
+    return v * i
 
 
 DEFAULT_CONFIG = ChannelConfig()
@@ -164,15 +160,38 @@ DEFAULT_CONFIG = ChannelConfig()
 
 # ------------------------------------------------------------ CSV columns
 
-def finite_errors(t: np.ndarray, v: np.ndarray, i: np.ndarray, prefix: str = "") -> list[Errors]:
-    """The rule every replayed or loaded row keeps: t, v, i and p = v*i are
-    finite.  The errors of the rows that break it, one dict per column in
-    that order: "<name> must be finite, got <value>"."""
+def _row_errors(t: np.ndarray, v: np.ndarray, i: np.ndarray, lux: np.ndarray,
+                prefix: str = "") -> list[Errors]:
+    """The rule every replayed or loaded row keeps: t, v, i, p = v*i and lux
+    are finite, except a NaN lux (no reading), and p is not below the
+    smallest normal float while v and i are not 0.  The errors of the rows
+    that break it, one dict per check in that order."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = v * i
-    return [{k: f"{prefix}{name} must be finite, got {float(col[k])}"
-             for k in np.flatnonzero(~np.isfinite(col)).tolist()}
-            for name, col in zip(OUT_HEADER, (t, v, i, p))]
+    checks = [(f"{name} must be finite", col, ~np.isfinite(col))
+              for name, col in zip(OUT_HEADER, (t, v, i, p))]
+    checks += [("lux must be finite", lux, np.isinf(lux)),
+               ("p_watts = v*i underflows", p,
+                (np.abs(p) < sys.float_info.min) & (v != 0.0) & (i != 0.0))]
+    return [{k: f"{prefix}{rule}, got {float(col[k])}" for k in np.flatnonzero(bad).tolist()}
+            for rule, col, bad in checks]
+
+
+def engineering_columns(cells: dict, n: int, start: int, prefix: str = "") -> tuple[tuple, list]:
+    """A files.collect converter for engineering rows: the t_ms, v_volts,
+    i_amps and lux columns of a chunk, and their errors.  A cell float()
+    rejects is an error, listed in header order t, v, i, lux, before those
+    of the row rule (_row_errors); an empty or missing lux is NaN.  Without
+    a t_ms column, t is the record index."""
+    if "t_ms" in cells:
+        t, t_errors = files.floats(cells["t_ms"], n, prefix)
+    else:
+        t, t_errors = np.arange(start, start + n, dtype=float), {}
+    v, v_errors = files.floats(cells["v_volts"], n, prefix)
+    i, i_errors = files.floats(cells["i_amps"], n, prefix)
+    lux, lux_errors = files.floats(cells.get("lux"), n, prefix, optional=True)
+    return ((t, v, i, lux),
+            [t_errors, v_errors, i_errors, lux_errors, *_row_errors(t, v, i, lux, prefix)])
 
 
 class _CountTable(dict):
@@ -234,13 +253,13 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
     lenient mode malformed rows are reported into `diagnostics` (as RowError
     instances, numbered by the physical line the row ends on) and skipped;
     in strict mode the first one aborts the replay.  A row reports its first
-    error (see files.collect); a non-finite t, v, i or p (finite_errors)
-    comes last.  A raw replay converts each distinct count of a channel
-    once, with the scalar functions above.
+    error (see files.collect); a break of the row rule (_row_errors) comes
+    last.  A raw replay converts each distinct count of a channel once, with
+    the scalar functions above.
     """
     with files.read_csv(source) as (fields, chunks):
         if not fields:
-            return Samples(*[()] * 5)
+            return Samples(*[()] * 4)
         if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
             if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
                 raise PreconditionError("light-channel curve must have input kind 'voltage'")
@@ -251,27 +270,19 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
                 optional=True)
 
             def convert(cells, n, start):
-                t, _, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
+                t, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
                 v, hv_bad, hv_unconverted = hv.column(cells["raw_hv"], n)
                 i, shunt_bad, shunt_unconverted = shunt.column(cells["raw_shunt"], n)
                 lux, ldr_bad, ldr_unconverted = ldr.column(cells.get("raw_ldr"), n)
-                return ((t, v, i, lux, ~np.isnan(lux)),
+                return ((t, v, i, lux),
                         [t_errors, hv_bad, shunt_bad, ldr_bad, hv_unconverted,
-                         shunt_unconverted, ldr_unconverted, *finite_errors(t, v, i)])
+                         shunt_unconverted, ldr_unconverted, *_row_errors(t, v, i, lux)])
         elif set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
-            prefix = "bad engineering row: "
-
             def convert(cells, n, start):
-                t, _, t_errors = files.floats(cells["t_ms"], n, prefix)
-                v, _, v_errors = files.floats(cells["v_volts"], n, prefix)
-                i, _, i_errors = files.floats(cells["i_amps"], n, prefix)
-                lux, has_lux, lux_errors = files.floats(cells.get("lux"), n, prefix,
-                                                        optional=True)
-                return ((t, v, i, lux, has_lux),
-                        [t_errors, v_errors, i_errors, lux_errors, *finite_errors(t, v, i, prefix)])
+                return engineering_columns(cells, n, start, "bad engineering row: ")
         else:
             raise SchemaError(f"unrecognized frame CSV header: {fields}")
-        return Samples(*(files.collect(chunks, convert, strict, diagnostics) or [()] * 5))
+        return Samples(*(files.collect(chunks, convert, strict, diagnostics) or [()] * 4))
 
 
 def detect_ignition(samples: Samples, i_min: float = 1e-3) -> Optional[float]:
@@ -295,10 +306,10 @@ def _reprs(col: np.ndarray) -> np.ndarray:
 
 def write_samples_csv(samples: Samples, out: TextIO) -> None:
     """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs,
-    files.CHUNK_ROWS at a time; a missing lux is an empty cell."""
+    files.CHUNK_ROWS at a time; a NaN lux (no reading) is an empty cell."""
     out.write(",".join(OUT_HEADER) + "\n")
     for start in range(0, len(samples), files.CHUNK_ROWS):
         part = samples[start:start + files.CHUNK_ROWS]
         columns = [_reprs(part.t_ms), _reprs(part.v_volts), _reprs(part.i_amps),
-                   _reprs(part.p_watts), np.where(part.has_lux, _reprs(part.lux), "")]
+                   _reprs(part.p_watts), np.where(np.isnan(part.lux), "", _reprs(part.lux))]
         out.write("\n".join(map(",".join, zip(*(c.tolist() for c in columns)))) + "\n")

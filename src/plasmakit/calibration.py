@@ -326,8 +326,8 @@ def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:
             raise SchemaError("sample CSV must have header columns: input,lux")
 
         def convert(cells, n, start):
-            x, _, x_errors = files.floats(cells["input"], n)
-            y, _, y_errors = files.floats(cells["lux"], n)
+            x, x_errors = files.floats(cells["input"], n)
+            y, y_errors = files.floats(cells["lux"], n)
             errors = [x_errors, y_errors]
             for name, col in (("input", x), ("illuminance", y)):
                 bad = np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist()

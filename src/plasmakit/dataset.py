@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from . import files
-from .acquisition import Samples, detect_ignition, finite_errors
+from .acquisition import Samples, detect_ignition, engineering_columns
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -77,28 +77,16 @@ class Characterization:
 def load_run(source: TextIO | str) -> ExperimentRun:
     """Load an engineering-unit CSV as an ExperimentRun.
 
-    p_watts is always recomputed from v*i.  t_ms and lux are optional:
-    missing timestamps become the record index.  The first rejected row
-    raises RowError with the physical line it ends on.
+    Rows are read by acquisition.engineering_columns: p_watts is always
+    recomputed from v*i, t_ms and lux are optional, missing timestamps
+    become the record index, and an empty or NaN lux is no reading.  The
+    first rejected row raises RowError with the physical line it ends on.
     """
     with files.read_csv(source) as (fields, chunks):
         if not {"v_volts", "i_amps"} <= set(fields):
             raise SchemaError("run CSV must provide v_volts and i_amps "
                               f"(have {sorted(set(fields))})")
-        has_t = "t_ms" in fields
-
-        def convert(cells, n, start):
-            v, _, v_errors = files.floats(cells["v_volts"], n)
-            i, _, i_errors = files.floats(cells["i_amps"], n)
-            if has_t:
-                t, _, t_errors = files.floats(cells["t_ms"], n)
-            else:
-                t, t_errors = np.arange(start, start + n, dtype=float), {}
-            lux, has_lux, lux_errors = files.floats(cells.get("lux"), n, optional=True)
-            return ((t, v, i, lux, has_lux),
-                    [v_errors, i_errors, t_errors, lux_errors, *finite_errors(t, v, i)])
-
-        return ExperimentRun(Samples(*(files.collect(chunks, convert) or [()] * 5)))
+        return ExperimentRun(Samples(*(files.collect(chunks, engineering_columns) or [()] * 4)))
 
 
 def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:
@@ -109,7 +97,7 @@ def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:
     t0 = detect_ignition(s, i_min=ignition_i_min)
     if t0 is None:
         return np.zeros(len(s), dtype=bool)
-    return (s.t_ms >= t0) & (s.p_watts > 0.0) & s.has_lux & (s.lux > 0.0)
+    return (s.t_ms >= t0) & (s.p_watts > 0.0) & (s.lux > 0.0)
 
 
 def characterize(run: ExperimentRun, trim: bool = False,

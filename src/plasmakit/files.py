@@ -90,17 +90,15 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
 
 
 def floats(cells: Optional[Cells], n: int, prefix: str = "",
-           optional: bool = False) -> tuple[np.ndarray, np.ndarray, Errors]:
-    """float() of every cell, the mask of the cells that hold a value, and
-    errors; a cell float() rejects reads NaN.  In an optional column an
-    empty or missing cell holds no value and no error."""
+           optional: bool = False) -> tuple[np.ndarray, Errors]:
+    """float() of every cell, and errors; a cell float() rejects reads NaN.
+    In an optional column an empty or missing cell reads NaN with no error."""
     if cells is None:
-        return np.full(n, math.nan), np.zeros(n, dtype=bool), {}
-    present = np.fromiter(map(bool, cells), bool, n) if optional else np.ones(n, dtype=bool)
-    if not present.all():
+        return np.full(n, math.nan), {}
+    if optional and not all(cells):
         cells = [cell or "nan" for cell in cells]
     try:
-        return np.fromiter(map(float, cells), float, n), present, {}
+        return np.fromiter(map(float, cells), float, n), {}
     except (ValueError, TypeError):
         pass
     values, errors = np.empty(n), {}
@@ -109,7 +107,7 @@ def floats(cells: Optional[Cells], n: int, prefix: str = "",
             values[k] = float(cell)
         except (ValueError, TypeError) as exc:
             values[k], errors[k] = math.nan, prefix + str(exc)
-    return values, present, errors
+    return values, errors
 
 
 def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,

@@ -144,7 +144,7 @@ def test_criterion_8_characterization_path():
         lux.append(lux_from_input(curve, p))
         if k == 11:
             lux[-1] *= math.exp(2.5)  # injected ignition-transient outlier
-    run = ExperimentRun(samples=Samples(range(45), v, i, lux, [False] * 5 + [True] * 40))
+    run = ExperimentRun(samples=Samples(range(45), v, i, lux))
 
     plain = characterize(run, trim=False)
     trimmed = characterize(run, trim=True)

@@ -118,6 +118,10 @@ class TestScaling:
         assert recovered == pytest.approx(v_s, rel=1e-12, abs=1e-12)
 
 
+# (v, i) pairs whose product is not finite or underflows
+BAD_POWER = [(math.nan, 1.0), (1.0, -math.inf), (1e308, 10.0), (1e-200, 1e-200), (5e-324, 0.5)]
+
+
 class TestInstantaneousPower:
     def test_arduino_reading(self):
         assert instantaneous_power(498.0, 0.0366) == pytest.approx(18.227, abs=5e-4)
@@ -136,30 +140,42 @@ class TestInstantaneousPower:
         assert instantaneous_power(-2.0, 3.0) == -6.0
         assert instantaneous_power(-2.0, -3.0) == 6.0
 
-    @pytest.mark.parametrize("v, i", [(math.nan, 1.0), (1.0, -math.inf), (1e308, 10.0),
-                                      (1e-200, 1e-200), (5e-324, 0.5)])
+    @pytest.mark.parametrize("v, i", BAD_POWER)
     def test_power_over_or_underflow_rejected(self, v, i):
         with pytest.raises(DomainError):
             instantaneous_power(v, i)
 
+    @pytest.mark.parametrize("v, i", BAD_POWER + [(0.0, 1e-200), (5e-324, 0.0), (-2.0, 3.0),
+                                                  (1e-150, 1e-150)])
+    def test_replay_rejects_what_instantaneous_power_rejects(self, v, i):
+        diagnostics = []
+        samples = replay_stream(io.StringIO(f"t_ms,v_volts,i_amps\n0,{v!r},{i!r}\n"),
+                                diagnostics=diagnostics)
+        try:
+            p = instantaneous_power(v, i)
+        except DomainError as exc:
+            assert len(samples) == 0
+            assert [str(e) for e in diagnostics] == [f"line 2: bad engineering row: {exc}"]
+        else:
+            assert samples.p_watts.tolist() == [p] and diagnostics == []
+
 
 class TestSamples:
-    # t, v, i, lux and has_lux of three rows; the second carries no lux and
-    # the third a NaN lux
+    # t, v, i and lux of three rows; the second and third carry no lux
     COLUMNS = ([0.0, 1.0, 2.0], [2.0, -0.0, 1.5], [3.0, 4.0, 2.0],
-               [5.0, math.nan, math.nan], [True, False, True])
+               [5.0, math.nan, math.nan])
 
     def test_columns_and_rows(self):
         s = Samples(*self.COLUMNS)
         assert s.p_watts.tolist() == [6.0, -0.0, 3.0]
-        assert s.has_lux.tolist() == [True, False, True]
+        assert np.isnan(s.lux).tolist() == [False, True, True]
         assert len(s) == 3 and math.isnan(s.lux[1]) and math.isnan(s.lux[2])
-        head, lit = s[:2], s[s.has_lux]
+        head, lit = s[:2], s[~np.isnan(s.lux)]
         assert isinstance(head, Samples) and isinstance(lit, Samples)
         assert head.t_ms.tolist() == [0.0, 1.0] and head.p_watts.tolist() == [6.0, -0.0]
-        assert head.has_lux.tolist() == [True, False]
-        assert lit.t_ms.tolist() == [0.0, 2.0] and lit.lux[0] == 5.0
-        assert not len(Samples(*[()] * 5))
+        assert np.isnan(head.lux).tolist() == [False, True]
+        assert lit.t_ms.tolist() == [0.0] and lit.lux[0] == 5.0
+        assert not len(Samples(*[()] * 4))
         with pytest.raises(TypeError, match="not iterable"):
             iter(s)
 
@@ -176,7 +192,7 @@ class TestSamples:
 
     def test_columns_must_align(self):
         with pytest.raises(DomainError):
-            Samples([0.0, 1.0], [1.0], [1.0, 2.0], [0.0, 0.0], [False, False])
+            Samples([0.0, 1.0], [1.0], [1.0, 2.0], [0.0, 0.0])
 
 
 def replay_frames(*frames, cfg=CFG, curve=None):
@@ -221,16 +237,16 @@ class TestProcessFrame:
 
     def test_lux_requires_curve_and_channel(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
-        assert replay_frames((0, 100, 2000)).has_lux.tolist() == [False]
-        assert replay_frames((0, 100, 2000), curve=curve).has_lux.tolist() == [False]
-        assert replay_frames((0, 100, 2000, ""), curve=curve).has_lux.tolist() == [False]
-        assert replay_frames((0, 100, 2000, 1241)).has_lux.tolist() == [False]
-        assert replay_frames((0, 100, 2000, 1241), curve=curve).has_lux.tolist() == [True]
+        assert np.isnan(replay_frames((0, 100, 2000)).lux).tolist() == [True]
+        assert np.isnan(replay_frames((0, 100, 2000), curve=curve).lux).tolist() == [True]
+        assert np.isnan(replay_frames((0, 100, 2000, ""), curve=curve).lux).tolist() == [True]
+        assert np.isnan(replay_frames((0, 100, 2000, 1241)).lux).tolist() == [True]
+        assert np.isnan(replay_frames((0, 100, 2000, 1241), curve=curve).lux).tolist() == [False]
 
     def test_dark_light_channel_reads_zero_lux(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
         s = replay_frames((0, 100, 2000, 0), curve=curve)
-        assert s.has_lux.tolist() == [True] and s.lux.tolist() == [0.0]
+        assert s.lux.tolist() == [0.0]
 
     def test_power_kind_curve_rejected(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_kind=InputKind.PLASMA_POWER)
@@ -318,7 +334,7 @@ class TestReplayStream:
 class TestDetectIgnition:
     def _trace(self, currents):
         n = len(currents)
-        return Samples(range(n), [100.0] * n, currents, [math.nan] * n, [False] * n)
+        return Samples(range(n), [100.0] * n, currents, [math.nan] * n)
 
     def test_all_zero_returns_none(self):
         assert detect_ignition(self._trace([0.0] * 10), 1e-3) is None
@@ -357,7 +373,7 @@ class TestDetectIgnition:
 class TestSamplesCsv:
     def test_round_trip_layout(self):
         samples = Samples([0.0, 1.0], [498.0, 479.0], [0.0366, 0.877 / 23.0],
-                          [150.0, math.nan], [True, False])
+                          [150.0, math.nan])
         buf = io.StringIO()
         write_samples_csv(samples, buf)
         lines = buf.getvalue().splitlines()

@@ -251,7 +251,8 @@ class TestAcqCommands:
         code, out, err = run_cli(capsys, "acq", "power", "--v", v, "--i", i)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: power v*i")
+        assert err == {"nan": "error: v_volts must be finite, got nan\n",
+                       "1e308": "error: p_watts must be finite, got inf\n"}[v]
 
     def test_power_byte_stable(self, capsys):
         outs = {run_cli(capsys, "acq", "power", "--v", "498", "--i", "0.0366")[1]
@@ -368,6 +369,14 @@ class TestCharacterizeCommand:
                              "--plot", str(plot))
         assert code == 0
         assert plot.read_text().count("<circle") == 30
+
+    def test_infinite_lux_reported_by_its_line(self, capsys, tmp_path):
+        path = self._write_run(tmp_path)
+        rows = path.read_text().splitlines()
+        rows[13] = rows[13].rsplit(",", 1)[0] + ",inf"  # line 14
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "characterize", "--in", str(path))
+        assert (code, out, err) == (1, "", "error: line 14: lux must be finite, got inf\n")
 
     def test_missing_input_exits_1_without_artifacts(self, capsys, tmp_path):
         out_json = tmp_path / "char.json"

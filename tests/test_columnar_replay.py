@@ -12,9 +12,11 @@ writer must produce the same bytes.
 import csv
 import io
 import math
+import sys
 from typing import NamedTuple, Optional
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,12 +54,17 @@ class Row(NamedTuple):
 
 
 def reference_row(t, v, i, lux=None):
-    """The row with p = v*i; raises DomainError for the first of t, v, i
-    and p that is not finite."""
+    """The row with p = v*i, a NaN lux read as no lux; raises DomainError
+    for the first of t, v, i, p and lux that is not finite, then for a p
+    below the smallest normal float while v and i are not 0."""
+    if lux is not None and math.isnan(lux):
+        lux = None
     row = Row(t, v, i, v * i, lux)
-    for name, value in zip(Row._fields, row[:4]):
-        if not math.isfinite(value):
+    for name, value in zip(Row._fields, row):
+        if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+    if abs(row.p_watts) < sys.float_info.min and v != 0.0 and i != 0.0:
+        raise DomainError(f"p_watts = v*i underflows, got {row.p_watts}")
     return row
 
 
@@ -122,8 +129,8 @@ def reference_load_run(text):
     samples, diagnostics = [], []
     for idx, row in enumerate(reader):
         try:
-            v, i = float(row["v_volts"]), float(row["i_amps"])
             t = float(row["t_ms"]) if has_t else float(idx)
+            v, i = float(row["v_volts"]), float(row["i_amps"])
             lux = row.get("lux")
             samples.append(reference_row(
                 t, v, i, lux=float(lux) if lux not in (None, "") else None))
@@ -167,8 +174,8 @@ def assert_same_columns(got, want):
     for name in ("t_ms", "v_volts", "i_amps", "p_watts"):
         assert [repr(x) for x in getattr(got, name).tolist()] == \
             [repr(getattr(s, name)) for s in want], name
-    assert got.has_lux.tolist() == [s.lux is not None for s in want]
-    assert [repr(x) for x in got.lux[got.has_lux].tolist()] == \
+    assert np.isnan(got.lux).tolist() == [s.lux is None for s in want]
+    assert [repr(x) for x in got.lux[~np.isnan(got.lux)].tolist()] == \
         [repr(s.lux) for s in want if s.lux is not None]
 
 
@@ -267,11 +274,13 @@ class TestAgainstRowReference:
         check_replay(text, cfg, curve, chunk_rows)
 
     @given(eng_case(), st.integers(1, 9))
+    @example("t_ms,v_volts,i_amps,lux\n0,1,2,nan\n", 1)  # a NaN lux is no reading
     @settings(max_examples=200, deadline=None)
     def test_engineering_replay(self, text, chunk_rows):
         check_replay(text, ChannelConfig(), None, chunk_rows)
 
     @given(eng_case(), st.booleans(), st.integers(1, 9))
+    @example("t_ms,v_volts,i_amps\n1.5ms,0.0,0x1f\n", False, 1)  # t's error comes first
     @settings(max_examples=100, deadline=None)
     def test_load_run(self, text, drop_t, chunk_rows):
         if drop_t:  # rename the column away: timestamps become the record index
@@ -307,14 +316,14 @@ class TestAgainstRowReference:
     def test_writer_signed_zero_nan_inf_and_missing_lux(self):
         text = ("t_ms,v_volts,i_amps,lux\n"
                 "-0.0,0.0,-1.0,\n"      # p = 0 * -1 = -0.0; no lux
-                "0.0,-0.0,-0.0,nan\n"   # p = 0.0; lux present but NaN
+                "0.0,-0.0,-0.0,nan\n"   # p = 0.0; a NaN lux: no reading
                 "1.0,inf,2.0,-0.0\n"    # v = inf: rejected
                 "2.0,1e308,-1e308,inf\n"  # p overflows to -inf: rejected
                 "3.0,nan,1.0,1\n")      # v = nan: rejected
         check_replay(text, ChannelConfig(), None, 2)
         diagnostics = []
         samples = replay_stream(io.StringIO(text), diagnostics=diagnostics)
-        assert samples.has_lux.tolist() == [False, True]
+        assert np.isnan(samples.lux).tolist() == [True, True]
         assert [repr(x) for x in samples.p_watts.tolist()] == ["-0.0", "0.0"]
         assert [str(e) for e in diagnostics] == [
             "line 4: bad engineering row: v_volts must be finite, got inf",
@@ -323,7 +332,7 @@ class TestAgainstRowReference:
         # Samples built directly may hold non-finite values; the writer keeps them.
         out = io.StringIO()
         write_samples_csv(Samples([1.0, 2.0], [math.inf, 1e308], [2.0, -1e308],
-                                  [-0.0, math.inf], [True, True]), out)
+                                  [-0.0, math.inf]), out)
         assert out.getvalue() == ("t_ms,v_volts,i_amps,p_watts,lux\n"
                                   "1.0,inf,2.0,inf,-0.0\n"
                                   "2.0,1e+308,-1e+308,-inf,inf\n")

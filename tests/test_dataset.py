@@ -40,16 +40,14 @@ def synthetic_run(curve=None, n=40, p_lo=5.0, p_hi=40.0, pre_ignition=3,
         lux.append(lux_from_input(curve, p))
         if lux_noise:
             lux[-1] *= math.exp(lux_noise(k))
-    has_lux = [False] * pre_ignition + [True] * n
-    return ExperimentRun(samples=Samples(range(pre_ignition + n), v, i, lux, has_lux))
+    return ExperimentRun(samples=Samples(range(pre_ignition + n), v, i, lux))
 
 
 class TestRunTypes:
     def test_timestamps_must_be_nondecreasing(self):
         def run(*t):
             n = len(t)
-            return ExperimentRun(samples=Samples(t, [1.0] * n, [1.0] * n, [math.nan] * n,
-                                                 [False] * n))
+            return ExperimentRun(samples=Samples(t, [1.0] * n, [1.0] * n, [math.nan] * n))
         run(0.0, 0.0)
         with pytest.raises(DomainError):
             run(1.0, 0.0)
@@ -98,7 +96,7 @@ class TestLoadRun:
         path = tmp_path / "run.csv"
         save(run, path)
         again = load_run(str(path))
-        for name in ("t_ms", "v_volts", "i_amps", "p_watts", "lux", "has_lux"):
+        for name in ("t_ms", "v_volts", "i_amps", "p_watts", "lux"):
             np.testing.assert_array_equal(getattr(again.samples, name),
                                           getattr(run.samples, name), err_msg=name)
         save(again, tmp_path / "run2.csv")
@@ -150,7 +148,7 @@ class TestCharacterize:
         assert char.trimmed_count == 0
 
     def test_all_zero_lux_fails(self):
-        samples = Samples(range(10), [100.0] * 10, [0.02] * 10, [math.nan] * 10, [False] * 10)
+        samples = Samples(range(10), [100.0] * 10, [0.02] * 10, [math.nan] * 10)
         with pytest.raises(FitError):
             characterize(ExperimentRun(samples=samples))
 
