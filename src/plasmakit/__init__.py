@@ -25,7 +25,6 @@ from .calibration import (
     InputKind,
     eval_log_poly,
     fit_log_cubic,
-    fit_residuals,
     input_from_lux,
     is_monotone,
     lux_from_input,

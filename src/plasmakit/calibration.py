@@ -32,8 +32,6 @@ __all__ = [
     "monotone_direction",
     "is_monotone",
     "fit_log_cubic",
-    "fit_residuals",
-    "trim_refit",
     "curve_to_dict",
     "curve_from_dict",
     "save_curve",
@@ -48,7 +46,7 @@ _U_TOL = 1e-12
 # Largest error in ln lux that input_from_lux accepts in the lux its result gives.
 INVERT_ATOL = 1e-9
 
-# trim_refit drops residuals beyond TRIM_SIGMA times the rmse, unless that
+# A trimmed fit drops residuals beyond TRIM_SIGMA times the rmse, unless that
 # drops more than MAX_TRIM_FRACTION of the samples.
 TRIM_SIGMA = 3.0
 MAX_TRIM_FRACTION = 0.2
@@ -248,48 +246,38 @@ def _fit(u: np.ndarray, y: np.ndarray, kind: InputKind) -> CalibrationCurve:
                             input_range=(lo, hi))
 
 
-def _stats(res: np.ndarray) -> dict[str, float]:
+def _rmse(res: np.ndarray) -> float:
     # cumsum adds left to right, as a Python sum over the rows would
-    return {"rmse_log": math.sqrt(float(np.cumsum(res * res)[-1]) / len(res)),
-            "max_abs_log": float(np.max(np.abs(res)))}
+    return math.sqrt(float(np.cumsum(res * res)[-1]) / len(res))
 
 
-def fit_log_cubic(inputs, illuminance,
-                  kind: InputKind = InputKind.SENSOR_VOLTAGE) -> CalibrationCurve:
-    """Least-squares cubic fit of ln(illuminance) against ln(input).
+def fit_log_cubic(inputs, illuminance, kind: InputKind = InputKind.SENSOR_VOLTAGE,
+                  trim: bool = False) -> tuple[CalibrationCurve, np.ndarray, dict]:
+    """Least-squares cubic fit of ln(illuminance) against ln(input), and its
+    log-space residual statistics.
 
     inputs and illuminance are equal-length columns of positive finite
     values.  Uses a QR factorization of the 4-column Vandermonde design
     matrix.  Requires at least 4 samples with 4 distinct input values.
-    """
-    return _fit(*_log_columns(inputs, illuminance), kind)
-
-
-def fit_residuals(curve: CalibrationCurve, inputs, illuminance) -> dict[str, float]:
-    """Log-space residual summary: rmse (1/N) and max absolute residual."""
-    u, y = _log_columns(inputs, illuminance)
-    if not len(u):
-        raise DomainError("residuals of an empty sample list are undefined")
-    return _stats(y - eval_log_poly(curve, u))
-
-
-def trim_refit(inputs, illuminance, kind: InputKind = InputKind.SENSOR_VOLTAGE
-               ) -> tuple[CalibrationCurve, np.ndarray, int]:
-    """Single outlier-trim pass: fit, drop residuals beyond TRIM_SIGMA*rmse, refit once.
-
-    If trimming would remove more than MAX_TRIM_FRACTION of the samples the
-    untrimmed fit is kept (trimmed_count = 0).  Returns (curve, kept,
-    trimmed), where kept holds the indices of the rows the curve was fitted on.
+    With trim=True a single outlier pass drops the rows whose residual is
+    beyond TRIM_SIGMA*rmse and fits once more, unless that drops more than
+    MAX_TRIM_FRACTION of the rows or leaves fewer than 4.  Returns (curve,
+    kept, stats): kept holds the indices of the rows the curve was fitted
+    on, and stats is {"rmse_log" (1/N), "max_abs_log", "trimmed_count"} of
+    the curve's residuals on those rows.
     """
     u, y = _log_columns(inputs, illuminance)
-    first = _fit(u, y, kind)
-    res = np.abs(y - eval_log_poly(first, u))
-    cutoff = TRIM_SIGMA * _stats(res)["rmse_log"]
-    keep = res <= cutoff
-    trimmed = len(u) - int(keep.sum())
-    if trimmed == 0 or trimmed > MAX_TRIM_FRACTION * len(u) or len(u) - trimmed < 4:
-        return first, np.arange(len(u)), 0
-    return _fit(u[keep], y[keep], kind), np.flatnonzero(keep), trimmed
+    curve, kept = _fit(u, y, kind), np.arange(len(u))
+    res = y - eval_log_poly(curve, u)
+    if trim:
+        keep = np.abs(res) <= TRIM_SIGMA * _rmse(res)
+        trimmed = len(u) - int(keep.sum())
+        if 0 < trimmed <= MAX_TRIM_FRACTION * len(u) and len(u) - trimmed >= 4:
+            kept = np.flatnonzero(keep)
+            curve = _fit(u[kept], y[kept], kind)
+            res = y[kept] - eval_log_poly(curve, u[kept])
+    return curve, kept, {"rmse_log": _rmse(res), "max_abs_log": float(np.max(np.abs(res))),
+                         "trimmed_count": len(u) - len(kept)}
 
 
 def curve_to_dict(curve: CalibrationCurve) -> dict:

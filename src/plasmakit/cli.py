@@ -123,19 +123,17 @@ def _cmd_probe_bode(args) -> int:
 
 def _cmd_cal_fit(args) -> int:
     inputs, lux = calibration.read_samples_csv(args.infile)
-    kind = calibration.InputKind(args.kind)
-    if args.trim:
-        curve, kept, trimmed = calibration.trim_refit(inputs, lux, kind)
-    else:
-        curve, kept, trimmed = calibration.fit_log_cubic(inputs, lux, kind), slice(None), 0
-    stats = calibration.fit_residuals(curve, inputs[kept], lux[kept])
+    curve, _, stats = calibration.fit_log_cubic(inputs, lux, calibration.InputKind(args.kind),
+                                                args.trim)
+    if args.plot:  # rendered first: a failing render leaves no file written
+        svg = _fit_svg(inputs, lux, curve, float(inputs.min()), float(inputs.max()),
+                       "Calibration fit", f"input ({args.kind})")
     if args.out:
         calibration.save_curve(curve, args.out)
     if args.plot:
-        _write_fit_plot(args.plot, inputs, lux, curve, float(inputs.min()), float(inputs.max()),
-                        "Calibration fit", f"input ({args.kind})")
-    _print_json({**calibration.curve_to_dict(curve), **stats,
-                 "trimmed_count": trimmed})
+        with files.atomic_write(args.plot) as fh:
+            fh.write(svg)
+    _print_json({**calibration.curve_to_dict(curve), **stats})
     return 0
 
 
@@ -159,17 +157,15 @@ def _cmd_cal_invert(args) -> int:
     return 0
 
 
-def _write_fit_plot(path, xs, ys, curve: calibration.CalibrationCurve, lo: float, hi: float,
-                    title: str, x_label: str) -> None:
+def _fit_svg(xs, ys, curve: calibration.CalibrationCurve, lo: float, hi: float,
+             title: str, x_label: str) -> str:
     """SVG of the samples as dots and the curve at 200 log-spaced inputs in [lo, hi]."""
     a, b = math.log(lo), math.log(hi)
     grid = [math.exp(a + (b - a) * k / 199) for k in range(200)] if hi > lo else [lo] * 200
-    svg = svgchart.render_chart(
+    return svgchart.render_chart(
         [svgchart.Series(xs, ys, "data", style="dots"),
          svgchart.Series(grid, [calibration.lux_from_input(curve, x) for x in grid], "fit")],
         title=title, x_label=x_label, y_label="illuminance (lux)", x_log=True, y_log=True)
-    with files.atomic_write(path) as fh:
-        fh.write(svg)
 
 
 # ------------------------------------------------------------------ acq
@@ -202,12 +198,15 @@ def _cmd_acq_replay(args) -> int:
 def _cmd_characterize(args) -> int:
     run = dataset.load_run(args.infile)
     char = dataset.characterize(run, trim=args.trim, ignition_i_min=args.i_min)
+    if args.plot:  # rendered first: a failing render leaves no file written
+        used = run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
+        svg = _fit_svg(used.p_watts, used.lux, char.curve, *char.input_range,
+                       "Plasma power vs illuminance", "power (W)")
     if args.out:
         dataset.save_characterization(char, args.out)
     if args.plot:
-        used = run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
-        _write_fit_plot(args.plot, used.p_watts, used.lux, char.curve, *char.input_range,
-                        "Plasma power vs illuminance", "power (W)")
+        with files.atomic_write(args.plot) as fh:
+            fh.write(svg)
     _print_json(dataset.characterization_to_dict(char))
     return 0
 

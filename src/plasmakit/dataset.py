@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from . import files
-from .acquisition import Samples, detect_ignition, engineering_columns
+from .acquisition import OUT_HEADER, Samples, detect_ignition, engineering_columns
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -23,9 +23,7 @@ from .calibration import (
     curve_from_dict,
     curve_to_dict,
     fit_log_cubic,
-    fit_residuals,
     is_finite_number,
-    trim_refit,
 )
 from .errors import DomainError, FitError, SchemaError
 
@@ -77,7 +75,9 @@ class Characterization:
 def load_run(source: TextIO | str) -> ExperimentRun:
     """Load an engineering-unit CSV as an ExperimentRun.
 
-    Rows are read by acquisition.engineering_columns: p_watts is always
+    The header names columns of acquisition.OUT_HEADER only; any other
+    name raises SchemaError.  Rows are read by
+    acquisition.engineering_columns: a p_watts column is ignored, as p is
     recomputed from v*i, t_ms and lux are optional, missing timestamps
     become the record index, and an empty or NaN lux is no reading.  The
     first rejected row raises RowError with the physical line it ends on.
@@ -86,6 +86,9 @@ def load_run(source: TextIO | str) -> ExperimentRun:
         if not {"v_volts", "i_amps"} <= set(fields):
             raise SchemaError("run CSV must provide v_volts and i_amps "
                               f"(have {sorted(set(fields))})")
+        if unknown := sorted(set(fields) - set(OUT_HEADER)):
+            raise SchemaError(f"run CSV has unknown columns {unknown} "
+                              f"(allowed: {','.join(OUT_HEADER)})")
         return ExperimentRun(Samples(*(files.collect(chunks, engineering_columns) or [()] * 4)))
 
 
@@ -113,20 +116,9 @@ def characterize(run: ExperimentRun, trim: bool = False,
     used = run.samples[usable_mask(run, ignition_i_min)]
     if len(used) < 4:
         raise FitError(f"only {len(used)} usable post-ignition samples; need >= 4")
-    p, lux = used.p_watts, used.lux
-    if trim:
-        curve, kept, trimmed = trim_refit(p, lux, kind=InputKind.PLASMA_POWER)
-        p, lux = p[kept], lux[kept]
-    else:
-        curve, trimmed = fit_log_cubic(p, lux, kind=InputKind.PLASMA_POWER), 0
-    stats = fit_residuals(curve, p, lux)
-    return Characterization(
-        curve=curve,
-        rmse_log=stats["rmse_log"],
-        max_abs_log=stats["max_abs_log"],
-        input_range=(float(p.min()), float(p.max())),
-        trimmed_count=trimmed,
-    )
+    p = used.p_watts
+    curve, kept, stats = fit_log_cubic(p, used.lux, InputKind.PLASMA_POWER, trim)
+    return Characterization(curve=curve, input_range=(p[kept].min(), p[kept].max()), **stats)
 
 
 def characterization_to_dict(char: Characterization) -> dict:

@@ -5,12 +5,14 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import plasmakit
 from plasmakit import (
     CalibrationCurve,
     InputKind,
@@ -124,7 +126,7 @@ def test_criterion_7_fit_recovery():
                          (POWER_COEFFS, InputKind.PLASMA_POWER)):
         curve = CalibrationCurve(*coeffs, input_kind=kind)
         inputs = [0.5 * (50.0 / 0.5) ** (k / 9) for k in range(10)]  # 2 decades
-        fitted = fit_log_cubic(inputs, [lux_from_input(curve, x) for x in inputs], kind)
+        fitted, _, _ = fit_log_cubic(inputs, [lux_from_input(curve, x) for x in inputs], kind)
         for got, want in zip(fitted.coefficients, coeffs):
             assert abs(got - want) <= 1e-8
     report(7, "noiseless fits recover all coefficients within 1e-8")
@@ -158,10 +160,13 @@ def test_criterion_8_characterization_path():
 
 
 CLI = [sys.executable, "-m", "plasmakit.cli"]
+# The child imports the plasmakit this process imported, installed or not.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(plasmakit.__file__)), os.environ.get("PYTHONPATH"))))}
 
 
 def _run(*argv):
-    return subprocess.run(CLI + list(argv), capture_output=True, text=True)
+    return subprocess.run(CLI + list(argv), capture_output=True, text=True, env=CLI_ENV)
 
 
 def test_criterion_9_cli_golden():

@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,19 +16,19 @@ from plasmakit import (
     SchemaError,
     eval_log_poly,
     fit_log_cubic,
-    fit_residuals,
     input_from_lux,
     is_monotone,
     lux_from_input,
     monotone_direction,
 )
+from plasmakit import calibration
 from plasmakit.calibration import (
+    TRIM_SIGMA,
     curve_from_dict,
     curve_to_dict,
     load_curve,
     read_samples_csv,
     save_curve,
-    trim_refit,
 )
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
@@ -204,25 +205,34 @@ class TestInversion:
 class TestFitting:
     def test_recovers_generating_coefficients(self, voltage_curve):
         inputs = [0.5, 1.0, 2.0, 4.0, 8.0]
-        fitted = fit_log_cubic(inputs, [lux_from_input(voltage_curve, x) for x in inputs])
+        fitted, kept, stats = fit_log_cubic(inputs,
+                                            [lux_from_input(voltage_curve, x) for x in inputs])
         for got, want in zip(fitted.coefficients, voltage_curve.coefficients):
             assert got == pytest.approx(want, abs=1e-8)
         assert fitted.input_range == pytest.approx((0.5, 8.0))
+        assert kept.tolist() == [0, 1, 2, 3, 4]
+        # data on the curve: the residuals are rounding noise
+        assert list(stats) == ["rmse_log", "max_abs_log", "trimmed_count"]
+        assert stats["rmse_log"] == pytest.approx(0.0, abs=1e-12)
+        assert stats["max_abs_log"] == pytest.approx(0.0, abs=1e-12)
+        assert stats["trimmed_count"] == 0
 
     def test_log_linear_data_kills_high_orders(self):
         inputs = (1.0, 2.0, 5.0, 10.0)
-        fitted = fit_log_cubic(inputs, [math.exp(0.5 + 2.0 * math.log(x)) for x in inputs])
+        fitted, _, _ = fit_log_cubic(inputs, [math.exp(0.5 + 2.0 * math.log(x)) for x in inputs])
         assert fitted.a2 == pytest.approx(0.0, abs=1e-9)
         assert fitted.a3 == pytest.approx(0.0, abs=1e-9)
         assert fitted.a1 == pytest.approx(2.0, abs=1e-9)
 
-    def test_duplicate_inputs_rejected(self):
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_duplicate_inputs_rejected(self, trim):
         with pytest.raises(FitError):
-            fit_log_cubic([2.0] * 4, [1.0, 2.0, 3.0, 4.0])
+            fit_log_cubic([2.0] * 4, [1.0, 2.0, 3.0, 4.0], trim=trim)
 
-    def test_too_few_samples_rejected(self):
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_too_few_samples_rejected(self, trim):
         with pytest.raises(FitError):
-            fit_log_cubic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+            fit_log_cubic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], trim=trim)
 
     def test_fit_optimality(self, power_curve):
         # perturbing any fitted coefficient never decreases the SSE
@@ -231,13 +241,14 @@ class TestFitting:
         inputs = (5, 8, 12, 18, 25, 33, 40)
         lux = [lux_from_input(power_curve, x) * math.exp(rng.gauss(0, 0.05))
                for x in inputs]
-        fitted = fit_log_cubic(inputs, lux, kind=InputKind.PLASMA_POWER)
+        fitted, _, stats = fit_log_cubic(inputs, lux, kind=InputKind.PLASMA_POWER)
 
         def sse(curve):
             return sum((math.log(y) - eval_log_poly(curve, math.log(x))) ** 2
                        for x, y in zip(inputs, lux))
 
         base = sse(fitted)
+        assert stats["rmse_log"] == pytest.approx(math.sqrt(base / len(inputs)), rel=1e-12)
         a = list(fitted.coefficients)
         for k in range(4):
             for delta in (-1e-4, 1e-4):
@@ -248,33 +259,57 @@ class TestFitting:
     def test_scale_covariance(self, voltage_curve):
         inputs = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
         lux = [lux_from_input(voltage_curve, x) for x in inputs]
-        f1 = fit_log_cubic(inputs, lux)
-        f2 = fit_log_cubic(inputs, [y * 7.5 for y in lux])
+        f1, _, _ = fit_log_cubic(inputs, lux)
+        f2, _, _ = fit_log_cubic(inputs, [y * 7.5 for y in lux])
         assert f2.a0 - f1.a0 == pytest.approx(math.log(7.5), abs=1e-9)
         for k in ("a1", "a2", "a3"):
             assert getattr(f2, k) == pytest.approx(getattr(f1, k), abs=1e-9)
 
 
-class TestResiduals:
-    def test_perfect_fit_has_zero_rmse(self, voltage_curve):
-        inputs = (0.5, 1.0, 3.0)
-        stats = fit_residuals(voltage_curve, inputs,
-                              [lux_from_input(voltage_curve, x) for x in inputs])
+class TestStats:
+    """The residual statistics fit_log_cubic returns with its curve."""
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_perfect_fit_has_zero_rmse(self, voltage_curve, trim):
+        inputs = [0.5 * 1.2 ** k for k in range(20)]
+        _, kept, stats = fit_log_cubic(inputs, [lux_from_input(voltage_curve, x) for x in inputs],
+                                       trim=trim)
         assert stats["rmse_log"] == pytest.approx(0.0, abs=1e-12)
         assert stats["max_abs_log"] == pytest.approx(0.0, abs=1e-12)
+        assert len(kept) + stats["trimmed_count"] == len(inputs)
 
-    def test_single_offset_sample(self, voltage_curve):
-        lux = lux_from_input(voltage_curve, 2.0) * math.e
-        stats = fit_residuals(voltage_curve, [2.0], [lux])
-        assert stats["rmse_log"] == pytest.approx(1.0, rel=1e-12)
-        assert stats["max_abs_log"] == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_paired_offset_samples(self, voltage_curve, trim):
+        # two rows at one input, e times above and below the curve: the fit
+        # passes through their mean and the other three rows, so the
+        # residuals are 0, 0, 0, +1, -1
+        inputs = [1.0, 2.0, 3.0, 4.0, 4.0]
+        lux = [lux_from_input(voltage_curve, x) for x in inputs]
+        lux[3] *= math.e
+        lux[4] /= math.e
+        _, kept, stats = fit_log_cubic(inputs, lux, trim=trim)
+        assert kept.tolist() == [0, 1, 2, 3, 4]
+        assert stats["rmse_log"] == pytest.approx(math.sqrt(2 / 5), rel=1e-9)
+        assert stats["max_abs_log"] == pytest.approx(1.0, rel=1e-9)
+        assert stats["trimmed_count"] == 0
 
-    def test_empty_sample_list_rejected(self, voltage_curve):
-        with pytest.raises(DomainError):
-            fit_residuals(voltage_curve, [], [])
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_empty_sample_list_rejected(self, trim):
+        with pytest.raises(FitError, match="got 0"):
+            fit_log_cubic([], [], trim=trim)
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_stats_are_python_numbers(self, power_curve, trim):
+        # the CLI prints them with repr and writes them as JSON
+        inputs = [5.0 * 1.11 ** k for k in range(12)]
+        lux = [lux_from_input(power_curve, x) * math.exp(0.01 * (k % 3))
+               for k, x in enumerate(inputs)]
+        _, kept, stats = fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER, trim=trim)
+        assert [type(v) for v in stats.values()] == [float, float, int]
+        assert kept.dtype.kind == "i"
 
 
-class TestTrimRefit:
+class TestTrim:
     def _samples_with_outlier(self, curve):
         # enough clean points that the first fit cannot absorb the outlier
         inputs = [5.0 * 1.11 ** k for k in range(20)]
@@ -285,9 +320,15 @@ class TestTrimRefit:
 
     def test_outlier_is_trimmed(self, power_curve):
         inputs, lux = self._samples_with_outlier(power_curve)
-        curve, kept, trimmed = trim_refit(inputs, lux, InputKind.PLASMA_POWER)
-        assert trimmed == 1
+        curve, kept, stats = fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER, trim=True)
+        assert stats["trimmed_count"] == 1
         assert len(kept) == len(inputs) - 1
+        assert kept.tolist() == list(range(20))  # the outlier is the last row
+        # without trim the same rows keep the outlier and fit worse
+        _, all_rows, untrimmed = fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER)
+        assert all_rows.tolist() == list(range(21))
+        assert untrimmed["trimmed_count"] == 0
+        assert stats["max_abs_log"] < 0.01 < 1.0 < untrimmed["max_abs_log"]
 
     def test_guard_keeps_untrimmed_fit(self, power_curve):
         # half the points far off: trimming >20% must be refused
@@ -295,9 +336,44 @@ class TestTrimRefit:
         inputs = [*base, *(x * 1.1 for x in bad)]
         lux = ([lux_from_input(power_curve, x) for x in base]
                + [lux_from_input(power_curve, x) * 50 for x in bad])
-        curve, kept, trimmed = trim_refit(inputs, lux, InputKind.PLASMA_POWER)
-        assert trimmed == 0
+        curve, kept, stats = fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER, trim=True)
+        assert stats["trimmed_count"] == 0
         assert len(kept) == 8
+        assert (curve, stats) == fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER)[::2]
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_a_three_sigma_cut_needs_ten_rows(self, power_curve, n):
+        # no residual exceeds sqrt(n) * rmse, so with n <= TRIM_SIGMA**2 rows
+        # the cut trims nothing, however far off one row is
+        assert n <= TRIM_SIGMA ** 2
+        inputs = [5.0 * 1.3 ** k for k in range(n)]
+        lux = [lux_from_input(power_curve, x) for x in inputs]
+        lux[n // 2] *= 1e3
+        curve, kept, stats = fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER, trim=True)
+        assert stats["trimmed_count"] == 0
+        assert kept.tolist() == list(range(n))
+        assert 1.0 < stats["max_abs_log"] <= math.sqrt(n) * stats["rmse_log"]
+
+    @pytest.mark.parametrize("sigma, kept_rows", [(0.8, list(range(8))), (0.95, [0, 3, 6, 7])])
+    def test_at_least_four_rows_are_kept(self, power_curve, sigma, kept_rows):
+        # with the share guard lifted, a cut at 0.8 rmse would leave 3 of
+        # these 8 rows and is refused; a cut at 0.95 rmse leaves 4, whose
+        # residuals are 0.37, 0.71, 0.93 and 0.20 rmse
+        inputs = [5.0 * 1.3 ** k for k in range(8)]
+        lux = [lux_from_input(power_curve, x) * math.exp(0.1 * (-1) ** k * (k % 3 + 1))
+               for k, x in enumerate(inputs)]
+        with mock.patch.object(calibration, "TRIM_SIGMA", sigma), \
+                mock.patch.object(calibration, "MAX_TRIM_FRACTION", 1.0):
+            _, kept, stats = fit_log_cubic(inputs, lux, InputKind.PLASMA_POWER, trim=True)
+        assert kept.tolist() == kept_rows
+        assert stats["trimmed_count"] == 8 - len(kept_rows)
+
+    @pytest.mark.parametrize("kind", list(InputKind))
+    def test_refit_keeps_the_kind(self, power_curve, kind):
+        inputs, lux = self._samples_with_outlier(power_curve)
+        curve, _, stats = fit_log_cubic(inputs, lux, kind, trim=True)
+        assert stats["trimmed_count"] == 1
+        assert curve.input_kind is kind
 
 
 class TestSerialization:

@@ -2,9 +2,10 @@ import codecs
 import json
 import math
 
+import numpy as np
 import pytest
 
-from plasmakit import InputKind, lux_from_input
+from plasmakit import InputKind, load_run, lux_from_input, usable_mask
 from plasmakit.calibration import CalibrationCurve, save_curve
 from plasmakit.cli import main
 
@@ -378,12 +379,78 @@ class TestCharacterizeCommand:
         code, out, err = run_cli(capsys, "characterize", "--in", str(path))
         assert (code, out, err) == (1, "", "error: line 14: lux must be finite, got inf\n")
 
+    def test_unknown_column_exits_1(self, capsys, tmp_path):
+        # without a t_ms column, t would silently become the row index
+        path = self._write_run(tmp_path)
+        path.write_text(path.read_text().replace("t_ms", "time_ms", 1))
+        assert run_cli(capsys, "characterize", "--in", str(path)) == (
+            1, "", "error: run CSV has unknown columns ['time_ms'] "
+                   "(allowed: t_ms,v_volts,i_amps,p_watts,lux)\n")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_cal_fit_of_the_usable_rows_agrees(self, capsys, tmp_path, seed, trim):
+        # a noisy run with outliers and rows without lux; cal fit of the rows
+        # characterize fits prints the same curve and statistics, bit for bit
+        rng = np.random.default_rng(seed)
+        curve = CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
+        rows = ["t_ms,v_volts,i_amps,lux", "0,0,0,", "1,0,0,", "2,0,0,"]
+        for k in range(200):
+            p, i = rng.uniform(2.0, 60.0), rng.uniform(0.01, 0.05)
+            log_lux = math.log(lux_from_input(curve, p)) + rng.normal(0.0, 0.05)
+            if rng.random() < 0.03:
+                log_lux += rng.choice([-2.0, 2.0])
+            lux = "" if rng.random() < 0.05 else repr(math.exp(log_lux))
+            rows.append(f"{3 + k},{p / i!r},{i!r},{lux}")
+        run_path, samples_path = tmp_path / "run.csv", tmp_path / "samples.csv"
+        run_path.write_text("\n".join(rows) + "\n")
+        run = load_run(str(run_path))
+        used = run.samples[usable_mask(run)]
+        samples_path.write_text("input,lux\n" + "".join(
+            f"{p!r},{lux!r}\n" for p, lux in zip(used.p_watts.tolist(), used.lux.tolist())))
+        trim_flag = ["--trim"] if trim else []
+        code, out, _ = run_cli(capsys, "characterize", "--in", str(run_path), *trim_flag)
+        assert code == 0
+        char = json.loads(out)
+        code, out, _ = run_cli(capsys, "cal", "fit", "--kind", "power",
+                               "--in", str(samples_path), *trim_flag)
+        assert code == 0
+        fit = json.loads(out)
+        assert list(fit) == ["kind", "a0", "a1", "a2", "a3", "input_range",
+                             "rmse_log", "max_abs_log", "trimmed_count"]
+        assert fit == {**char["curve"], "rmse_log": char["rmse_log"],
+                       "max_abs_log": char["max_abs_log"], "trimmed_count": char["trimmed_count"]}
+        assert (char["trimmed_count"] > 0) == trim
+
     def test_missing_input_exits_1_without_artifacts(self, capsys, tmp_path):
         out_json = tmp_path / "char.json"
         code, _, err = run_cli(capsys, "characterize", "--in",
                                str(tmp_path / "missing.csv"), "--out", str(out_json))
         assert code == 1
         assert not out_json.exists()
+
+
+# Samples whose fit succeeds but whose plot overflows lux between inputs 1 and 2.
+OVERFLOWING_PLOT = {
+    "cal fit": (["cal", "fit"], "input,lux", ["1,1", "2,1e300", "3,1e-300", "4,5", "5,1e200"]),
+    "characterize": (["characterize"], "t_ms,v_volts,i_amps,lux",
+                     ["0,100,0.01,1", "1,200,0.01,1e300", "2,300,0.01,1e-300",
+                      "3,400,0.01,5", "4,500,0.01,1e200"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOWING_PLOT))
+def test_failed_plot_leaves_the_out_file_as_it_was(capsys, tmp_path, command):
+    argv, header, rows = OVERFLOWING_PLOT[command]
+    src, out, plot = tmp_path / "in.csv", tmp_path / "out.json", tmp_path / "plot.svg"
+    src.write_text("\n".join([header, *rows]) + "\n")
+    out.write_text("old\n")
+    code, stdout, err = run_cli(capsys, *argv, "--in", str(src), "--out", str(out),
+                                "--plot", str(plot))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: illuminance overflows at input 1.1567")
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.json"]
 
 
 # Inputs a CSV reader cannot read past: a byte that is not UTF-8, and a

@@ -5,8 +5,9 @@ from the edges of the float range (signed zeros, 1e+-308, subnormals, NaN,
 infinities) and small ints, and with input files of arbitrary bytes, mixed
 with files built from the right header and such values so that the numeric
 paths behind the parsers are reached too.  Each call must exit 0, 1 or 2
-without a traceback, and a command that prints JSON must print JSON that
-parses with NaN and Infinity rejected.
+without a traceback, a call that fails must leave no output file, and a
+command that prints JSON must print JSON that parses with NaN and Infinity
+rejected.
 """
 
 import io
@@ -91,8 +92,8 @@ NETWORK = {"--n": count(200), "--r1": FLOAT, "--c1": FLOAT, "--r0": FLOAT, "--c0
 CURVE_FLAGS = {"--curve": input_file("curve.json", CURVE_JSON), "--a0": FLOAT,
                "--a1": FLOAT, "--a2": FLOAT, "--a3": FLOAT,
                "--kind": st.sampled_from(("voltage", "power"))}
-OUT = {"csv": st.just(("@out.csv", None)), "svg": st.just(("@out.svg", None)),
-       "json": st.just(("@out.json", None))}
+OUT_JSON, OUT_SVG = ("@out.json", None), ("@out.svg", None)
+OUT = {"csv": st.just(("@out.csv", None)), "svg": st.just(OUT_SVG), "json": st.just(OUT_JSON)}
 
 COMMANDS = {
     "probe analyze": flags(NETWORK, {"--tol": FLOAT}),
@@ -122,9 +123,9 @@ COMMANDS = {
 
 
 def call(command, argv):
-    """Exit code, stdout and stderr of one in-process CLI call; a flag value
-    ("@name", data) becomes a file in a fresh directory, written unless data
-    is None."""
+    """Exit code, stdout, stderr and the sorted names of the out.* files
+    left by one in-process CLI call; a flag value ("@name", data) becomes a
+    file in a fresh directory, written unless data is None."""
     with tempfile.TemporaryDirectory() as root:
         args = command.split()
         for item in argv:
@@ -141,7 +142,8 @@ def call(command, argv):
                 code = main(args)
             except SystemExit as exc:
                 code = exc.code
-    return code, out.getvalue(), err.getvalue()
+        written = sorted(name for name in os.listdir(root) if name.startswith("out."))
+    return code, out.getvalue(), err.getvalue(), written
 
 
 UNIT_NETWORK = ["--n", "1", "--r1", "1", "--c1", "1", "--r0", "1", "--c0", "1"]
@@ -170,12 +172,22 @@ def reject_constant(name):
                        "--a3", "1e308", "--kind", "voltage"]))
 @example(("cal eval", ["--input", "1", "--curve", ("@curve.json", json.dumps(
     {"kind": "voltage", "a0": 10 ** 400, "a1": 1, "a2": 0, "a3": 0}).encode())]))
+# the fits succeed, but their plots overflow: neither file may be written
+@example(("cal fit", ["--in", ("@samples.csv", b"input,lux\n1,1\n2,1e300\n3,1e-300\n"
+                                                b"4,5\n5,1e200\n"),
+                      "--out", OUT_JSON, "--plot", OUT_SVG]))
+@example(("characterize", ["--in", ("@run.csv", b"t_ms,v_volts,i_amps,lux\n0,100,0.01,1\n"
+                                                b"1,200,0.01,1e300\n2,300,0.01,1e-300\n"
+                                                b"3,400,0.01,5\n4,500,0.01,1e200\n"),
+                           "--out", OUT_JSON, "--plot", OUT_SVG]))
 @example(("acq power", ["--v", "nan", "--i", "1"]))
 @example(("acq power", ["--v", "1e308", "--i", "10"]))
 def test_exit_contract(case):
     command, argv = case
-    code, out, err = call(command, argv)
+    code, out, err, written = call(command, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code != 0:
+        assert written == []
     if code == 0 and command in JSON_COMMANDS:
         json.loads(out, parse_constant=reject_constant)

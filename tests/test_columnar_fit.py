@@ -1,7 +1,8 @@
 """Differential test of the columnar fit path against a per-row reference.
 
-`fit_log_cubic`, `fit_residuals` and `trim_refit` take two columns and log
-each once.  The reference below works row by row: `math.log` per value,
+`fit_log_cubic` takes two columns, logs each once, and returns the curve,
+the rows it was fitted on and the residual statistics, with or without the
+trim pass.  The reference below works row by row: `math.log` per value,
 `eval_log_poly` per row, a Python `sum`, and a least-squares solve (SVD, not
 QR) of a design matrix built row by row.
 """
@@ -21,10 +22,8 @@ from plasmakit import (
     InputKind,
     eval_log_poly,
     fit_log_cubic,
-    fit_residuals,
 )
 from plasmakit import calibration
-from plasmakit.calibration import trim_refit
 
 KIND = InputKind.PLASMA_POWER
 # QR (the library) against SVD (the reference) on designs whose ln(input)
@@ -114,7 +113,7 @@ class TestAgainstPerRowReference:
     @example(([math.exp(u) for u in (0.1, -0.5, -0.2, -0.1, -0.1)],
               [5.213818475083991, 1.8537071520464343, 3.285438077596105,
                3.8523659807439126, 3.8523659807439126]), 1.0, 0.5)
-    def test_fit_residuals_and_trim(self, run, sigma, max_trim_fraction):
+    def test_fit_stats_and_trim(self, run, sigma, max_trim_fraction):
         xs, ys = run
         with mock.patch.object(calibration, "TRIM_SIGMA", sigma), \
                 mock.patch.object(calibration, "MAX_TRIM_FRACTION", max_trim_fraction):
@@ -126,26 +125,26 @@ class TestAgainstPerRowReference:
             want, want_kept, want_trimmed = ref_trim(xs, ys, sigma, max_trim_fraction)
         except FitError:
             with pytest.raises(FitError):
-                trim_refit(xs, ys, KIND)
+                fit_log_cubic(xs, ys, KIND, trim=True)
             return
 
-        assert_same_curve(fit_log_cubic(np.array(xs), np.array(ys), KIND), ref_fit(xs, ys))
-        curve, kept, trimmed = trim_refit(np.array(xs), np.array(ys), KIND)
-        assert trimmed == want_trimmed
-        assert kept.tolist() == want_kept
-        assert_same_curve(curve, want)
-
-        kept_x, kept_y = [xs[k] for k in want_kept], [ys[k] for k in want_kept]
-        got = fit_residuals(curve, np.array(xs)[kept], np.array(ys)[kept])
-        for key, value in ref_stats(curve, kept_x, kept_y).items():
-            assert got[key] == pytest.approx(value, rel=STATS_RTOL, abs=1e-300)
+        for trim, (want_curve, kept_rows, trimmed) in (
+                (False, (ref_fit(xs, ys), list(range(len(xs))), 0)),
+                (True, (want, want_kept, want_trimmed))):
+            curve, kept, stats = fit_log_cubic(np.array(xs), np.array(ys), KIND, trim=trim)
+            assert kept.tolist() == kept_rows
+            assert_same_curve(curve, want_curve)
+            assert list(stats) == ["rmse_log", "max_abs_log", "trimmed_count"]
+            assert stats["trimmed_count"] == trimmed
+            want_stats = ref_stats(curve, [xs[k] for k in kept_rows], [ys[k] for k in kept_rows])
+            for key, value in want_stats.items():
+                assert stats[key] == pytest.approx(value, rel=STATS_RTOL, abs=1e-300)
 
 
 GOOD = [1.0, 2.0, 3.0, 4.0, 5.0]
 CALLS = {
     "fit_log_cubic": lambda x, y: fit_log_cubic(x, y, KIND),
-    "fit_residuals": lambda x, y: fit_residuals(CalibrationCurve(0.0, 1.0, 0.0, 0.0), x, y),
-    "trim_refit": lambda x, y: trim_refit(x, y, KIND),
+    "fit_log_cubic_trim": lambda x, y: fit_log_cubic(x, y, KIND, trim=True),
 }
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestLoadRun:
         with pytest.raises(SchemaError):
             load_run(io.StringIO("t_ms,lux\n0,5\n"))
 
+    @pytest.mark.parametrize("header, unknown", [
+        ("time_ms,v_volts,i_amps,lux", "['time_ms']"),   # t would read as the row index
+        ("t_ms,v_volts,i_amps,lux,", "['']"),            # a trailing comma names a column
+        ("t_ms,v_volts,i_amps,raw_ldr", "['raw_ldr']"),  # a raw frame column
+        ("t_ms ,v_volts,i_amps", "['t_ms ']"),
+        ("t_ms,V_volts,v_volts,i_amps,Lux", "['Lux', 'V_volts']")])
+    def test_unknown_columns_rejected(self, header, unknown):
+        cells = ",".join(["1"] * (header.count(",") + 1))
+        with pytest.raises(SchemaError, match=rf"^run CSV has unknown columns {re.escape(unknown)} "
+                                              r"\(allowed: t_ms,v_volts,i_amps,p_watts,lux\)$"):
+            load_run(io.StringIO(f"{header}\n{cells}\n"))
+
     def test_strict_row_error_carries_line_number(self):
         text = "t_ms,v_volts,i_amps\n0,1,1\n1,oops,1\n"
         with pytest.raises(RowError, match="line 3"):
@@ -137,6 +150,15 @@ class TestCharacterize:
         run = synthetic_run(n=40, lux_noise=noise)
         char = characterize(run, trim=True)
         assert char.trimmed_count == 1
+
+    def test_trimmed_input_range_is_of_the_kept_rows(self):
+        # the outlier is the lowest-power row; trimmed, it leaves both ranges
+        run = synthetic_run(n=40, lux_noise=lambda k: 2.5 if k == 0 else 0.002 * math.sin(k))
+        untrimmed, trimmed = characterize(run), characterize(run, trim=True)
+        assert trimmed.trimmed_count == 1
+        assert untrimmed.input_range[0] == pytest.approx(5.0, rel=1e-9)
+        for lo in (trimmed.input_range[0], trimmed.curve.input_range[0]):
+            assert lo == pytest.approx(5.0 * 8.0 ** (1 / 39), rel=1e-9)
 
     def test_trim_guard_on_degenerate_trace(self):
         # alternating wild noise: the 3-sigma pass would cut > 20%, so the
