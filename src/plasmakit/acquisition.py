@@ -38,14 +38,13 @@ __all__ = [
     "shunt_current",
     "instantaneous_power",
     "replay_stream",
-    "engineering_columns",
+    "read_samples",
     "detect_ignition",
     "write_samples_csv",
     "DEFAULT_CONFIG",
 ]
 
 RAW_HEADER = ("t_ms", "raw_hv", "raw_shunt", "raw_ldr")
-ENG_HEADER = ("t_ms", "v_volts", "i_amps", "lux")
 OUT_HEADER = ("t_ms", "v_volts", "i_amps", "p_watts", "lux")
 
 
@@ -177,21 +176,33 @@ def _row_errors(t: np.ndarray, v: np.ndarray, i: np.ndarray, lux: np.ndarray,
             for rule, col, bad in checks]
 
 
-def engineering_columns(cells: dict, n: int, start: int, prefix: str = "") -> tuple[tuple, list]:
-    """A files.collect converter for engineering rows: the t_ms, v_volts,
-    i_amps and lux columns of a chunk, and their errors.  A cell float()
-    rejects is an error, listed in header order t, v, i, lux, before those
-    of the row rule (_row_errors); an empty or missing lux is NaN.  Without
-    a t_ms column, t is the record index."""
-    if "t_ms" in cells:
-        t, t_errors = files.floats(cells["t_ms"], n, prefix)
-    else:
-        t, t_errors = np.arange(start, start + n, dtype=float), {}
-    v, v_errors = files.floats(cells["v_volts"], n, prefix)
-    i, i_errors = files.floats(cells["i_amps"], n, prefix)
-    lux, lux_errors = files.floats(cells.get("lux"), n, prefix, optional=True)
-    return ((t, v, i, lux),
-            [t_errors, v_errors, i_errors, lux_errors, *_row_errors(t, v, i, lux, prefix)])
+def read_samples(fields, chunks, diagnostics: Optional[list] = None, prefix: str = "") -> Samples:
+    """The Samples of an engineering CSV, from files.read_csv's header and chunks.
+
+    The header names OUT_HEADER columns only, v_volts and i_amps required;
+    p_watts is ignored (p = v*i), t is the record index without t_ms, and an
+    empty or NaN lux is no reading.  A row's float() errors, in header order
+    t, v, i, lux, come before its row-rule ones (_row_errors), each message
+    after `prefix`.  Bad rows go to files.collect with `diagnostics`.
+    """
+    if not {"v_volts", "i_amps"} <= set(fields):
+        raise SchemaError(f"run CSV must provide v_volts and i_amps (have {sorted(set(fields))})")
+    if unknown := sorted(set(fields) - set(OUT_HEADER)):
+        raise SchemaError(f"run CSV has unknown columns {unknown} "
+                          f"(allowed: {','.join(OUT_HEADER)})")
+
+    def convert(cells, n, start):
+        if "t_ms" in cells:
+            t, t_errors = files.floats(cells["t_ms"], n, prefix)
+        else:
+            t, t_errors = np.arange(start, start + n, dtype=float), {}
+        v, v_errors = files.floats(cells["v_volts"], n, prefix)
+        i, i_errors = files.floats(cells["i_amps"], n, prefix)
+        lux, lux_errors = files.floats(cells.get("lux"), n, prefix, optional=True)
+        return ((t, v, i, lux),
+                [t_errors, v_errors, i_errors, lux_errors, *_row_errors(t, v, i, lux, prefix)])
+
+    return Samples(*(files.collect(chunks, convert, diagnostics) or [()] * 4))
 
 
 class _CountTable(dict):
@@ -244,45 +255,43 @@ class _CountTable(dict):
 
 def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
                   ldr_curve: Optional[CalibrationCurve] = None,
-                  strict: bool = False,
                   diagnostics: Optional[list] = None) -> Samples:
     """Replay a frame CSV into Samples, order preserved.
 
     The mode is chosen by header inspection: `t_ms,raw_hv,raw_shunt[,raw_ldr]`
-    for raw counts, `t_ms,v_volts,i_amps[,lux]` for pre-scaled rows.  In
-    lenient mode malformed rows are reported into `diagnostics` (as RowError
-    instances, numbered by the physical line the row ends on) and skipped;
-    in strict mode the first one aborts the replay.  A row reports its first
-    error (see files.collect); a break of the row rule (_row_errors) comes
-    last.  A raw replay converts each distinct count of a channel once, with
-    the scalar functions above.
+    for raw counts; a header with v_volts and i_amps goes to read_samples,
+    so replay reads its own output.  With a `diagnostics` list malformed
+    rows are reported there (as RowErrors, numbered by the physical line
+    the row ends on) and skipped; without one the first aborts the replay.
+    A row reports its first error (see files.collect); a break of the row
+    rule (_row_errors) comes last.  A raw replay converts each distinct
+    count of a channel once, with the scalar functions above.
     """
     with files.read_csv(source) as (fields, chunks):
         if not fields:
             return Samples(*[()] * 4)
-        if set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields):
-            if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
-                raise PreconditionError("light-channel curve must have input kind 'voltage'")
-            hv = _CountTable(cfg, "hv", lambda volts: needle_voltage(cfg, volts))
-            shunt = _CountTable(cfg, "shunt", lambda volts: shunt_current(cfg, volts))
-            ldr = _CountTable(cfg, "ldr", None if ldr_curve is None else (
-                lambda volts: lux_from_input(ldr_curve, volts) if volts > 0.0 else 0.0),
-                optional=True)
-
-            def convert(cells, n, start):
-                t, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
-                v, hv_bad, hv_unconverted = hv.column(cells["raw_hv"], n)
-                i, shunt_bad, shunt_unconverted = shunt.column(cells["raw_shunt"], n)
-                lux, ldr_bad, ldr_unconverted = ldr.column(cells.get("raw_ldr"), n)
-                return ((t, v, i, lux),
-                        [t_errors, hv_bad, shunt_bad, ldr_bad, hv_unconverted,
-                         shunt_unconverted, ldr_unconverted, *_row_errors(t, v, i, lux)])
-        elif set(fields) <= set(ENG_HEADER) and {"t_ms", "v_volts", "i_amps"} <= set(fields):
-            def convert(cells, n, start):
-                return engineering_columns(cells, n, start, "bad engineering row: ")
-        else:
+        if {"v_volts", "i_amps"} <= set(fields):
+            return read_samples(fields, chunks, diagnostics, "bad engineering row: ")
+        if not (set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields)):
             raise SchemaError(f"unrecognized frame CSV header: {fields}")
-        return Samples(*(files.collect(chunks, convert, strict, diagnostics) or [()] * 4))
+        if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
+            raise PreconditionError("light-channel curve must have input kind 'voltage'")
+        hv = _CountTable(cfg, "hv", lambda volts: needle_voltage(cfg, volts))
+        shunt = _CountTable(cfg, "shunt", lambda volts: shunt_current(cfg, volts))
+        ldr = _CountTable(cfg, "ldr", None if ldr_curve is None else (
+            lambda volts: lux_from_input(ldr_curve, volts) if volts > 0.0 else 0.0),
+            optional=True)
+
+        def convert(cells, n, start):
+            t, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
+            v, hv_bad, hv_unconverted = hv.column(cells["raw_hv"], n)
+            i, shunt_bad, shunt_unconverted = shunt.column(cells["raw_shunt"], n)
+            lux, ldr_bad, ldr_unconverted = ldr.column(cells.get("raw_ldr"), n)
+            return ((t, v, i, lux),
+                    [t_errors, hv_bad, shunt_bad, ldr_bad, hv_unconverted,
+                     shunt_unconverted, ldr_unconverted, *_row_errors(t, v, i, lux)])
+
+        return Samples(*(files.collect(chunks, convert, diagnostics) or [()] * 4))
 
 
 def detect_ignition(samples: Samples, i_min: float = 1e-3) -> Optional[float]:

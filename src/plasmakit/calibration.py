@@ -217,8 +217,8 @@ def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
     return result(u)
 
 
-def _log_columns(inputs, illuminance) -> tuple[np.ndarray, np.ndarray]:
-    """ln of two 1-D columns of one length and of positive finite values."""
+def _log_columns(inputs, illuminance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, ln x and ln y of two 1-D columns x, y of one length and of positive finite values."""
     x, y = np.asarray(inputs, dtype=float), np.asarray(illuminance, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise DomainError("input and illuminance must be 1-D columns of equal length, "
@@ -228,10 +228,10 @@ def _log_columns(inputs, illuminance) -> tuple[np.ndarray, np.ndarray]:
         if bad.any():
             k = int(np.argmax(bad))
             raise DomainError(f"sample {name} must be > 0, got {float(col[k])} at row {k}")
-    return np.log(x), np.log(y)
+    return x, np.log(x), np.log(y)
 
 
-def _fit(u: np.ndarray, y: np.ndarray, kind: InputKind) -> CalibrationCurve:
+def _fit(x: np.ndarray, u: np.ndarray, y: np.ndarray, kind: InputKind) -> CalibrationCurve:
     if len(u) < 4:
         raise FitError(f"need at least 4 samples, got {len(u)}")
     if len(np.unique(u)) < 4:
@@ -241,9 +241,8 @@ def _fit(u: np.ndarray, y: np.ndarray, kind: InputKind) -> CalibrationCurve:
     if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
         raise FitError("rank-deficient design matrix")
     coeffs = np.linalg.solve(r, q.T @ y)
-    lo, hi = float(np.exp(u.min())), float(np.exp(u.max()))
     return CalibrationCurve(*(float(c) for c in coeffs), input_kind=kind,
-                            input_range=(lo, hi))
+                            input_range=(float(x.min()), float(x.max())))
 
 
 def _rmse(res: np.ndarray) -> float:
@@ -263,18 +262,18 @@ def fit_log_cubic(inputs, illuminance, kind: InputKind = InputKind.SENSOR_VOLTAG
     beyond TRIM_SIGMA*rmse and fits once more, unless that drops more than
     MAX_TRIM_FRACTION of the rows or leaves fewer than 4.  Returns (curve,
     kept, stats): kept holds the indices of the rows the curve was fitted
-    on, and stats is {"rmse_log" (1/N), "max_abs_log", "trimmed_count"} of
-    the curve's residuals on those rows.
+    on, whose inputs span its input_range, and stats is {"rmse_log" (1/N),
+    "max_abs_log", "trimmed_count"} of the curve's residuals on those rows.
     """
-    u, y = _log_columns(inputs, illuminance)
-    curve, kept = _fit(u, y, kind), np.arange(len(u))
+    x, u, y = _log_columns(inputs, illuminance)
+    curve, kept = _fit(x, u, y, kind), np.arange(len(u))
     res = y - eval_log_poly(curve, u)
     if trim:
         keep = np.abs(res) <= TRIM_SIGMA * _rmse(res)
         trimmed = len(u) - int(keep.sum())
         if 0 < trimmed <= MAX_TRIM_FRACTION * len(u) and len(u) - trimmed >= 4:
             kept = np.flatnonzero(keep)
-            curve = _fit(u[kept], y[kept], kind)
+            curve = _fit(x[kept], u[kept], y[kept], kind)
             res = y[kept] - eval_log_poly(curve, u[kept])
     return curve, kept, {"rmse_log": _rmse(res), "max_abs_log": float(np.max(np.abs(res))),
                          "trimmed_count": len(u) - len(kept)}
@@ -298,7 +297,7 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
 
 
 def save_curve(curve: CalibrationCurve, path) -> None:
-    files.write_json(curve_to_dict(curve), path)
+    files.write_texts((path, files.json_text(curve_to_dict(curve))))
 
 
 def load_curve(path) -> CalibrationCurve:

@@ -125,14 +125,11 @@ def _cmd_cal_fit(args) -> int:
     inputs, lux = calibration.read_samples_csv(args.infile)
     curve, _, stats = calibration.fit_log_cubic(inputs, lux, calibration.InputKind(args.kind),
                                                 args.trim)
-    if args.plot:  # rendered first: a failing render leaves no file written
-        svg = _fit_svg(inputs, lux, curve, float(inputs.min()), float(inputs.max()),
-                       "Calibration fit", f"input ({args.kind})")
-    if args.out:
-        calibration.save_curve(curve, args.out)
-    if args.plot:
-        with files.atomic_write(args.plot) as fh:
-            fh.write(svg)
+    files.write_texts(  # rendered first: a failing render leaves no file written
+        args.out and (args.out, files.json_text(calibration.curve_to_dict(curve))),
+        args.plot and (args.plot, _fit_svg(inputs, lux, curve, float(inputs.min()),
+                                           float(inputs.max()), "Calibration fit",
+                                           f"input ({args.kind})")))
     _print_json({**calibration.curve_to_dict(curve), **stats})
     return 0
 
@@ -179,10 +176,9 @@ def _cmd_acq_power(args) -> int:
 def _cmd_acq_replay(args) -> int:
     cfg = _load_config(args)
     curve = calibration.load_curve(args.curve) if args.curve else None
-    diagnostics: list = []
-    samples = acquisition.replay_stream(args.infile, cfg, curve,
-                                        strict=args.strict, diagnostics=diagnostics)
-    for err in diagnostics:
+    diagnostics = None if args.strict else []
+    samples = acquisition.replay_stream(args.infile, cfg, curve, diagnostics=diagnostics)
+    for err in diagnostics or ():
         print(f"warning: {err}", file=sys.stderr)
     if args.out:
         with files.atomic_write(args.out) as fh:
@@ -198,15 +194,11 @@ def _cmd_acq_replay(args) -> int:
 def _cmd_characterize(args) -> int:
     run = dataset.load_run(args.infile)
     char = dataset.characterize(run, trim=args.trim, ignition_i_min=args.i_min)
-    if args.plot:  # rendered first: a failing render leaves no file written
-        used = run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
-        svg = _fit_svg(used.p_watts, used.lux, char.curve, *char.input_range,
-                       "Plasma power vs illuminance", "power (W)")
-    if args.out:
-        dataset.save_characterization(char, args.out)
-    if args.plot:
-        with files.atomic_write(args.plot) as fh:
-            fh.write(svg)
+    used = args.plot and run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
+    files.write_texts(  # rendered first: a failing render leaves no file written
+        args.out and (args.out, files.json_text(dataset.characterization_to_dict(char))),
+        args.plot and (args.plot, _fit_svg(used.p_watts, used.lux, char.curve, *char.input_range,
+                                           "Plasma power vs illuminance", "power (W)")))
     _print_json(dataset.characterization_to_dict(char))
     return 0
 

@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from . import files
-from .acquisition import OUT_HEADER, Samples, detect_ignition, engineering_columns
+from .acquisition import Samples, detect_ignition, read_samples
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -75,21 +75,14 @@ class Characterization:
 def load_run(source: TextIO | str) -> ExperimentRun:
     """Load an engineering-unit CSV as an ExperimentRun.
 
-    The header names columns of acquisition.OUT_HEADER only; any other
-    name raises SchemaError.  Rows are read by
-    acquisition.engineering_columns: a p_watts column is ignored, as p is
-    recomputed from v*i, t_ms and lux are optional, missing timestamps
-    become the record index, and an empty or NaN lux is no reading.  The
-    first rejected row raises RowError with the physical line it ends on.
+    The header and rows are read by acquisition.read_samples, as replay
+    reads engineering rows: columns of acquisition.OUT_HEADER only, with
+    v_volts and i_amps required; p_watts is ignored, t_ms and lux are
+    optional.  The first rejected row raises RowError with the physical
+    line it ends on.
     """
     with files.read_csv(source) as (fields, chunks):
-        if not {"v_volts", "i_amps"} <= set(fields):
-            raise SchemaError("run CSV must provide v_volts and i_amps "
-                              f"(have {sorted(set(fields))})")
-        if unknown := sorted(set(fields) - set(OUT_HEADER)):
-            raise SchemaError(f"run CSV has unknown columns {unknown} "
-                              f"(allowed: {','.join(OUT_HEADER)})")
-        return ExperimentRun(Samples(*(files.collect(chunks, engineering_columns) or [()] * 4)))
+        return ExperimentRun(read_samples(fields, chunks))
 
 
 def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:
@@ -116,9 +109,8 @@ def characterize(run: ExperimentRun, trim: bool = False,
     used = run.samples[usable_mask(run, ignition_i_min)]
     if len(used) < 4:
         raise FitError(f"only {len(used)} usable post-ignition samples; need >= 4")
-    p = used.p_watts
-    curve, kept, stats = fit_log_cubic(p, used.lux, InputKind.PLASMA_POWER, trim)
-    return Characterization(curve=curve, input_range=(p[kept].min(), p[kept].max()), **stats)
+    curve, _, stats = fit_log_cubic(used.p_watts, used.lux, InputKind.PLASMA_POWER, trim)
+    return Characterization(curve=curve, input_range=curve.input_range, **stats)
 
 
 def characterization_to_dict(char: Characterization) -> dict:
@@ -146,7 +138,7 @@ def characterization_from_dict(data: dict) -> Characterization:
 
 def save_characterization(char: Characterization, path) -> None:
     """JSON round trip is lossless: floats serialize at full repr precision."""
-    files.write_json(characterization_to_dict(char), path)
+    files.write_texts((path, files.json_text(characterization_to_dict(char))))
 
 
 def load_characterization(path) -> Characterization:

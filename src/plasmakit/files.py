@@ -10,7 +10,7 @@ import json
 import math
 import os
 import stat
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -111,16 +111,16 @@ def floats(cells: Optional[Cells], n: int, prefix: str = "",
 
 
 def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
-            strict: bool = True, diagnostics: Optional[list] = None) -> tuple[np.ndarray, ...]:
+            diagnostics: Optional[list] = None) -> tuple[np.ndarray, ...]:
     """The columns of the CSV records that convert, in order; () without records.
 
     convert(cells, n, start) turns a chunk of read_csv, n records of which
     the first is record `start`, into its columns and a list of error dicts
     in the order a row parser meets them: every column's parse errors, then
     the conversion errors.  A record reports its first error in that list.
-    In strict mode the first rejected record raises RowError with the line
-    it ends on, so a read reports the first bad line of the file; in lenient
-    mode each adds one to `diagnostics` and is dropped.
+    Without a `diagnostics` list the first rejected record raises RowError
+    with the line it ends on, so a read reports the first bad line of the
+    file; with one, each adds a RowError to the list and is dropped.
     """
     parts, start = [], 0
     for lines, cells in chunks:
@@ -131,11 +131,9 @@ def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
             first.update(errors)
         if first:
             for k in sorted(first):
-                err = RowError(lines[k], first[k])
-                if strict:
-                    raise err
-                if diagnostics is not None:
-                    diagnostics.append(err)
+                if diagnostics is None:
+                    raise RowError(lines[k], first[k])
+                diagnostics.append(RowError(lines[k], first[k]))
             keep = np.ones(len(lines), dtype=bool)
             keep[list(first)] = False
             columns = tuple(c[keep] for c in columns)
@@ -172,7 +170,10 @@ def atomic_write(path):
         return
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".plasmakit-{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # reported under the caller's path, not the temporary name
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             if os.path.isfile(target):
@@ -184,9 +185,16 @@ def atomic_write(path):
         raise
 
 
-def write_json(obj, path) -> None:
-    """Write obj as indented JSON and a newline, atomically; floats keep
-    their full repr precision."""
-    with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def json_text(obj) -> str:
+    """obj as indented JSON and a newline; floats keep their full repr precision."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def write_texts(*outputs) -> None:
+    """Write each (path, text) output, all or none: every new file is made
+    and written before any is renamed onto its target, so a failure leaves
+    every target as it was.  A falsy output is skipped; a path given twice
+    gets its last text."""
+    with ExitStack() as stack:
+        for path, text in dict(filter(None, outputs)).items():
+            stack.enter_context(atomic_write(path)).write(text)

@@ -200,7 +200,7 @@ def replay_frames(*frames, cfg=CFG, curve=None):
     frame; the raw_ldr column is present when the first frame has a fourth count."""
     header = ["t_ms", "raw_hv", "raw_shunt", "raw_ldr"][:len(frames[0])]
     text = "\n".join([",".join(header)] + [",".join(map(str, f)) for f in frames]) + "\n"
-    return replay_stream(io.StringIO(text), cfg, curve, strict=True)
+    return replay_stream(io.StringIO(text), cfg, curve)
 
 
 class TestProcessFrame:
@@ -294,7 +294,7 @@ class TestReplayStream:
         text = "t_ms,raw_hv,raw_shunt\n0,100,2000\n1,bad,2000\n"
         from plasmakit import RowError
         with pytest.raises(RowError, match="line 3"):
-            replay_stream(io.StringIO(text), strict=True)
+            replay_stream(io.StringIO(text))
 
     def test_line_numbers_are_physical(self):
         # a blank line is not a record, and a quoted newline spans two lines
@@ -305,11 +305,45 @@ class TestReplayStream:
         assert [e.line_number for e in diagnostics] == [4, 6, 7]
         from plasmakit import RowError
         with pytest.raises(RowError, match="line 4"):
-            replay_stream(io.StringIO(text), strict=True)
+            replay_stream(io.StringIO(text))
 
     def test_unknown_header_rejected(self):
         with pytest.raises(SchemaError):
             replay_stream(io.StringIO("time,volts\n1,2\n"))
+
+    def test_reads_its_own_output(self):
+        # the output's p_watts column is ignored and recomputed as v*i
+        text = ("t_ms,v_volts,i_amps,p_watts,lux\n"
+                "0.0,498.0,0.0366,1.0,150.0\n5.0,479.0,0.03813,,\n")
+        samples = replay_stream(io.StringIO(text))
+        assert samples.p_watts.tolist() == [498.0 * 0.0366, 479.0 * 0.03813]
+        assert np.isnan(samples.lux).tolist() == [False, True]
+
+    def test_without_t_ms_t_is_the_record_index(self):
+        samples = replay_stream(io.StringIO("lux,i_amps,v_volts\n1,2,3\n\n4,5,6\n"))
+        assert samples.t_ms.tolist() == [0.0, 1.0]
+        assert samples.v_volts.tolist() == [3.0, 6.0]
+
+    @pytest.mark.parametrize("header, message", [
+        ("t_ms,v_volts,i_amps,volts",
+         r"run CSV has unknown columns \['volts'\] \(allowed: t_ms,v_volts,i_amps,p_watts,lux\)"),
+        ("t_ms,raw_hv,raw_shunt,i_amps,v_volts", r"run CSV has unknown columns \['raw_hv', "),
+        ("t_ms,v_volts,lux", r"unrecognized frame CSV header: \('t_ms', 'v_volts', 'lux'\)"),
+        ("t_ms,raw_hv,raw_shunt,lux", r"unrecognized frame CSV header: "),
+    ])
+    def test_header_rule(self, header, message):
+        # a header with v_volts and i_amps keeps the run file's rule
+        with pytest.raises(SchemaError, match="^" + message):
+            replay_stream(io.StringIO(header + "\n1,2,3,4,5\n"), diagnostics=[])
+
+    @pytest.mark.parametrize("text", ["t_ms,raw_hv,raw_shunt\n0,1,2\n1,x,2\n",
+                                      "t_ms,v_volts,i_amps\n0,1,2\n1,x,2\n"])
+    def test_without_a_list_the_first_bad_row_raises(self, text):
+        with pytest.raises(RowError, match="^line 3: "):
+            replay_stream(io.StringIO(text))
+        diagnostics = []
+        assert len(replay_stream(io.StringIO(text), diagnostics=diagnostics)) == 1
+        assert [e.line_number for e in diagnostics] == [3]
 
     @pytest.mark.parametrize("t, v, i, message", [
         (math.nan, math.inf, 1.0, "t_ms must be finite, got nan"),
@@ -321,7 +355,7 @@ class TestReplayStream:
         # a row's first non-finite value of t, v, i and p = v*i is the one reported
         text = f"t_ms,v_volts,i_amps\n0,1,2\n{t!r},{v!r},{i!r}\n"
         with pytest.raises(RowError, match=f"^line 3: bad engineering row: {message}$"):
-            replay_stream(io.StringIO(text), strict=True)
+            replay_stream(io.StringIO(text))
         with pytest.raises(RowError, match=f"^line 3: {message}$"):
             load_run(io.StringIO(text))
 

@@ -3,6 +3,7 @@ import math
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -264,6 +265,16 @@ class TestFitting:
         assert f2.a0 - f1.a0 == pytest.approx(math.log(7.5), abs=1e-9)
         for k in ("a1", "a2", "a3"):
             assert getattr(f2, k) == pytest.approx(getattr(f1, k), abs=1e-9)
+
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_input_range_is_the_exact_span_of_the_inputs(self, voltage_curve, trim):
+        # exp(ln x) of the largest input is 1 ulp below it; the range must not be
+        inputs = np.geomspace(1.0, 59.6456944009405, 40)
+        fitted, _, _ = fit_log_cubic(inputs, [lux_from_input(voltage_curve, x) for x in inputs],
+                                     trim=trim)
+        assert fitted.input_range == (1.0, 59.6456944009405)
+        assert fitted.covers(59.6456944009405)
 
 
 class TestStats:

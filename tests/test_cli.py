@@ -220,6 +220,18 @@ class TestCalCommands:
         assert code == 0
         assert "outside the fitted range" in err
 
+    def test_eval_at_the_largest_fitted_input_does_not_warn(self, capsys, tmp_path):
+        samples, path = tmp_path / "samples.csv", tmp_path / "curve.json"
+        curve = CalibrationCurve(*VOLTAGE_COEFFS)
+        samples.write_text("input,lux\n" + "".join(
+            f"{x!r},{lux_from_input(curve, x)!r}\n"
+            for x in np.geomspace(1.0, 59.6456944009405, 40).tolist()))
+        code, _, _ = run_cli(capsys, "cal", "fit", "--in", str(samples), "--out", str(path))
+        assert code == 0
+        code, _, err = run_cli(capsys, "cal", "eval", "--curve", str(path),
+                               "--input", "59.6456944009405")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("row", ["1.0,abc", "abc,1.0", "1.0", "1.0,-2.0", "0,1.0"])
     def test_fit_bad_row_exits_1(self, capsys, tmp_path, row):
         samples = tmp_path / "samples.csv"
@@ -307,6 +319,16 @@ class TestAcqCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: offset_volts must be a finite number")
+
+    def test_replay_reads_its_own_output(self, capsys, tmp_path):
+        frames, first, second = (tmp_path / name for name in ("f.csv", "1.csv", "2.csv"))
+        frames.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n1,0,1551\n2,x,2\n")
+        code, out, _ = run_cli(capsys, "acq", "replay", "--in", str(frames), "--out", str(first))
+        assert (code, out) == (0, f"wrote {first} (2 samples)\n")
+        code, out, err = run_cli(capsys, "acq", "replay", "--strict", "--in", str(first),
+                                 "--out", str(second))
+        assert (code, out, err) == (0, f"wrote {second} (2 samples)\n", "")
+        assert second.read_bytes() == first.read_bytes()
 
     def test_replay_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "acq", "replay", "--in",

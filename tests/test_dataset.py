@@ -160,6 +160,15 @@ class TestCharacterize:
         for lo in (trimmed.input_range[0], trimmed.curve.input_range[0]):
             assert lo == pytest.approx(5.0 * 8.0 ** (1 / 39), rel=1e-9)
 
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_one_input_range_per_fit(self, trim):
+        # the curve's range and the top-level one are the fitted powers' exact span
+        for p_hi in np.linspace(20.0, 60.0, 41).tolist():
+            run = synthetic_run(p_hi=p_hi, lux_noise=lambda k: 0.002 * math.sin(k))
+            char = characterize(run, trim=trim)
+            p = run.samples.p_watts[3:]
+            assert char.curve.input_range == char.input_range == (p.min(), p.max())
+
     def test_trim_guard_on_degenerate_trace(self):
         # alternating wild noise: the 3-sigma pass would cut > 20%, so the
         # untrimmed fit must be kept

@@ -161,6 +161,48 @@ def test_failed_rename_leaves_old_file_and_no_temp_file(writer, tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out" + suffix, "reference"]
 
 
+# name -> argv writing `bad`, a path in a missing directory, and `good` where
+# the command has a second output
+MISSING_DIRECTORY = {
+    "acq replay --out": lambda d, bad, good: [
+        "acq", "replay", "--in", str(d / "frames.csv"), "--out", bad],
+    "probe bode --out svg": lambda d, bad, good: ["probe", "bode", *NETWORK, "--out", bad],
+    "cal fit --out": lambda d, bad, good: [
+        "cal", "fit", "--in", str(d / "samples.csv"), "--out", bad, "--plot", good],
+    "cal fit --plot": lambda d, bad, good: [
+        "cal", "fit", "--in", str(d / "samples.csv"), "--out", good, "--plot", bad],
+    "characterize --out": lambda d, bad, good: [
+        "characterize", "--in", str(d / "run.csv"), "--out", bad, "--plot", good],
+    "characterize --plot": lambda d, bad, good: [
+        "characterize", "--in", str(d / "run.csv"), "--out", good, "--plot", bad],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_DIRECTORY))
+@pytest.mark.parametrize("good_exists", [False, True])
+def test_an_output_that_cannot_be_created_writes_no_file(capsys, inputs, tmp_path, name,
+                                                          good_exists):
+    # every output's new file is made before any is renamed, and the error
+    # names the path given, not the new file's
+    bad, good = tmp_path / "nodir" / ("out" + name[-3:]), tmp_path / "good"
+    if good_exists:
+        good.write_text("old")
+    assert main(MISSING_DIRECTORY[name](inputs, str(bad), str(good))) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: [Errno 2] No such file or directory: {str(bad)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["good"] * good_exists
+    assert not good_exists or good.read_text() == "old"
+
+
+@pytest.mark.parametrize("command", ["cal fit", "characterize"])
+def test_out_and_plot_naming_one_file_leave_the_plot(inputs, tmp_path, command):
+    path = tmp_path / "both"
+    src = inputs / ("samples.csv" if command == "cal fit" else "run.csv")
+    cli(*command.split(), "--in", str(src), "--out", str(path), "--plot", str(path))
+    assert path.read_text().startswith("<svg")
+    assert [p.name for p in tmp_path.iterdir()] == ["both"]
+
+
 def test_read_csv_takes_a_path_or_a_stream(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("a,b\n1,2\n\n3\n")
