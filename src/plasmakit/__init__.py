@@ -26,7 +26,6 @@ from .calibration import (
     eval_log_poly,
     fit_log_cubic,
     input_from_lux,
-    is_monotone,
     lux_from_input,
     monotone_direction,
 )
@@ -36,8 +35,6 @@ from .dataset import (
     characterize,
     load_characterization,
     load_run,
-    save_characterization,
-    usable_mask,
 )
 from .errors import (
     DomainError,

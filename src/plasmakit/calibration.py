@@ -30,11 +30,9 @@ __all__ = [
     "lux_from_input",
     "input_from_lux",
     "monotone_direction",
-    "is_monotone",
     "fit_log_cubic",
     "curve_to_dict",
     "curve_from_dict",
-    "save_curve",
     "load_curve",
     "read_samples_csv",
 ]
@@ -158,10 +156,6 @@ def monotone_direction(curve: CalibrationCurve) -> int:
     if a1 != 0.0:
         return 1 if a1 > 0.0 else -1
     return 0
-
-
-def is_monotone(curve: CalibrationCurve) -> bool:
-    return monotone_direction(curve) != 0
 
 
 def input_from_lux(curve: CalibrationCurve, lux: float) -> float:
@@ -294,10 +288,6 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
                                 input_range=data.get("input_range"))
     except (KeyError, ValueError, TypeError) as exc:  # DomainError is a ValueError
         raise SchemaError(f"bad calibration curve object: {exc}") from exc
-
-
-def save_curve(curve: CalibrationCurve, path) -> None:
-    files.write_texts((path, files.json_text(curve_to_dict(curve))))
 
 
 def load_curve(path) -> CalibrationCurve:

@@ -192,9 +192,9 @@ def _cmd_acq_replay(args) -> int:
 # -------------------------------------------------------- characterize
 
 def _cmd_characterize(args) -> int:
-    run = dataset.load_run(args.infile)
-    char = dataset.characterize(run, trim=args.trim, ignition_i_min=args.i_min)
-    used = args.plot and run.samples[dataset.usable_mask(run, ignition_i_min=args.i_min)]
+    char = dataset.characterize(dataset.load_run(args.infile), trim=args.trim,
+                                ignition_i_min=args.i_min)
+    used = char.samples
     files.write_texts(  # rendered first: a failing render leaves no file written
         args.out and (args.out, files.json_text(dataset.characterization_to_dict(char))),
         args.plot and (args.plot, _fit_svg(used.p_watts, used.lux, char.curve, *char.input_range,

@@ -9,7 +9,7 @@ single 3-sigma outlier-trim pass for ignition transients.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -32,8 +32,6 @@ __all__ = [
     "Characterization",
     "load_run",
     "characterize",
-    "usable_mask",
-    "save_characterization",
     "load_characterization",
 ]
 
@@ -52,24 +50,18 @@ class ExperimentRun:
 
 @dataclass(frozen=True)
 class Characterization:
-    """Fitted power-to-illuminance curve plus fit bookkeeping."""
+    """Fitted power-to-illuminance curve plus fit bookkeeping.  `samples` are
+    the usable rows the fit was given; None for a record read from JSON."""
 
     curve: CalibrationCurve
     rmse_log: float
     max_abs_log: float
-    input_range: tuple[float, float]
     trimmed_count: int
+    samples: Samples | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_range", checked_range(self.input_range))
-        for name in ("rmse_log", "max_abs_log"):
-            value = getattr(self, name)
-            if not (is_finite_number(value) and value >= 0.0):
-                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        count = self.trimmed_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise DomainError(f"trimmed_count must be an integer >= 0, got {count!r}")
+    @property
+    def input_range(self) -> tuple[float, float]:
+        return self.curve.input_range
 
 
 def load_run(source: TextIO | str) -> ExperimentRun:
@@ -85,32 +77,24 @@ def load_run(source: TextIO | str) -> ExperimentRun:
         return ExperimentRun(read_samples(fields, chunks))
 
 
-def usable_mask(run: ExperimentRun, ignition_i_min: float = 1e-3) -> np.ndarray:
-    """Mask of the samples characterize fits: from the ignition (the first
-    acquisition.IGNITION_SUSTAIN samples in a row with |i| >= ignition_i_min)
-    on, with power > 0 and a lux > 0."""
-    s = run.samples
-    t0 = detect_ignition(s, i_min=ignition_i_min)
-    if t0 is None:
-        return np.zeros(len(s), dtype=bool)
-    return (s.t_ms >= t0) & (s.p_watts > 0.0) & (s.lux > 0.0)
-
-
 def characterize(run: ExperimentRun, trim: bool = False,
                  ignition_i_min: float = 1e-3) -> Characterization:
     """Fit the power-to-illuminance curve of a run.
 
-    Pre-ignition samples (before the first sustained |i| >= ignition_i_min)
-    are dropped, then samples with non-positive power or missing/zero lux
-    (see usable_mask).  With trim=True a single 3-sigma trim-and-refit pass
+    Pre-ignition samples (before the first acquisition.IGNITION_SUSTAIN
+    samples in a row with |i| >= ignition_i_min) are dropped, then samples
+    with non-positive power or missing/zero lux; the rows left are the
+    record's `samples`.  With trim=True a single 3-sigma trim-and-refit pass
     removes transient outliers, guarded to never discard more than 20% of
     the data.
     """
-    used = run.samples[usable_mask(run, ignition_i_min)]
+    s = run.samples
+    t0 = detect_ignition(s, i_min=ignition_i_min)
+    used = s[:0] if t0 is None else s[(s.t_ms >= t0) & (s.p_watts > 0.0) & (s.lux > 0.0)]
     if len(used) < 4:
         raise FitError(f"only {len(used)} usable post-ignition samples; need >= 4")
     curve, _, stats = fit_log_cubic(used.p_watts, used.lux, InputKind.PLASMA_POWER, trim)
-    return Characterization(curve=curve, input_range=curve.input_range, **stats)
+    return Characterization(curve, **stats, samples=used)
 
 
 def characterization_to_dict(char: Characterization) -> dict:
@@ -123,23 +107,24 @@ def characterization_to_dict(char: Characterization) -> dict:
     }
 
 
-def characterization_from_dict(data: dict) -> Characterization:
+def load_characterization(path) -> Characterization:
+    """The characterization in a JSON file.  SchemaError unless it has every
+    field of characterization_to_dict, the statistics are finite numbers
+    >= 0, trimmed_count is an integer >= 0 and the top-level input_range is
+    the curve's."""
+    data = files.read_json(path)
     try:
-        return Characterization(
-            curve=curve_from_dict(data["curve"]),
-            rmse_log=data["rmse_log"],
-            max_abs_log=data["max_abs_log"],
-            input_range=data["input_range"],
-            trimmed_count=data["trimmed_count"],
-        )
+        curve = curve_from_dict(data["curve"])
+        rmse_log, max_abs_log, input_range, count = (
+            data[k] for k in ("rmse_log", "max_abs_log", "input_range", "trimmed_count"))
+        if checked_range(input_range) != curve.input_range:
+            raise DomainError(f"input_range {input_range!r} is not the curve's "
+                              f"{curve.input_range!r}")
+        for name, value in (("rmse_log", rmse_log), ("max_abs_log", max_abs_log)):
+            if not (is_finite_number(value) and value >= 0.0):
+                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise DomainError(f"trimmed_count must be an integer >= 0, got {count!r}")
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"bad characterization object: {exc}") from exc
-
-
-def save_characterization(char: Characterization, path) -> None:
-    """JSON round trip is lossless: floats serialize at full repr precision."""
-    files.write_texts((path, files.json_text(characterization_to_dict(char))))
-
-
-def load_characterization(path) -> Characterization:
-    return characterization_from_dict(files.read_json(path))
+    return Characterization(curve, float(rmse_log), float(max_abs_log), count)

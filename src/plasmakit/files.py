@@ -5,6 +5,7 @@ atomic writer."""
 from __future__ import annotations
 
 import csv
+import errno
 import itertools
 import json
 import math
@@ -164,6 +165,8 @@ def atomic_write(path):
     regular file, such as a FIFO or a device, cannot be replaced by a rename
     and is written in place.
     """
+    if not os.fspath(path):  # realpath would make it the working directory
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh

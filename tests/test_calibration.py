@@ -18,18 +18,16 @@ from plasmakit import (
     eval_log_poly,
     fit_log_cubic,
     input_from_lux,
-    is_monotone,
     lux_from_input,
     monotone_direction,
 )
-from plasmakit import calibration
+from plasmakit import calibration, files
 from plasmakit.calibration import (
     TRIM_SIGMA,
     curve_from_dict,
     curve_to_dict,
     load_curve,
     read_samples_csv,
-    save_curve,
 )
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
@@ -102,21 +100,21 @@ class TestMonotonicity:
             a0, a1, a2, a3 = curve.coefficients
             assert 4 * a2 * a2 - 12 * a3 * a1 < 0
             assert monotone_direction(curve) == 1
-            assert is_monotone(curve)
+            assert monotone_direction(curve) != 0
 
     def test_decreasing_linear_curve(self):
         curve = CalibrationCurve(0.0, -1.0, 0.0, 0.0)
         assert monotone_direction(curve) == -1
-        assert is_monotone(curve)
+        assert monotone_direction(curve) != 0
 
     def test_quadratic_log_curve_not_monotone(self):
-        assert not is_monotone(CalibrationCurve(0.0, 0.0, 1.0, 0.0))
+        assert monotone_direction(CalibrationCurve(0.0, 0.0, 1.0, 0.0)) == 0
 
     def test_cubic_with_turning_points_not_monotone(self):
-        assert not is_monotone(CalibrationCurve(0.0, -1.0, 0.0, 1.0))
+        assert monotone_direction(CalibrationCurve(0.0, -1.0, 0.0, 1.0)) == 0
 
     def test_constant_curve_not_monotone(self):
-        assert not is_monotone(CalibrationCurve(2.0, 0.0, 0.0, 0.0))
+        assert monotone_direction(CalibrationCurve(2.0, 0.0, 0.0, 0.0)) == 0
 
 
 class TestInversion:
@@ -393,7 +391,7 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path, voltage_curve):
         path = tmp_path / "curve.json"
-        save_curve(voltage_curve, path)
+        files.write_texts((path, files.json_text(curve_to_dict(voltage_curve))))
         assert load_curve(path) == voltage_curve
 
     def test_missing_coefficient_rejected(self):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from plasmakit import InputKind, load_run, lux_from_input, usable_mask
-from plasmakit.calibration import CalibrationCurve, save_curve
+from plasmakit import InputKind, characterize, dataset, files, load_run, lux_from_input
+from plasmakit.calibration import CalibrationCurve, curve_to_dict
 from plasmakit.cli import main
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
@@ -214,7 +214,7 @@ class TestCalCommands:
     def test_eval_extrapolation_warning(self, capsys, tmp_path):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_range=(0.5, 8.0))
         path = tmp_path / "curve.json"
-        save_curve(curve, path)
+        files.write_texts((path, files.json_text(curve_to_dict(curve))))
         code, _, err = run_cli(capsys, "cal", "eval", "--curve", str(path),
                                "--input", "100")
         assert code == 0
@@ -379,6 +379,19 @@ class TestCharacterizeCommand:
         text = plot.read_text()
         assert "<circle" in text and "<polyline" in text
 
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_plot_detects_ignition_once(self, capsys, tmp_path, monkeypatch, trim):
+        # the plot draws the rows characterize selected, without selecting them again
+        calls, detect = [], dataset.detect_ignition
+        monkeypatch.setattr(dataset, "detect_ignition",
+                            lambda *a, **kw: calls.append(a) or detect(*a, **kw))
+        path, plot = self._write_run(tmp_path, outlier=True), tmp_path / "fig.svg"
+        trim_flag = ["--trim"] if trim else []
+        code, _, _ = run_cli(capsys, "characterize", "--in", str(path), "--plot", str(plot),
+                             *trim_flag)
+        assert (code, len(calls)) == (0, 1)
+        assert plot.read_text().count("<circle") == 30
+
     def test_plot_shows_only_the_fitted_samples(self, capsys, tmp_path):
         # pre-ignition rows with p > 0 and lux > 0 are not plotted, nor are
         # post-ignition rows without lux or with p <= 0
@@ -426,8 +439,7 @@ class TestCharacterizeCommand:
             rows.append(f"{3 + k},{p / i!r},{i!r},{lux}")
         run_path, samples_path = tmp_path / "run.csv", tmp_path / "samples.csv"
         run_path.write_text("\n".join(rows) + "\n")
-        run = load_run(str(run_path))
-        used = run.samples[usable_mask(run)]
+        used = characterize(load_run(str(run_path))).samples
         samples_path.write_text("input,lux\n" + "".join(
             f"{p!r},{lux!r}\n" for p, lux in zip(used.p_watts.tolist(), used.lux.tolist())))
         trim_flag = ["--trim"] if trim else []

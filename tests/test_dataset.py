@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from plasmakit import (
-    Characterization,
     DomainError,
     ExperimentRun,
     FitError,
@@ -18,11 +17,11 @@ from plasmakit import (
     load_characterization,
     load_run,
     lux_from_input,
-    save_characterization,
 )
 from plasmakit import files
 from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import CalibrationCurve
+from plasmakit.dataset import characterization_to_dict
 from plasmakit.errors import RowError
 
 from conftest import POWER_COEFFS
@@ -52,13 +51,6 @@ class TestRunTypes:
         run(0.0, 0.0)
         with pytest.raises(DomainError):
             run(1.0, 0.0)
-
-    def test_characterization_invariants(self):
-        curve = CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
-        with pytest.raises(DomainError):
-            Characterization(curve, 0.0, 0.0, (5.0, 1.0), 0)
-        with pytest.raises(DomainError):
-            Characterization(curve, 0.0, 0.0, (1.0, 5.0), -1)
 
 
 class TestLoadRun:
@@ -189,6 +181,10 @@ class TestCharacterize:
             characterize(run, ignition_i_min=1e3)
 
 
+def write_characterization(char, path):
+    files.write_texts((path, files.json_text(characterization_to_dict(char))))
+
+
 class TestCharacterizationIO:
     def _char(self):
         return characterize(synthetic_run())
@@ -196,21 +192,22 @@ class TestCharacterizationIO:
     def test_round_trip_lossless(self, tmp_path):
         char = self._char()
         path = tmp_path / "char.json"
-        save_characterization(char, path)
+        write_characterization(char, path)
         again = load_characterization(path)
         assert again == char
+        assert again.samples is None and len(char.samples) == 40
 
     def test_round_trip_preserves_evaluation(self, tmp_path):
         char = self._char()
         path = tmp_path / "char.json"
-        save_characterization(char, path)
+        write_characterization(char, path)
         again = load_characterization(path)
         assert lux_from_input(again.curve, 10.0) == lux_from_input(char.curve, 10.0)
 
     def test_missing_coefficient_rejected(self, tmp_path):
         char = self._char()
         path = tmp_path / "char.json"
-        save_characterization(char, path)
+        write_characterization(char, path)
         data = json.loads(path.read_text())
         del data["curve"]["a3"]
         path.write_text(json.dumps(data))
@@ -219,13 +216,14 @@ class TestCharacterizationIO:
 
     @pytest.mark.parametrize("key, value", [
         ("input_range", "12"), ("input_range", [1, math.inf]), ("input_range", [True, 2]),
+        ("input_range", [1.0, 2.0]), ("input_range", [5.0, 1.0]),
         ("rmse_log", math.nan), ("rmse_log", "0.1"), ("max_abs_log", -0.5),
         ("max_abs_log", 10 ** 400), ("trimmed_count", 1.7), ("trimmed_count", True),
         ("trimmed_count", -1),
     ])
     def test_bad_field_rejected(self, tmp_path, key, value):
         path = tmp_path / "char.json"
-        save_characterization(self._char(), path)
+        write_characterization(self._char(), path)
         data = json.loads(path.read_text())
         data[key] = value
         path.write_text(json.dumps(data))
@@ -236,12 +234,12 @@ class TestCharacterizationIO:
         target = tmp_path / "char.json"
         target.mkdir()  # the final rename onto a directory fails
         with pytest.raises(OSError):
-            save_characterization(self._char(), target)
+            write_characterization(self._char(), target)
         assert [p.name for p in tmp_path.iterdir()] == ["char.json"]
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "char.json"
-        save_characterization(self._char(), path)
+        write_characterization(self._char(), path)
         path.write_bytes(path.read_bytes().replace(b'"power"', b'"power\xff"'))
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_characterization(path)
@@ -249,6 +247,6 @@ class TestCharacterizationIO:
     def test_full_precision_serialization(self, tmp_path):
         char = self._char()
         path = tmp_path / "char.json"
-        save_characterization(char, path)
+        write_characterization(char, path)
         data = json.loads(path.read_text())
         assert data["curve"]["a0"] == char.curve.a0  # bit-exact via repr floats

@@ -1,5 +1,5 @@
-"""Every writer goes through files.atomic_write: the library's save_* functions,
-a run saved with write_samples_csv, and each CLI output file.  Each must give a new file the
+"""Every writer goes through files.atomic_write: files.write_texts, a run
+saved with write_samples_csv, and each CLI output file.  Each must give a new file the
 mode open() gives, keep an existing file's mode, write through a symlink to
 its target, write a FIFO in place, and leave the old file and no temp file
 when the final rename fails."""
@@ -17,11 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plasmakit import CalibrationCurve, InputKind, characterize, files, load_run, lux_from_input
+from plasmakit import CalibrationCurve, InputKind, files, load_run, lux_from_input
 from plasmakit.acquisition import write_samples_csv
-from plasmakit.calibration import save_curve
+from plasmakit.calibration import curve_to_dict
 from plasmakit.cli import main
-from plasmakit.dataset import save_characterization
 from plasmakit.errors import RowError
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
@@ -60,10 +59,9 @@ def save_run(path, inputs):
 
 # name -> (suffix, write(path, inputs))
 WRITERS = {
-    "save_curve": (".json", lambda path, d: save_curve(CalibrationCurve(*VOLTAGE_COEFFS), path)),
+    "files.write_texts": (".json", lambda path, d: files.write_texts(
+        (path, files.json_text(curve_to_dict(CalibrationCurve(*VOLTAGE_COEFFS)))))),
     "save_run": (".csv", save_run),
-    "save_characterization": (".json", lambda path, d: save_characterization(
-        characterize(load_run(str(d / "run.csv"))), path)),
     "acq replay --out": (".csv", lambda path, d: cli(
         "acq", "replay", "--in", str(d / "frames.csv"), "--out", path)),
     "probe bode --out csv": (".csv", lambda path, d: cli("probe", "bode", *NETWORK, "--out", path)),
@@ -192,6 +190,17 @@ def test_an_output_that_cannot_be_created_writes_no_file(capsys, inputs, tmp_pat
     assert (out, err) == ("", f"error: [Errno 2] No such file or directory: {str(bad)!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["good"] * good_exists
     assert not good_exists or good.read_text() == "old"
+
+
+def test_an_empty_path_is_a_missing_file(tmp_path, monkeypatch):
+    # realpath("") is the working directory: the new file must not be made beside it
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    with pytest.raises(FileNotFoundError) as exc:
+        files.write_texts(("", "x"))
+    assert str(exc.value) == "[Errno 2] No such file or directory: ''"
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["cal fit", "characterize"])

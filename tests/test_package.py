@@ -1,6 +1,7 @@
 """Package hygiene: every exported name exists, no module imports a name it
-never uses, and none imports a private name from a sibling module.  The
-import checks are small `ast` walks, so they need no linter installed."""
+never uses, none imports a private name from a sibling module, and every
+public function or class is used by the package or the benchmark.  The
+checks are small `ast` walks, so they need no linter installed."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import pytest
 import plasmakit
 
 PACKAGE = pathlib.Path(plasmakit.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -76,3 +78,34 @@ def test_private_import_check_sees_one():
     module_tree = ast.parse("from . import files\nfrom .acquisition import Samples, _collect\n"
                             "from os import _exit\n")
     assert private_imports(module_tree) == [("acquisition", "_collect")]
+
+
+# Public names nothing in the package or the benchmark calls, each kept on purpose.
+UNCALLED_ON_PURPOSE = {
+    "transfer_function": "acceptance criterion 3 calls it, and the ROADMAP keeps it",
+    "load_characterization": "the checked characterization reader for a --curve of "
+                             "ROADMAP direction E",
+}
+
+
+def dead_helpers(definers, users):
+    """Public top-level defs and classes of the `definers` trees that no
+    Name id or Attribute attr of the `users` trees mentions."""
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for t in users for node in ast.walk(t) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(node.name for t in definers for node in t.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in used)
+
+
+def test_every_public_helper_is_used():
+    modules = [tree(name) for name in MODULES]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(BENCH.glob("*.py"))]
+    assert dead_helpers(modules, modules + bench) == sorted(UNCALLED_ON_PURPOSE)
+
+
+def test_dead_helper_check_sees_one():
+    module_tree = ast.parse("import os\ndef used(): pass\ndef spare(): pass\n"
+                            "def _private(): pass\nclass Kept: pass\nclass Dropped: pass\n"
+                            "def caller():\n    return used(), os.path.Kept\n")
+    assert dead_helpers([module_tree], [module_tree]) == ["Dropped", "caller", "spare"]
