@@ -85,8 +85,9 @@ class ChannelConfig:
         return (1 << self.adc_bits) - 1
 
 
-# Samples in a row with |i| >= i_min that mark the ignition.
+# Samples in a row with |i| >= i_min that mark the ignition; the default i_min (A).
 IGNITION_SUSTAIN = 3
+IGNITION_I_MIN = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +295,7 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
         return Samples(*(files.collect(chunks, convert, diagnostics) or [()] * 4))
 
 
-def detect_ignition(samples: Samples, i_min: float = 1e-3) -> Optional[float]:
+def detect_ignition(samples: Samples, i_min: float = IGNITION_I_MIN) -> Optional[float]:
     """Timestamp of the first sample opening a run of >= IGNITION_SUSTAIN
     samples with |i| >= i_min; None when no such run exists."""
     if not i_min > 0.0:

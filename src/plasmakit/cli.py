@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 runtime/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional
@@ -24,7 +23,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    sys.stdout.write(files.json_text(obj))
 
 
 _CONFIG_FIELDS = ("probe_ratio", "shunt_ohms", "offset_volts", "adc_bits",
@@ -194,12 +193,12 @@ def _cmd_acq_replay(args) -> int:
 def _cmd_characterize(args) -> int:
     char = dataset.characterize(dataset.load_run(args.infile), trim=args.trim,
                                 ignition_i_min=args.i_min)
-    used = char.samples
+    used, text = char.samples, files.json_text(dataset.characterization_to_dict(char))
     files.write_texts(  # rendered first: a failing render leaves no file written
-        args.out and (args.out, files.json_text(dataset.characterization_to_dict(char))),
+        args.out and (args.out, text),
         args.plot and (args.plot, _fit_svg(used.p_watts, used.lux, char.curve, *char.input_range,
                                            "Plasma power vs illuminance", "power (W)")))
-    _print_json(dataset.characterization_to_dict(char))
+    sys.stdout.write(text)
     return 0
 
 
@@ -248,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     # cal
     p_cal = sub.add_parser("cal", help="illuminance calibration curves")
     cal_sub = p_cal.add_subparsers(dest="subcommand", required=True)
+    kinds = [kind.value for kind in calibration.InputKind]
 
     def add_curve_flags(p):
         p.add_argument("--curve", help="curve JSON file")
@@ -255,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a1", type=float)
         p.add_argument("--a2", type=float)
         p.add_argument("--a3", type=float)
-        p.add_argument("--kind", choices=["voltage", "power"])
+        p.add_argument("--kind", choices=kinds)
 
     cf = cal_sub.add_parser("fit", help="fit a log-cubic curve to samples")
     cf.add_argument("--in", dest="infile", required=True, help="CSV with header input,lux")
     cf.add_argument("--out", help="curve JSON output path")
-    cf.add_argument("--kind", choices=["voltage", "power"], default="voltage")
+    cf.add_argument("--kind", choices=kinds, default="voltage")
     cf.add_argument("--trim", action="store_true", help="3-sigma trim-and-refit pass")
     cf.add_argument("--plot", help="SVG output path")
     cf.set_defaults(func=_cmd_cal_fit)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", help="characterization JSON output path")
     pc.add_argument("--plot", help="scatter + fitted curve SVG output path")
     pc.add_argument("--trim", action="store_true", help="3-sigma trim-and-refit pass")
-    pc.add_argument("--i-min", dest="i_min", type=float, default=1e-3,
+    pc.add_argument("--i-min", dest="i_min", type=float, default=acquisition.IGNITION_I_MIN,
                     help="ignition current threshold in amps (default 1e-3)")
     pc.set_defaults(func=_cmd_characterize)
 

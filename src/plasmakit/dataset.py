@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from . import files
-from .acquisition import Samples, detect_ignition, read_samples
+from .acquisition import IGNITION_I_MIN, Samples, detect_ignition, read_samples
 from .calibration import (
     CalibrationCurve,
     InputKind,
@@ -78,7 +78,7 @@ def load_run(source: TextIO | str) -> ExperimentRun:
 
 
 def characterize(run: ExperimentRun, trim: bool = False,
-                 ignition_i_min: float = 1e-3) -> Characterization:
+                 ignition_i_min: float = IGNITION_I_MIN) -> Characterization:
     """Fit the power-to-illuminance curve of a run.
 
     Pre-ignition samples (before the first acquisition.IGNITION_SUSTAIN
@@ -109,12 +109,14 @@ def characterization_to_dict(char: Characterization) -> dict:
 
 def load_characterization(path) -> Characterization:
     """The characterization in a JSON file.  SchemaError unless it has every
-    field of characterization_to_dict, the statistics are finite numbers
-    >= 0, trimmed_count is an integer >= 0 and the top-level input_range is
-    the curve's."""
+    field of characterization_to_dict, the curve is a power curve, the
+    statistics are finite numbers >= 0, trimmed_count is an integer >= 0 and
+    the top-level input_range is the curve's."""
     data = files.read_json(path)
     try:
         curve = curve_from_dict(data["curve"])
+        if curve.input_kind is not InputKind.PLASMA_POWER:
+            raise DomainError(f"curve kind {curve.input_kind.value!r} is not 'power'")
         rmse_log, max_abs_log, input_range, count = (
             data[k] for k in ("rmse_log", "max_abs_log", "input_range", "trimmed_count"))
         if checked_range(input_range) != curve.input_range:

@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all plasmakit modules."""
 
+__all__ = ["PlasmaKitError", "DomainError", "SingularityError", "PreconditionError",
+           "FitError", "SchemaError", "RowError"]
+
 
 class PlasmaKitError(Exception):
     """Base class for all plasmakit errors."""

@@ -26,6 +26,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .calibration import is_finite_number
 from .errors import DomainError, PreconditionError, SingularityError
 
 __all__ = [
@@ -59,9 +60,12 @@ class RCStage:
     capacitance: float = 0.0
 
     def __post_init__(self):
-        if not (self.resistance > 0.0 and math.isfinite(self.resistance)):
+        for name, value in (("resistance", self.resistance), ("capacitance", self.capacitance)):
+            if not is_finite_number(value):
+                raise DomainError(f"stage {name} must be a finite number, got {value!r}")
+        if not self.resistance > 0.0:
             raise DomainError(f"stage resistance must be > 0, got {self.resistance}")
-        if not (self.capacitance >= 0.0 and math.isfinite(self.capacitance)):
+        if not self.capacitance >= 0.0:
             raise DomainError(f"stage capacitance must be >= 0, got {self.capacitance}")
 
 

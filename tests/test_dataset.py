@@ -230,6 +230,15 @@ class TestCharacterizationIO:
         with pytest.raises(SchemaError, match=f"bad characterization object: {key}"):
             load_characterization(path)
 
+    def test_voltage_curve_rejected(self, tmp_path):
+        path = tmp_path / "char.json"
+        write_characterization(self._char(), path)
+        data = json.loads(path.read_text())
+        data["curve"]["kind"] = "voltage"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="curve kind 'voltage' is not 'power'"):
+            load_characterization(path)
+
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "char.json"
         target.mkdir()  # the final rename onto a directory fails

@@ -1,11 +1,13 @@
-"""Package hygiene: every exported name exists, no module imports a name it
-never uses, none imports a private name from a sibling module, and every
-public function or class is used by the package or the benchmark.  The
-checks are small `ast` walks, so they need no linter installed."""
+"""Package hygiene: every exported name exists, the package's names are its
+modules' `__all__` lists, no module imports a name it never uses, none
+imports a private name from a sibling module, and every public function or
+class is used by the package or the benchmark.  The checks are small `ast`
+walks, so they need no linter installed."""
 
 import ast
 import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -27,11 +29,25 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_init_imports_exist():
-    for node in ast.walk(tree("__init__")):
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"plasmakit.{node.module}")
-            assert [a.name for a in node.names if not hasattr(module, a.name)] == []
+def star_imported():
+    """The sibling module of each import in `__init__`; each must be `from .x import *`."""
+    imports = [n for n in tree("__init__").body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(n, ast.ImportFrom) and n.level == 1
+               and [a.name for a in n.names] == ["*"] for n in imports)
+    return [importlib.import_module(f"plasmakit.{n.module}") for n in imports]
+
+
+def test_init_star_imports_only_modules_with_all():
+    modules = star_imported()
+    assert modules and [m.__name__ for m in modules if not hasattr(m, "__all__")] == []
+
+
+def test_package_names_are_the_union_of_the_all_lists():
+    listed = [name for module in star_imported() for name in module.__all__]
+    assert len(listed) == len(set(listed))  # no name in two lists
+    public = {name for name, value in vars(plasmakit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(listed)
 
 
 def unused_imports(module_tree, exported=()):

@@ -52,6 +52,14 @@ class TestStageImpedance:
         with pytest.raises(DomainError):
             RCStage(1e3, -1e-12)
 
+    @pytest.mark.parametrize("r, c, name", [
+        ("1", 0.0, "resistance"), (True, 0.0, "resistance"), (math.inf, 0.0, "resistance"),
+        (1e3, "1e-12", "capacitance"), (1e3, False, "capacitance"), (1e3, math.nan, "capacitance"),
+    ])
+    def test_non_number_components_rejected(self, r, c, name):
+        with pytest.raises(DomainError, match=f"^stage {name} must be a finite number, got "):
+            RCStage(r, c)
+
 
 class TestTransferFunction:
     def test_base_only_network_is_unity(self):
