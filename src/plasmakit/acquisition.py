@@ -55,8 +55,8 @@ class ChannelConfig:
     probe_ratio: float = 1.054886e-3
     shunt_ohms: float = 23.0
     offset_volts: float = 1.25
-    adc_bits: int = 12
     adc_fullscale_volts: float = 3.3
+    adc_bits: int = 12
 
     def __post_init__(self):
         for name in ("probe_ratio", "shunt_ohms", "offset_volts", "adc_fullscale_volts"):
@@ -212,17 +212,18 @@ class _CountTable(dict):
 
     A new cell is parsed with int(), and its count converted to volts and
     then by `to_units`.  NaN stands for no value: an empty or missing cell
-    of an `optional` column, every cell without `to_units`, and a cell that
-    fails, whose error text goes to `bad` if int() rejects it and else to
-    `unconverted` (the text, never the exception, whose traceback would
-    keep a chunk's rows alive).  A converted count is never NaN:
+    of an `optional` column, and a cell that fails, whose error text goes to
+    `bad` if int() rejects it and else to `unconverted` (the text, never the
+    exception, whose traceback would keep a chunk's rows alive).  Only the
+    light channel converts a count to NaN, when there is no curve:
     ChannelConfig guarantees a finite v and i for every count, and
-    lux_from_input raises rather than return NaN.  An ADC channel has at
-    most 2^adc_bits codes, so the table stays small.
+    lux_from_input raises rather than return NaN.  Errors are looked up by
+    cell, so a NaN value without one is not an error.  An ADC channel has
+    at most 2^adc_bits codes, so the table stays small.
     """
 
     def __init__(self, cfg: ChannelConfig, name: str,
-                 to_units: Optional[Callable[[float], float]], optional: bool = False):
+                 to_units: Callable[[float], float], optional: bool = False):
         super().__init__()
         self.cfg, self.name, self.to_units, self.optional = cfg, name, to_units, optional
         self.bad, self.unconverted = {}, {}  # cell -> message
@@ -237,8 +238,7 @@ class _CountTable(dict):
             self.bad[cell] = f"bad raw frame: {exc}"
             return math.nan
         try:
-            if self.to_units is not None:
-                self[cell] = self.to_units(counts_to_volts(self.cfg, raw))
+            self[cell] = self.to_units(counts_to_volts(self.cfg, raw))
         except DomainError as exc:
             self.unconverted[cell] = f"{self.name} channel: {exc}"
         return self[cell]
@@ -279,7 +279,7 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
             raise PreconditionError("light-channel curve must have input kind 'voltage'")
         hv = _CountTable(cfg, "hv", lambda volts: needle_voltage(cfg, volts))
         shunt = _CountTable(cfg, "shunt", lambda volts: shunt_current(cfg, volts))
-        ldr = _CountTable(cfg, "ldr", None if ldr_curve is None else (
+        ldr = _CountTable(cfg, "ldr", (lambda volts: math.nan) if ldr_curve is None else (
             lambda volts: lux_from_input(ldr_curve, volts) if volts > 0.0 else 0.0),
             optional=True)
 

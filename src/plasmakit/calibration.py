@@ -44,6 +44,10 @@ _U_TOL = 1e-12
 # Largest error in ln lux that input_from_lux accepts in the lux its result gives.
 INVERT_ATOL = 1e-9
 
+# Largest difference in ln lux, at the samples, that a fitted curve may have
+# from the same least-squares fit solved in a centred, scaled variable.
+FIT_ATOL = 1e-9
+
 # A trimmed fit drops residuals beyond TRIM_SIGMA times the rmse, unless that
 # drops more than MAX_TRIM_FRACTION of the samples.
 TRIM_SIGMA = 3.0
@@ -235,8 +239,17 @@ def _fit(x: np.ndarray, u: np.ndarray, y: np.ndarray, kind: InputKind) -> Calibr
     if np.min(np.abs(np.diag(r))) < 1e-12 * np.max(np.abs(np.diag(r))):
         raise FitError("rank-deficient design matrix")
     coeffs = np.linalg.solve(r, q.T @ y)
-    return CalibrationCurve(*(float(c) for c in coeffs), input_kind=kind,
-                            input_range=(float(x.min()), float(x.max())))
+    curve = CalibrationCurve(*(float(c) for c in coeffs), input_kind=kind,
+                             input_range=(float(x.min()), float(x.max())))
+    # On a narrow span the monomial coefficients grow and cancel.  Mapped to
+    # [-1, 1] (numpy.polynomial's domain-to-window map), the design stays
+    # well conditioned; its fitted values are the projection of y on its Q.
+    q = np.linalg.qr(np.vander((2.0 * u - u.max() - u.min()) / (u.max() - u.min()), 4))[0]
+    drift = float(np.max(np.abs(eval_log_poly(curve, u) - q @ (q.T @ y))))
+    if not drift <= FIT_ATOL:
+        raise FitError(f"fitted curve is {drift:.3g} off the least-squares fit in ln lux "
+                       f"(FIT_ATOL {FIT_ATOL}): the input span is too narrow")
+    return curve
 
 
 def _rmse(res: np.ndarray) -> float:

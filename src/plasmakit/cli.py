@@ -12,12 +12,13 @@ Exit codes: 0 success, 1 runtime/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Optional
 
 from . import acquisition, calibration, dataset, files, probe, svgchart
-from .errors import PlasmaKitError, SchemaError
+from .errors import DomainError, PlasmaKitError, SchemaError
 
 __all__ = ["main", "build_parser"]
 
@@ -26,27 +27,22 @@ def _print_json(obj) -> None:
     sys.stdout.write(files.json_text(obj))
 
 
-_CONFIG_FIELDS = ("probe_ratio", "shunt_ohms", "offset_volts", "adc_bits",
-                  "adc_fullscale_volts")
-
-
 def _load_config(args) -> acquisition.ChannelConfig:
-    """Flags override config-file values override built-in defaults."""
-    values = {}
-    if getattr(args, "config", None):
+    """Flags override config-file values override built-in defaults;
+    ChannelConfig checks the file's values before any flag replaces them."""
+    cfg, fields = acquisition.DEFAULT_CONFIG, dataclasses.fields(acquisition.ChannelConfig)
+    if args.config:
         values = files.read_json(args.config)
         if not isinstance(values, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
-        for name, value in values.items():
-            if name not in _CONFIG_FIELDS:
-                raise SchemaError(f"{args.config}: unknown config key {name!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{args.config}: {name} must be a number, got {value!r}")
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return acquisition.ChannelConfig(**values)
+        if unknown := [name for name in values if name not in {f.name for f in fields}]:
+            raise SchemaError(f"{args.config}: unknown config key {unknown[0]!r}")
+        try:
+            cfg = acquisition.ChannelConfig(**values)
+        except DomainError as exc:
+            raise SchemaError(f"{args.config}: {exc}") from exc
+    return dataclasses.replace(cfg, **{f.name: getattr(args, f.name) for f in fields
+                                       if getattr(args, f.name) is not None})
 
 
 def _network_from_args(args) -> probe.ProbeNetwork:
@@ -290,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--config", help="ChannelConfig JSON file")
     ar.add_argument("--curve", help="light-sensor curve JSON for the lux column")
     ar.add_argument("--strict", action="store_true", help="abort on first bad row")
-    for name in ("probe_ratio", "shunt_ohms", "offset_volts", "adc_fullscale_volts"):
-        ar.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    ar.add_argument("--adc-bits", dest="adc_bits", type=int)
+    for f in dataclasses.fields(acquisition.ChannelConfig):
+        ar.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
     ar.set_defaults(func=_cmd_acq_replay)
 
     # characterize

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from plasmakit import CalibrationCurve, InputKind, ProbeNetwork
@@ -23,6 +24,16 @@ def direct_gain(net: ProbeNetwork, f: float) -> complex:
 # Published coefficient sets for the two log-cubic curves.
 VOLTAGE_COEFFS = (2.533317, 1.960146, 2.118486, 2.101649)
 POWER_COEFFS = (-11.413655, 12.323756, -3.966212, 0.454388)
+
+
+def narrow_span(centre, span, n, seed):
+    """n log-uniform inputs in [centre, centre * (1 + span)], with lux from a
+    cubic in the centred log input and 1% noise."""
+    rng = np.random.default_rng(seed)
+    u = math.log(centre) + math.log1p(span) * rng.random(n)
+    t = 2.0 * (u - u.min()) / (u.max() - u.min()) - 1.0
+    log_lux = 1.0 + 2.0 * t - 0.5 * t * t + 0.3 * t ** 3 + rng.normal(0.0, 0.01, n)
+    return np.exp(u), np.exp(log_lux)
 
 
 @pytest.fixture

@@ -1,15 +1,17 @@
+import argparse
 import codecs
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from plasmakit import InputKind, characterize, dataset, files, load_run, lux_from_input
+from plasmakit import ChannelConfig, InputKind, characterize, dataset, files, load_run, lux_from_input
 from plasmakit.calibration import CalibrationCurve, curve_to_dict
-from plasmakit.cli import main
+from plasmakit.cli import build_parser, main
 
-from conftest import POWER_COEFFS, VOLTAGE_COEFFS
+from conftest import POWER_COEFFS, VOLTAGE_COEFFS, narrow_span
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +243,18 @@ class TestCalCommands:
         assert out == ""
         assert err.startswith("error: line 3:")
 
+    @pytest.mark.parametrize("trim", [[], ["--trim"]])
+    def test_fit_narrow_span_exits_1(self, capsys, tmp_path, trim):
+        samples = tmp_path / "samples.csv"
+        xs, ys = narrow_span(1000.0, 0.01, 2000, 0)
+        samples.write_text("input,lux\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+        out = tmp_path / "curve.json"
+        code, stdout, err = run_cli(capsys, "cal", "fit", "--in", str(samples), "--kind", "power",
+                                    "--out", str(out), *trim)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: fitted curve is ") and "least-squares fit" in err
+        assert not out.exists()
+
     def test_missing_curve_flags_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "cal", "eval", "--input", "1")
         assert code == 1
@@ -296,8 +310,10 @@ class TestAcqCommands:
     @pytest.mark.parametrize("config", [
         "{not json", "[1, 2]", '{"bogus": 1}', '{"probe_ratio": "x"}',
         '{"shunt_ohms": true}', '{"offset_volts": NaN}', '{"adc_bits": 12.5}',
-        b'{"probe_ratio": "\xff"}'])
-    def test_replay_bad_config_exits_1(self, capsys, tmp_path, config):
+        b'{"probe_ratio": "\xff"}', '{"probe_ratio": 2}'])
+    # a flag that replaces the bad value does not hide it
+    @pytest.mark.parametrize("flags", [(), ("--probe-ratio", "0.001")], ids=["file", "flag"])
+    def test_replay_bad_config_exits_1(self, capsys, tmp_path, config, flags):
         src = tmp_path / "frames.csv"
         src.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n")
         cfg = tmp_path / "cfg.json"
@@ -306,10 +322,34 @@ class TestAcqCommands:
         else:
             cfg.write_text(config)
         code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src),
-                                 "--config", str(cfg))
+                                 "--config", str(cfg), *flags)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {cfg}: ")
+
+    def test_replay_channel_flags_are_the_config_fields(self):
+        def subparser(parser, name):
+            actions = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return actions.choices[name]
+
+        replay = subparser(subparser(build_parser(), "acq"), "replay")
+        flags = [(a.dest, a.type.__name__) for a in replay._actions
+                 if a.dest not in ("help", "infile", "out", "config", "curve", "strict")]
+        assert flags == [(f.name, f.type) for f in dataclasses.fields(ChannelConfig)]
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_replay_light_count_out_of_range_is_a_bad_row(self, capsys, tmp_path, curve):
+        # with or without --curve: the light channel keeps the count rule of hv and shunt
+        src = tmp_path / "frames.csv"
+        src.write_text("t_ms,raw_hv,raw_shunt,raw_ldr\n0,652,2596,100\n1,652,2596,99999\n")
+        path = tmp_path / "curve.json"
+        path.write_text(CURVE_JSON)
+        argv = ["acq", "replay", "--in", str(src), *(["--curve", str(path)] if curve else [])]
+        message = "line 3: ldr channel: count 99999 outside [0, 4095]\n"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "warning: " + message)
+        assert [line.split(",")[0] for line in out.splitlines()] == ["t_ms", "0.0"]
+        assert run_cli(capsys, *argv, "--strict") == (1, "", "error: " + message)
 
     def test_replay_non_finite_flag_exits_1(self, capsys, tmp_path):
         src = tmp_path / "frames.csv"
@@ -363,6 +403,20 @@ class TestCharacterizeCommand:
         for key, want in zip(("a0", "a1", "a2", "a3"), POWER_COEFFS):
             assert data["curve"][key] == pytest.approx(want, abs=1e-6)
         assert out_json.exists()
+
+    @pytest.mark.parametrize("trim", [[], ["--trim"]])
+    def test_narrow_power_span_exits_1(self, capsys, tmp_path, trim):
+        # 1000-1010 W at 1 A, lit from the first row
+        p, lux = narrow_span(1000.0, 0.01, 2000, 0)
+        path = tmp_path / "run.csv"
+        path.write_text("t_ms,v_volts,i_amps,lux\n" + "".join(
+            f"{k},{pk!r},1.0,{lk!r}\n" for k, (pk, lk) in enumerate(zip(p.tolist(), lux.tolist()))))
+        out = tmp_path / "char.json"
+        code, stdout, err = run_cli(capsys, "characterize", "--in", str(path),
+                                    "--out", str(out), *trim)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: fitted curve is ") and "least-squares fit" in err
+        assert not out.exists()
 
     def test_trim_flags_single_outlier(self, capsys, tmp_path):
         path = self._write_run(tmp_path, outlier=True)

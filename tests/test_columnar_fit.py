@@ -25,6 +25,8 @@ from plasmakit import (
 )
 from plasmakit import calibration
 
+from conftest import narrow_span
+
 KIND = InputKind.PLASMA_POWER
 # QR (the library) against SVD (the reference) on designs whose ln(input)
 # values lie on a 0.1 grid in [-3, 3]: the coefficients agree to this.
@@ -168,3 +170,33 @@ class TestRejection:
     def test_unequal_or_non_column_shapes(self, call, xs, ys):
         with pytest.raises(DomainError, match="1-D columns of equal length"):
             CALLS[call](xs, ys)
+
+
+class TestConditioning:
+    """A fitted curve reproduces the least-squares fit of its rows, or the
+    fit raises.  The reference is NumPy's Polynomial.fit, which maps ln(input)
+    to [-1, 1] and solves by SVD; the library checks against its own QR of a
+    centred design.  Where the check decides, the two agree to about 1e-13,
+    far below FIT_ATOL."""
+
+    @given(st.floats(1e-3, 1e6), st.floats(-7.0, 0.0), st.integers(4, 300),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example(1000.0, math.log10(0.01), 2000, 0, False)  # 1000-1010 W
+    @example(2.0, math.log10(29.0), 2000, 0, True)  # the 2-60 W bench span
+    def test_curve_reproduces_centred_fit_or_raises(self, centre, log_span, n, seed, trim):
+        xs, ys = narrow_span(centre, 10.0 ** log_span, n, seed)
+        assume(len(np.unique(np.log(xs))) >= 4)
+        try:
+            curve, kept, _ = fit_log_cubic(xs, ys, KIND, trim=trim)
+        except FitError:
+            return
+        u, y = np.log(xs[kept]), np.log(ys[kept])
+        reference = np.polynomial.Polynomial.fit(u, y, 3)(u)
+        assert np.max(np.abs(eval_log_poly(curve, u) - reference)) <= calibration.FIT_ATOL
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_narrow_span_raises(self, trim):
+        xs, ys = narrow_span(1000.0, 0.01, 2000, 0)
+        with pytest.raises(FitError, match=r"off the least-squares fit in ln lux"):
+            fit_log_cubic(xs, ys, KIND, trim=trim)

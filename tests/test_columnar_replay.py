@@ -70,8 +70,8 @@ def reference_row(t, v, i, lux=None):
 
 def reference_frame(cfg, curve, t, hv, shunt, ldr):
     """The sample of one raw frame by the conversion formulas; a count
-    outside the ADC range or an overflowing lux raises DomainError naming
-    its channel."""
+    outside the ADC range, with or without a curve, or an overflowing lux
+    raises DomainError naming its channel."""
     def volts(channel, raw):
         if not 0 <= raw <= 2 ** cfg.adc_bits - 1:
             raise DomainError(f"{channel} channel: count {raw} outside "
@@ -81,10 +81,10 @@ def reference_frame(cfg, curve, t, hv, shunt, ldr):
     v = volts("hv", hv) / cfg.probe_ratio
     i = (volts("shunt", shunt) - cfg.offset_volts) / cfg.shunt_ohms
     lux = None
-    if ldr is not None and curve is not None:
+    if ldr is not None:
         x = volts("ldr", ldr)
         try:
-            lux = lux_from_input(curve, x) if x > 0.0 else 0.0
+            lux = None if curve is None else lux_from_input(curve, x) if x > 0.0 else 0.0
         except DomainError as exc:
             raise DomainError(f"ldr channel: {exc}") from exc
     return reference_row(t, v, i, lux)
