@@ -307,19 +307,32 @@ def detect_ignition(samples: Samples, i_min: float = IGNITION_I_MIN) -> Optional
     return float(samples.t_ms[starts[long_runs[0]]]) if len(long_runs) else None
 
 
-def _reprs(col: np.ndarray) -> np.ndarray:
-    """repr of every value, called once per distinct bit pattern, so that
-    -0.0 and 0.0 stay apart."""
-    distinct, index = np.unique(col.view(np.int64), return_inverse=True)
-    return np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)[index]
+def _reprs(col: np.ndarray, known: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
+    """repr of every value, and the (sorted distinct bits, strings) pair of
+    `col` to pass as `known` with the next chunk of its column.  Values are
+    told apart by bit pattern, so -0.0 and 0.0 stay apart; repr is called
+    only for a pattern that `known`, the previous chunk's pair, lacks."""
+    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    at = np.searchsorted(known[0], bits)
+    hit = at < len(known[0])
+    hit[hit] = known[0][at[hit]] == bits[hit]
+    strings = np.empty(len(bits), dtype=object)
+    strings[hit] = known[1][at[hit]]
+    strings[~hit] = [repr(x) for x in bits[~hit].view(np.float64).tolist()]
+    return strings[index], (bits, strings)
 
 
 def write_samples_csv(samples: Samples, out: TextIO) -> None:
     """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs,
-    files.CHUNK_ROWS at a time; a NaN lux (no reading) is an empty cell."""
+    files.CHUNK_ROWS at a time; a NaN lux (no reading) is an empty cell.
+    A value that recurs from one chunk to the next is formatted once."""
     out.write(",".join(OUT_HEADER) + "\n")
+    known = dict.fromkeys(OUT_HEADER, (np.empty(0, np.int64), np.empty(0, object)))
     for start in range(0, len(samples), files.CHUNK_ROWS):
         part = samples[start:start + files.CHUNK_ROWS]
-        columns = [_reprs(part.t_ms), _reprs(part.v_volts), _reprs(part.i_amps),
-                   _reprs(part.p_watts), np.where(np.isnan(part.lux), "", _reprs(part.lux))]
+        columns = []
+        for name in OUT_HEADER:
+            strings, known[name] = _reprs(getattr(part, name), known[name])
+            columns.append(strings)
+        columns[-1] = np.where(np.isnan(part.lux), "", columns[-1])
         out.write("\n".join(map(",".join, zip(*(c.tolist() for c in columns)))) + "\n")

@@ -102,13 +102,14 @@ def floats(cells: Optional[Cells], n: int, prefix: str = "",
         return np.fromiter(map(float, cells), float, n), {}
     except (ValueError, TypeError):
         pass
-    values, errors = np.empty(n), {}
-    for k, cell in enumerate(cells):
+    values, errors, rest = [], {}, iter(cells)
+    while True:  # each pass parses up to the next bad cell, which reads NaN
         try:
-            values[k] = float(cell)
+            values.extend(map(float, rest))
+            return np.array(values, dtype=float), errors
         except (ValueError, TypeError) as exc:
-            values[k], errors[k] = math.nan, prefix + str(exc)
-    return values, errors
+            errors[len(values)] = prefix + str(exc)
+            values.append(math.nan)
 
 
 def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,

@@ -342,6 +342,40 @@ class TestAgainstRowReference:
                                   "1.0,inf,2.0,inf,-0.0\n"
                                   "2.0,1e+308,-1e+308,-inf,inf\n")
 
+# Each case is a list of (v, i, lux) blocks; block j fills chunk j of every
+# chunk size tried, so the writer meets each change of value at a chunk edge.
+CHUNK_EDGE_CASES = {
+    # v flips sign every chunk, i every two chunks, so p = v*i and lux flip too
+    "signed zeros": [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, -0.0)],
+    "nan lux after a number": [(1.0, 2.0, 1.5), (1.0, 2.0, math.nan), (1.0, 2.0, 1.5)],
+    "a value leaves for a chunk and comes back": [(2.5, 0.5, 7.0), (3.5, 0.25, 8.0),
+                                                  (2.5, 0.5, 7.0)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CHUNK_EDGE_CASES))
+def test_writer_reuses_reprs_across_chunk_edges(case, chunk_rows):
+    blocks = [block for block in CHUNK_EDGE_CASES[case] for _ in range(chunk_rows)]
+    t = [float(k) for k in range(len(blocks))]
+    samples = Samples(t, *([list(c) for c in zip(*blocks)] or [[]] * 3))
+    out = io.StringIO()
+    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
+        write_samples_csv(samples, out)
+    assert out.getvalue() == reference_csv([reference_row(*row) for row in zip(t, *zip(*blocks))])
+
+
+def test_writer_formats_a_recurring_value_once():
+    """Over five chunks of one value per column, each value is formatted once."""
+    samples = Samples([1.0] * 10, [2.0] * 10, [3.0] * 10, [4.0] * 10)
+    with mock.patch.object(files, "CHUNK_ROWS", 2), \
+            mock.patch.object(acquisition, "repr", create=True, wraps=repr) as fmt:
+        out = io.StringIO()
+        write_samples_csv(samples, out)
+    assert sorted(c.args[0] for c in fmt.call_args_list) == [1.0, 2.0, 3.0, 4.0, 6.0]
+    assert out.getvalue() == reference_csv([reference_row(1.0, 2.0, 3.0, 4.0)] * 10)
+
 
 def replayed(text):
     """The CSV acq replay writes for an input CSV, bad rows dropped."""

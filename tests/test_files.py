@@ -225,6 +225,25 @@ def test_read_csv_takes_a_path_or_a_stream(tmp_path):
     assert errors == {2: "bad: could not convert string to float: 'x'"}
 
 
+
+@given(st.lists(st.one_of(st.floats().map(repr), st.none(),
+                          st.sampled_from(("x", "", " ", "1_0", " 2 ", "-nan", "0x10"))),
+                max_size=30),
+       st.booleans())
+@example(["x", "1", "y", "z", "2", None], False)  # bad first, adjacent and last cells
+@settings(max_examples=200, deadline=None)
+def test_floats_matches_a_per_cell_parse(cells, optional):
+    want_values, want_errors = [], {}
+    for k, cell in enumerate(cells):
+        try:
+            want_values.append(float(cell or "nan") if optional else float(cell))
+        except (ValueError, TypeError) as exc:
+            want_values.append(math.nan)
+            want_errors[k] = f"bad: {exc}"
+    values, errors = files.floats(tuple(cells), len(cells), "bad: ", optional)
+    assert [repr(v) for v in values.tolist()] == [repr(v) for v in want_values]
+    assert errors == want_errors
+
 # ---------------------------------------------------------------- reader line numbers
 # read_csv numbers each record by the physical line it ends on.  The
 # reference is a per-record csv.reader loop over the same source, which reads
