@@ -6,7 +6,7 @@ Subcommands:
     acq replay|power            frame replay and point power computation
     characterize                power-versus-illuminance fit of a run file
 
-Exit codes: 0 success, 1 runtime/domain error, 2 usage error.
+Exit codes, set by `main` alone: 0 success, 1 runtime/domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional, TextIO
 
 from . import acquisition, calibration, dataset, files, probe, svgchart
 from .errors import DomainError, PlasmaKitError, SchemaError
@@ -45,6 +45,16 @@ def _load_config(args) -> acquisition.ChannelConfig:
                                        if getattr(args, f.name) is not None})
 
 
+def _write_out(path: Optional[str], write: Callable[[TextIO], object], note: str = "") -> None:
+    """write(fh) to the file at path, atomically, and say so; to stdout without a path."""
+    if not path:
+        write(sys.stdout)
+        return
+    with files.atomic_write(path) as fh:
+        write(fh)
+    print(f"wrote {path}{note}")
+
+
 def _network_from_args(args) -> probe.ProbeNetwork:
     return probe.ProbeNetwork.uniform(args.n, args.r1, args.c1, args.r0, args.c0)
 
@@ -65,7 +75,7 @@ def _curve_from_args(args) -> calibration.CalibrationCurve:
 
 # ---------------------------------------------------------------- probe
 
-def _cmd_probe_analyze(args) -> int:
+def _cmd_probe_analyze(args) -> None:
     net = _network_from_args(args)
     exact_c0 = probe.compensation_capacitor(net)
     ratio = probe.dc_attenuation(net)
@@ -77,10 +87,9 @@ def _cmd_probe_analyze(args) -> int:
         "is_compensated": probe.is_compensated(net, args.tol),
         "compensation_rel_tol": args.tol,
     })
-    return 0
 
 
-def _cmd_probe_design(args) -> int:
+def _cmd_probe_design(args) -> None:
     net = probe.design_probe(args.ratio, args.n, args.r1, args.c1)
     _print_json({
         "n": net.n,
@@ -90,10 +99,9 @@ def _cmd_probe_design(args) -> int:
         "c0_farads": net.base.capacitance,
         "dc_attenuation": probe.dc_attenuation(net),
     })
-    return 0
 
 
-def _cmd_probe_bode(args) -> int:
+def _cmd_probe_bode(args) -> None:
     net = _network_from_args(args)
     sweep = probe.bode_sweep(net, args.fmin, args.fmax, args.points, args.spacing)
     if args.out and args.out.endswith(".svg"):
@@ -102,58 +110,47 @@ def _cmd_probe_bode(args) -> int:
              svgchart.Series(sweep.frequency, sweep.phase, "phase (rad)")],
             title="Probe frequency response", x_label="frequency (Hz)",
             y_label="gain", x_log=True)
-        with files.atomic_write(args.out) as fh:
-            fh.write(svg)
-        print(f"wrote {args.out}")
-    elif args.out:
-        with files.atomic_write(args.out) as fh:
-            probe.write_sweep_csv(sweep, fh)
-        print(f"wrote {args.out}")
+        _write_out(args.out, lambda fh: fh.write(svg))
     else:
-        probe.write_sweep_csv(sweep, sys.stdout)
-    return 0
+        _write_out(args.out, lambda fh: probe.write_sweep_csv(sweep, fh))
 
 
 # ------------------------------------------------------------------ cal
 
-def _cmd_cal_fit(args) -> int:
+def _cmd_cal_fit(args) -> None:
     inputs, lux = calibration.read_samples_csv(args.infile)
     curve, _, stats = calibration.fit_log_cubic(inputs, lux, calibration.InputKind(args.kind),
                                                 args.trim)
     files.write_texts(  # rendered first: a failing render leaves no file written
         args.out and (args.out, files.json_text(calibration.curve_to_dict(curve))),
-        args.plot and (args.plot, _fit_svg(inputs, lux, curve, float(inputs.min()),
-                                           float(inputs.max()), "Calibration fit",
+        args.plot and (args.plot, _fit_svg(inputs, lux, curve, "Calibration fit",
                                            f"input ({args.kind})")))
     _print_json({**calibration.curve_to_dict(curve), **stats})
-    return 0
 
 
-def _cmd_cal_eval(args) -> int:
+def _cmd_cal_eval(args) -> None:
     curve = _curve_from_args(args)
     lux = calibration.lux_from_input(curve, args.input)
     if not curve.covers(args.input):
         print(f"warning: input {args.input} is outside the fitted range "
               f"{list(curve.input_range)}; extrapolating", file=sys.stderr)
     _print_json({"input": args.input, "kind": curve.input_kind.value, "lux": lux})
-    return 0
 
 
-def _cmd_cal_invert(args) -> int:
+def _cmd_cal_invert(args) -> None:
     curve = _curve_from_args(args)
     x = calibration.input_from_lux(curve, args.lux)
     if not curve.covers(x):
         print(f"warning: result {x} is outside the fitted range "
               f"{list(curve.input_range)}; extrapolating", file=sys.stderr)
     _print_json({"lux": args.lux, "kind": curve.input_kind.value, "input": x})
-    return 0
 
 
-def _fit_svg(xs, ys, curve: calibration.CalibrationCurve, lo: float, hi: float,
-             title: str, x_label: str) -> str:
-    """SVG of the samples as dots and the curve at 200 log-spaced inputs in [lo, hi]."""
-    a, b = math.log(lo), math.log(hi)
-    grid = [math.exp(a + (b - a) * k / 199) for k in range(200)] if hi > lo else [lo] * 200
+def _fit_svg(xs, ys, curve: calibration.CalibrationCurve, title: str, x_label: str) -> str:
+    """SVG of the samples as dots and the curve at 200 log-spaced inputs over
+    its input_range (a fit has at least 4 distinct inputs, so lo < hi)."""
+    a, b = map(math.log, curve.input_range)
+    grid = [math.exp(a + (b - a) * k / 199) for k in range(200)]
     return svgchart.render_chart(
         [svgchart.Series(xs, ys, "data", style="dots"),
          svgchart.Series(grid, [calibration.lux_from_input(curve, x) for x in grid], "fit")],
@@ -162,40 +159,33 @@ def _fit_svg(xs, ys, curve: calibration.CalibrationCurve, lo: float, hi: float,
 
 # ------------------------------------------------------------------ acq
 
-def _cmd_acq_power(args) -> int:
+def _cmd_acq_power(args) -> None:
     _print_json({"v_volts": args.v, "i_amps": args.i,
                  "p_watts": acquisition.instantaneous_power(args.v, args.i)})
-    return 0
 
 
-def _cmd_acq_replay(args) -> int:
+def _cmd_acq_replay(args) -> None:
     cfg = _load_config(args)
     curve = calibration.load_curve(args.curve) if args.curve else None
     diagnostics = None if args.strict else []
     samples = acquisition.replay_stream(args.infile, cfg, curve, diagnostics=diagnostics)
     for err in diagnostics or ():
         print(f"warning: {err}", file=sys.stderr)
-    if args.out:
-        with files.atomic_write(args.out) as fh:
-            acquisition.write_samples_csv(samples, fh)
-        print(f"wrote {args.out} ({len(samples)} samples)")
-    else:
-        acquisition.write_samples_csv(samples, sys.stdout)
-    return 0
+    _write_out(args.out, lambda fh: acquisition.write_samples_csv(samples, fh),
+               f" ({len(samples)} samples)")
 
 
 # -------------------------------------------------------- characterize
 
-def _cmd_characterize(args) -> int:
+def _cmd_characterize(args) -> None:
     char = dataset.characterize(dataset.load_run(args.infile), trim=args.trim,
                                 ignition_i_min=args.i_min)
     used, text = char.samples, files.json_text(dataset.characterization_to_dict(char))
     files.write_texts(  # rendered first: a failing render leaves no file written
         args.out and (args.out, text),
-        args.plot and (args.plot, _fit_svg(used.p_watts, used.lux, char.curve, *char.input_range,
+        args.plot and (args.plot, _fit_svg(used.p_watts, used.lux, char.curve,
                                            "Plasma power vs illuminance", "power (W)")))
     sys.stdout.write(text)
-    return 0
 
 
 # --------------------------------------------------------------- parser
@@ -307,10 +297,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (PlasmaKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

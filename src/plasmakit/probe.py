@@ -276,8 +276,6 @@ def is_compensated(net: ProbeNetwork, rel_tol: float) -> bool:
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
         raise DomainError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     ideal = compensation_capacitor(net)
-    if ideal == 0.0:
-        return net.base.capacitance == 0.0
     return abs(net.base.capacitance - ideal) <= rel_tol * ideal
 
 

@@ -3,6 +3,7 @@ import codecs
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,27 @@ class TestCalCommands:
                              "--plot", str(plot))
         assert code == 0
         assert "<polyline" in plot.read_text()
+
+    def test_trimmed_fit_plot_draws_the_curve_over_its_range(self, capsys, tmp_path):
+        # the smallest input is an outlier that --trim drops: the fit line
+        # spans the kept inputs, not the trimmed one, while every row is a dot
+        curve = CalibrationCurve(*VOLTAGE_COEFFS)
+        inputs = [0.8] + [8 ** (k / 39) for k in range(40)]
+        lux = [50 * lux_from_input(curve, 0.8)] + [lux_from_input(curve, x) for x in inputs[1:]]
+        samples, plot = tmp_path / "samples.csv", tmp_path / "fit.svg"
+        samples.write_text("input,lux\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(inputs, lux)))
+        code, out, _ = run_cli(capsys, "cal", "fit", "--in", str(samples), "--trim",
+                               "--plot", str(plot))
+        assert code == 0
+        assert json.loads(out)["trimmed_count"] == 1
+        svg = plot.read_text()
+        dots = [float(cx) for cx in re.findall(r'<circle cx="([-0-9.]+)"', svg)]
+        line = [float(pt.split(",")[0])
+                for pt in re.search(r'<polyline points="([^"]+)"', svg).group(1).split()]
+        assert len(dots) == len(inputs)
+        assert dots[0] < dots[1]  # the trimmed row is drawn left of the fit
+        assert line[0] == pytest.approx(dots[1], abs=0.01)
+        assert line[-1] == pytest.approx(dots[-1], abs=0.01)
 
     def test_eval_extrapolation_warning(self, capsys, tmp_path):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_range=(0.5, 8.0))
@@ -542,11 +564,14 @@ def test_failed_plot_leaves_the_out_file_as_it_was(capsys, tmp_path, command):
 
 
 # Inputs a CSV reader cannot read past: a byte that is not UTF-8, and a
-# field longer than csv.field_size_limit() (131072 by default).
+# field longer than csv.field_size_limit() (131072 by default), in a record
+# or in the header.
 UNREADABLE_CSV = {
     "not_utf8": lambda header, row: (header + "\n" + row + "\n").encode() + b"\xff\n",
     "long_field": lambda header, row: (header + "\n" + row + "\n" + "1" * 140_000
                                        + "\n").encode(),
+    "long_header": lambda header, row: (header + "," + "x" * 140_000 + "\n" + row
+                                        + "\n").encode(),
 }
 UNREADABLE_COMMANDS = {
     "acq replay": (["acq", "replay"], "t_ms,raw_hv,raw_shunt", "0,652,2596"),
@@ -568,6 +593,8 @@ class TestUnreadableInput:
         assert err.startswith("error:") and "Traceback" not in err
         if kind == "long_field":
             assert err.startswith("error: line 3: field larger than field limit")
+        if kind == "long_header":
+            assert err.startswith("error: line 1: field larger than field limit")
 
     @pytest.mark.parametrize("argv", [["characterize"], ["acq", "replay", "--strict"],
                                       ["cal", "fit"]])

@@ -1,8 +1,9 @@
 """Package hygiene: every exported name exists, the package's names are its
 modules' `__all__` lists, no module imports a name it never uses, none
 imports a private name from a sibling module, and every public function or
-class is used by the package or the benchmark.  The checks are small `ast`
-walks, so they need no linter installed."""
+class is used by the package or the benchmark, and no `cli._cmd_*` handler
+returns a value.  The checks are small `ast` walks, so they need no linter
+installed."""
 
 import ast
 import importlib
@@ -125,3 +126,22 @@ def test_dead_helper_check_sees_one():
                             "def _private(): pass\nclass Kept: pass\nclass Dropped: pass\n"
                             "def caller():\n    return used(), os.path.Kept\n")
     assert dead_helpers([module_tree], [module_tree]) == ["Dropped", "caller", "spare"]
+
+
+def handler_returns(module_tree):
+    """(function, line) of every `return` with a value in a `_cmd_*` function:
+    the handlers return nothing, and `cli.main` alone sets the exit code."""
+    return [(fn.name, node.lineno) for fn in module_tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+            for node in ast.walk(fn) if isinstance(node, ast.Return) and node.value is not None]
+
+
+def test_cli_handlers_return_nothing():
+    assert handler_returns(tree("cli")) == []
+
+
+def test_handler_return_check_sees_one():
+    module_tree = ast.parse("def _cmd_a(args):\n    if args:\n        return\n    print(1)\n"
+                            "def _cmd_b(args):\n    return 0\n"
+                            "def main(argv):\n    return 1\n")
+    assert handler_returns(module_tree) == [("_cmd_b", 6)]

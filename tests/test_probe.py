@@ -184,9 +184,13 @@ class TestCompensation:
         net = ProbeNetwork.uniform(1, 1e3, 1e-9, 1e3, 0)
         assert compensation_capacitor(net) == pytest.approx(1e-9, rel=1e-15)
 
-    def test_zero_ladder_capacitance(self):
+    @pytest.mark.parametrize("tol", [0.0, 0.1])
+    def test_zero_ladder_capacitance(self, tol):
+        # with C1 = 0 the exact C0 is 0, and only C0 = 0 is within any tolerance of it
         net = ProbeNetwork.uniform(3, 1e6, 0.0, 1e3, 0.0)
         assert compensation_capacitor(net) == 0.0
+        assert is_compensated(net, tol) is True
+        assert is_compensated(ProbeNetwork.uniform(3, 1e6, 0.0, 1e3, 1e-12), tol) is False
 
     def test_non_uniform_ladder_rejected(self):
         net = ProbeNetwork(base=RCStage(1e3),

@@ -22,6 +22,7 @@ import pytest
 from numpy.polynomial import polynomial
 
 from plasmakit import ChannelConfig
+from plasmakit.calibration import FIT_ATOL
 from plasmakit.cli import main
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
@@ -109,12 +110,71 @@ def test_replay_is_within_half_a_code_of_the_truth(rig, capsys, curve):
         assert np.isnan(cols["lux"]).all()
         return
     assert (cols["lux"][~lit] == 0.0).all()  # a dark count reads 0 lux
-    # The light volts are within q/2 too; the curve's log slope is convex in
-    # ln x, so its largest value over that interval is at an end.
     x = rig["light"][keep][lit]
+    log_lux = polynomial.polyval(np.log(x), VOLTAGE_COEFFS)
+    assert np.all(np.abs(np.log(cols["lux"][lit]) - log_lux) <= light_bound(x))
+
+
+def light_bound(x: np.ndarray) -> np.ndarray:
+    """Bound on the ln lux error of light volts x read through the voltage
+    curve: the volts are within q/2, and the curve's log slope is convex in
+    ln x, so its largest value over that interval is at an end."""
     slope = [polynomial.polyval(np.log(x + d), polynomial.polyder(VOLTAGE_COEFFS))
              for d in (-Q / 2, Q / 2)]
-    bound = np.maximum(*slope) * -np.log1p(-Q / 2 / x) + 1e-12
-    log_lux = polynomial.polyval(np.log(x), VOLTAGE_COEFFS)
-    assert np.all(np.abs(np.log(cols["lux"][lit]) - log_lux) <= bound)
+    return np.maximum(*slope) * -np.log1p(-Q / 2 / x) + 1e-12
 
+
+def hat_row_sums(u: np.ndarray, block: int = 512) -> np.ndarray:
+    """Row sums of |H|, H the hat matrix of the cubic least-squares fit in u,
+    from a NumPy QR of its design in u centred and scaled to [-1, 1], taken a
+    block of rows at a time so the n-by-n matrix is never held."""
+    q = np.linalg.qr(np.vander((2.0 * u - u.max() - u.min()) / (u.max() - u.min()), 4))[0]
+    return np.concatenate([np.abs(q[k:k + block] @ q.T).sum(axis=1)
+                           for k in range(0, len(u), block)])
+
+
+def test_characterize_fits_the_replayed_run_back_to_the_power_curve(rig, capsys):
+    # The usable rows follow the documented rule: ignition is the first run of
+    # 3 rows with |i| >= 1e-3, and the fit keeps the rows from there on with
+    # p > 0 and lux > 0.  F is the published power curve and u = ln p.  Each
+    # usable row's ln lux is within eps of F(u); the fit is H y up to FIT_ATOL,
+    # and H F(u) = F(u) because F is a cubic in u, so the fit is within
+    # ||H||_inf * max(eps) + FIT_ATOL of F at every usable u.
+    code, _, cols = replay(rig, capsys, curve=True)
+    assert code == 0
+    char = rig["root"] / "char.json"
+    code = main(["characterize", "--in", str(rig["root"] / "samples_True.csv"),
+                 "--out", str(char)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == char.read_text()
+    data = json.loads(char.read_text())
+
+    t, i, p, lux = (cols[name] for name in ("t_ms", "i_amps", "p_watts", "lux"))
+    above = np.abs(i) >= 1e-3
+    ignition = next(k for k in range(len(i)) if above[k:k + 3].all())
+    usable = (t >= t[ignition]) & (p > 0.0) & (lux > 0.0)
+    assert data["input_range"] == [p[usable].min(), p[usable].max()]
+    assert data["trimmed_count"] == 0
+
+    # eps per usable row: the light channel's term, as in the replay test,
+    # plus F's largest slope over the row's interval of ln p times its
+    # half-width, the p bound over p.  F' is a convex quadratic with no real
+    # root, so it is positive and largest at an end of the interval.
+    dF = polynomial.polyder(POWER_COEFFS)
+    assert dF[1] ** 2 - 4 * dF[2] * dF[0] < 0 < dF[2]
+    rows = np.flatnonzero(rig["keep"])[usable]
+    v_true, i_true = rig["v"][rows], rig["i"][rows]
+    p_true = v_true * i_true
+    p_bound = (np.abs(i_true) * DV + np.abs(v_true) * DI + DV * DI
+               + 4 * np.spacing(np.abs(p_true)))
+    half = -np.log1p(-p_bound / p_true)
+    eps = light_bound(rig["light"][rows]) + np.maximum(*(polynomial.polyval(np.log(p_true) + d * half, dF)
+                               for d in (-1, 1))) * half
+    u = np.log(p[usable])
+    truth = polynomial.polyval(u, POWER_COEFFS)
+    assert np.all(np.abs(np.log(lux[usable]) - truth) <= eps)
+
+    curve = [data["curve"][name] for name in ("a0", "a1", "a2", "a3")]
+    miss = np.abs(polynomial.polyval(u, curve) - truth).max()
+    assert miss <= hat_row_sums(u).max() * eps.max() + FIT_ATOL
