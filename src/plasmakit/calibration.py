@@ -144,15 +144,15 @@ def monotone_direction(curve: CalibrationCurve) -> int:
     """+1 strictly increasing, -1 strictly decreasing, 0 not monotone.
 
     The derivative of the log-domain cubic is q(u) = 3*a3*u^2 + 2*a2*u + a1.
-    For a3 != 0 the curve is monotone iff q has no real root, i.e. the
-    discriminant 4*a2^2 - 12*a3*a1 is negative; the direction is sign(a3).
+    For a3 != 0 the curve is monotone iff q never changes sign: the discriminant
+    4*a2^2 - 12*a3*a1 is <= 0, as a double root only touches 0; direction sign(a3).
     Degenerate cases: a3 == 0 with a2 != 0 gives a linear q that always
     changes sign; a3 == a2 == 0 leaves q = a1 (constant sign, or flat).
     """
     a1, a2, a3 = curve.a1, curve.a2, curve.a3
     if a3 != 0.0:
         disc = 4.0 * a2 * a2 - 12.0 * a3 * a1
-        if disc < 0.0:
+        if disc <= 0.0:
             return 1 if a3 > 0.0 else -1
         return 0
     if a2 != 0.0:

@@ -6,7 +6,9 @@ Subcommands:
     acq replay|power            frame replay and point power computation
     characterize                power-versus-illuminance fit of a run file
 
-Exit codes, set by `main` alone: 0 success, 1 runtime/domain error, 2 usage error.
+A call adds flags to the one command its argv names, or to all of them when
+it names none (a bare `--help`).  Exit codes, set by `main` alone:
+0 success, 1 runtime/domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -190,112 +192,110 @@ def _cmd_characterize(args) -> None:
 
 # --------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
+_NETWORK_FLAGS = {
+    "--n": dict(type=int, required=True, help="ladder stage count"),
+    "--r1": dict(type=float, required=True, help="ladder resistance (ohms)"),
+    "--c1": dict(type=float, required=True, help="ladder capacitance (farads)"),
+    "--r0": dict(type=float, required=True, help="base resistance (ohms)"),
+    "--c0": dict(type=float, required=True, help="base capacitance (farads)"),
+}
+_KINDS = [kind.value for kind in calibration.InputKind]
+_CURVE_FLAGS = {"--curve": dict(help="curve JSON file"),
+                **{f"--a{k}": dict(type=float) for k in range(4)},
+                "--kind": dict(choices=_KINDS)}
+
+# Each command once, in the order of `plasmakit --help`: a group is (help, its
+# commands), a leaf is (help, handler, its flags as add_argument calls).
+_COMMANDS = {
+    "probe": ("RC-ladder high-voltage probe tools", {
+        "analyze": ("ratio, compensation, verdict", _cmd_probe_analyze, {
+            **_NETWORK_FLAGS,
+            "--tol": dict(type=float, default=0.10,
+                          help="relative compensation tolerance (default 0.10)")}),
+        "design": ("synthesize a compensated probe", _cmd_probe_design, {
+            "--ratio": dict(type=float, required=True, help="target DC ratio in (0,1)"),
+            "--n": dict(type=int, required=True),
+            "--r1": dict(type=float, required=True),
+            "--c1": dict(type=float, required=True)}),
+        "bode": ("frequency sweep to CSV or SVG", _cmd_probe_bode, {
+            **_NETWORK_FLAGS,
+            "--fmin": dict(type=float, default=1.0),
+            "--fmax": dict(type=float, default=1e7),
+            "--points": dict(type=int, default=200),
+            "--spacing": dict(choices=["log", "linear"], default="log"),
+            "--out": dict(help="output path (.csv or .svg); default stdout CSV")})}),
+    "cal": ("illuminance calibration curves", {
+        "fit": ("fit a log-cubic curve to samples", _cmd_cal_fit, {
+            "--in": dict(dest="infile", required=True, help="CSV with header input,lux"),
+            "--out": dict(help="curve JSON output path"),
+            "--kind": dict(choices=_KINDS, default="voltage"),
+            "--trim": dict(action="store_true", help="3-sigma trim-and-refit pass"),
+            "--plot": dict(help="SVG output path")}),
+        "eval": ("input -> lux", _cmd_cal_eval,
+                 {**_CURVE_FLAGS, "--input": dict(type=float, required=True)}),
+        "invert": ("lux -> input", _cmd_cal_invert,
+                   {**_CURVE_FLAGS, "--lux": dict(type=float, required=True)})}),
+    "acq": ("acquisition pipeline", {
+        "power": ("p = v * i", _cmd_acq_power, {
+            "--v": dict(type=float, required=True, help="needle voltage (V)"),
+            "--i": dict(type=float, required=True, help="plasma current (A)")}),
+        "replay": ("convert a frame CSV to samples", _cmd_acq_replay, {
+            "--in": dict(dest="infile", required=True),
+            "--out": dict(help="samples CSV output path; default stdout"),
+            "--config": dict(help="ChannelConfig JSON file"),
+            "--curve": dict(help="light-sensor curve JSON for the lux column"),
+            "--strict": dict(action="store_true", help="abort on first bad row"),
+            **{f"--{f.name.replace('_', '-')}": dict(dest=f.name, type=type(f.default))
+               for f in dataclasses.fields(acquisition.ChannelConfig)}})}),
+    "characterize": ("power vs illuminance fit of a run", _cmd_characterize, {
+        "--in": dict(dest="infile", required=True, help="engineering CSV run file"),
+        "--out": dict(help="characterization JSON output path"),
+        "--plot": dict(help="scatter + fitted curve SVG output path"),
+        "--trim": dict(action="store_true", help="3-sigma trim-and-refit pass"),
+        "--i-min": dict(dest="i_min", type=float, default=acquisition.IGNITION_I_MIN,
+                        help="ignition current threshold in amps (default 1e-3)")}),
+}
+
+
+def _leaf_path(argv, commands=_COMMANDS) -> Optional[tuple[str, ...]]:
+    """The names of the leaf command that argv's first words spell, or None."""
+    entry = commands.get(argv[0]) if argv else None
+    if entry is None or len(entry) == 3:
+        return entry and (argv[0],)
+    rest = _leaf_path(argv[1:], entry[1])
+    return rest and (argv[0], *rest)
+
+
+def _add_commands(sub, commands: dict, path: Optional[tuple[str, ...]]) -> None:
+    """Register each of commands with the subparsers action sub; only the one
+    that path starts with (every one, when path is None) gets what is under it."""
+    for name, (text, *body) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if path is None or path[0] == name:
+            if len(body) == 1:  # a group
+                _add_commands(p.add_subparsers(dest="subcommand", required=True), body[0],
+                              path and path[1:])
+            else:
+                handler, flags = body
+                for flag, kwargs in flags.items():
+                    p.add_argument(flag, **kwargs)
+                p.set_defaults(func=handler)
+
+
+def build_parser(path: Optional[tuple[str, ...]] = None) -> argparse.ArgumentParser:
+    """The full command tree; given a leaf's path, such as ("acq", "replay"),
+    the same tree with flags on that leaf alone."""
     parser = argparse.ArgumentParser(
         prog="plasmakit",
         description="Low-cost plasma diagnostics: probe analysis, sensor "
                     "calibration, acquisition replay, characterization.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # probe
-    p_probe = sub.add_parser("probe", help="RC-ladder high-voltage probe tools")
-    probe_sub = p_probe.add_subparsers(dest="subcommand", required=True)
-
-    def add_network_flags(p):
-        p.add_argument("--n", type=int, required=True, help="ladder stage count")
-        p.add_argument("--r1", type=float, required=True, help="ladder resistance (ohms)")
-        p.add_argument("--c1", type=float, required=True, help="ladder capacitance (farads)")
-        p.add_argument("--r0", type=float, required=True, help="base resistance (ohms)")
-        p.add_argument("--c0", type=float, required=True, help="base capacitance (farads)")
-
-    pa = probe_sub.add_parser("analyze", help="ratio, compensation, verdict")
-    add_network_flags(pa)
-    pa.add_argument("--tol", type=float, default=0.10,
-                    help="relative compensation tolerance (default 0.10)")
-    pa.set_defaults(func=_cmd_probe_analyze)
-
-    pd = probe_sub.add_parser("design", help="synthesize a compensated probe")
-    pd.add_argument("--ratio", type=float, required=True, help="target DC ratio in (0,1)")
-    pd.add_argument("--n", type=int, required=True)
-    pd.add_argument("--r1", type=float, required=True)
-    pd.add_argument("--c1", type=float, required=True)
-    pd.set_defaults(func=_cmd_probe_design)
-
-    pb = probe_sub.add_parser("bode", help="frequency sweep to CSV or SVG")
-    add_network_flags(pb)
-    pb.add_argument("--fmin", type=float, default=1.0)
-    pb.add_argument("--fmax", type=float, default=1e7)
-    pb.add_argument("--points", type=int, default=200)
-    pb.add_argument("--spacing", choices=["log", "linear"], default="log")
-    pb.add_argument("--out", help="output path (.csv or .svg); default stdout CSV")
-    pb.set_defaults(func=_cmd_probe_bode)
-
-    # cal
-    p_cal = sub.add_parser("cal", help="illuminance calibration curves")
-    cal_sub = p_cal.add_subparsers(dest="subcommand", required=True)
-    kinds = [kind.value for kind in calibration.InputKind]
-
-    def add_curve_flags(p):
-        p.add_argument("--curve", help="curve JSON file")
-        p.add_argument("--a0", type=float)
-        p.add_argument("--a1", type=float)
-        p.add_argument("--a2", type=float)
-        p.add_argument("--a3", type=float)
-        p.add_argument("--kind", choices=kinds)
-
-    cf = cal_sub.add_parser("fit", help="fit a log-cubic curve to samples")
-    cf.add_argument("--in", dest="infile", required=True, help="CSV with header input,lux")
-    cf.add_argument("--out", help="curve JSON output path")
-    cf.add_argument("--kind", choices=kinds, default="voltage")
-    cf.add_argument("--trim", action="store_true", help="3-sigma trim-and-refit pass")
-    cf.add_argument("--plot", help="SVG output path")
-    cf.set_defaults(func=_cmd_cal_fit)
-
-    ce = cal_sub.add_parser("eval", help="input -> lux")
-    add_curve_flags(ce)
-    ce.add_argument("--input", type=float, required=True)
-    ce.set_defaults(func=_cmd_cal_eval)
-
-    ci = cal_sub.add_parser("invert", help="lux -> input")
-    add_curve_flags(ci)
-    ci.add_argument("--lux", type=float, required=True)
-    ci.set_defaults(func=_cmd_cal_invert)
-
-    # acq
-    p_acq = sub.add_parser("acq", help="acquisition pipeline")
-    acq_sub = p_acq.add_subparsers(dest="subcommand", required=True)
-
-    ap = acq_sub.add_parser("power", help="p = v * i")
-    ap.add_argument("--v", type=float, required=True, help="needle voltage (V)")
-    ap.add_argument("--i", type=float, required=True, help="plasma current (A)")
-    ap.set_defaults(func=_cmd_acq_power)
-
-    ar = acq_sub.add_parser("replay", help="convert a frame CSV to samples")
-    ar.add_argument("--in", dest="infile", required=True)
-    ar.add_argument("--out", help="samples CSV output path; default stdout")
-    ar.add_argument("--config", help="ChannelConfig JSON file")
-    ar.add_argument("--curve", help="light-sensor curve JSON for the lux column")
-    ar.add_argument("--strict", action="store_true", help="abort on first bad row")
-    for f in dataclasses.fields(acquisition.ChannelConfig):
-        ar.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
-    ar.set_defaults(func=_cmd_acq_replay)
-
-    # characterize
-    pc = sub.add_parser("characterize", help="power vs illuminance fit of a run")
-    pc.add_argument("--in", dest="infile", required=True, help="engineering CSV run file")
-    pc.add_argument("--out", help="characterization JSON output path")
-    pc.add_argument("--plot", help="scatter + fitted curve SVG output path")
-    pc.add_argument("--trim", action="store_true", help="3-sigma trim-and-refit pass")
-    pc.add_argument("--i-min", dest="i_min", type=float, default=acquisition.IGNITION_I_MIN,
-                    help="ignition current threshold in amps (default 1e-3)")
-    pc.set_defaults(func=_cmd_characterize)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, path)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_leaf_path(argv)).parse_args(argv)
     try:
         args.func(args)
     except (PlasmaKitError, OSError) as exc:

@@ -60,6 +60,12 @@ class TestChannelConfig:
         with pytest.raises(DomainError, match=name):
             ChannelConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("probe_ratio", 0.0), ("probe_ratio", 1.0),
+                                             ("adc_fullscale_volts", 0.0)])
+    def test_open_interval_ends_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be "):
+            ChannelConfig(**{name: value})
+
     def test_fractional_adc_bits_rejected(self):
         with pytest.raises(DomainError, match="adc_bits"):
             ChannelConfig(adc_bits=12.0)

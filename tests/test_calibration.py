@@ -23,6 +23,7 @@ from plasmakit import (
 )
 from plasmakit import calibration, files
 from plasmakit.calibration import (
+    INVERT_ATOL,
     TRIM_SIGMA,
     curve_from_dict,
     curve_to_dict,
@@ -116,8 +117,43 @@ class TestMonotonicity:
     def test_constant_curve_not_monotone(self):
         assert monotone_direction(CalibrationCurve(2.0, 0.0, 0.0, 0.0)) == 0
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slope_with_a_double_root_is_monotone(self, sign):
+        # ln lux = sign * ((u + 1)^3 - 1): the slope 3 sign (u + 1)^2 touches 0
+        # at u = -1 without changing sign, so the discriminant is exactly 0
+        curve = CalibrationCurve(0.0, 3.0 * sign, 3.0 * sign, 1.0 * sign)
+        assert 4 * curve.a2 * curve.a2 - 12 * curve.a3 * curve.a1 == 0
+        assert monotone_direction(curve) == sign
+
+
+class TestInputRange:
+    def test_covers_both_ends_and_nothing_past_them(self):
+        curve = CalibrationCurve(0.0, 1.0, 0.0, 0.0, input_range=(0.5, 8.0))
+        assert curve.covers(0.5) and curve.covers(8.0)
+        assert not curve.covers(math.nextafter(0.5, 0.0))
+        assert not curve.covers(math.nextafter(8.0, 9.0))
+
+    def test_a_one_point_range_is_accepted(self):
+        curve = CalibrationCurve(0.0, 1.0, 0.0, 0.0, input_range=(2.0, 2.0))
+        assert curve.input_range == (2.0, 2.0) and curve.covers(2.0)
+
 
 class TestInversion:
+    # ln lux = (u + 1)^3 - 1, strictly increasing with a zero slope at u = -1
+    FLAT_POINT_CUBIC = CalibrationCurve(0.0, 3.0, 3.0, 1.0)
+
+    @pytest.mark.parametrize("lux", [5.0, 1e-3, 1e3])
+    def test_cubic_with_a_flat_point_inverts_to_the_closed_form(self, lux):
+        t = math.log(lux) + 1.0  # (u + 1)^3
+        u = math.copysign(abs(t) ** (1 / 3), t) - 1.0
+        assert input_from_lux(self.FLAT_POINT_CUBIC, lux) == pytest.approx(math.exp(u), rel=1e-12)
+
+    def test_cubic_inverts_at_its_flat_point(self):
+        # the triple root amplifies rounding in x, so the residual, not x, is checked
+        x = input_from_lux(self.FLAT_POINT_CUBIC, math.exp(-1.0))
+        assert abs(eval_log_poly(self.FLAT_POINT_CUBIC, math.log(x)) + 1.0) <= INVERT_ATOL
+        assert x == pytest.approx(math.exp(-1.0), rel=1e-4)
+
     def test_round_trip_power_curve(self, power_curve):
         lux = lux_from_input(power_curve, 2.0)
         assert input_from_lux(power_curve, lux) == pytest.approx(2.0, rel=1e-9)

@@ -115,6 +115,14 @@ class TestProbeCommands:
         assert out == ""
         assert err.startswith("error:") and "over- or underflows" in err
 
+    @pytest.mark.parametrize("r1", ["1e300", "1e10"])
+    def test_infinite_compensation_capacitor_exits_1(self, capsys, r1):
+        # C1*R1/R0 is inf; with R1 = 1e10 the DC ratio 1e-20 is still a normal float
+        code, out, err = run_cli(capsys, "probe", "analyze", "--n", "1", "--r1", r1,
+                                 "--c1", "1e300", "--r0", "1e-10", "--c0", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: compensation capacitor C1*R1/R0 = inf over- or underflows\n"
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["probe", "analyze", "--n", "5"])  # missing component flags
@@ -185,6 +193,14 @@ class TestCalCommands:
                                "--lux", "12.5952")
         assert code == 0
         assert json.loads(out)["input"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_invert_cubic_with_a_flat_point(self, capsys):
+        # ln lux = (u + 1)^3 - 1: its slope is 0 at u = -1, yet it is strictly increasing
+        code, out, err = run_cli(capsys, "cal", "invert", "--a0", "0", "--a1", "3", "--a2", "3",
+                                 "--a3", "1", "--kind", "voltage", "--lux", "5")
+        assert (code, err) == (0, "")
+        expected = math.exp((math.log(5.0) + 1.0) ** (1 / 3) - 1.0)
+        assert json.loads(out)["input"] == pytest.approx(expected, rel=1e-12)
 
     def test_fit_log_linear_points(self, capsys, tmp_path):
         samples = tmp_path / "samples.csv"

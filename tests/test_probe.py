@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestDcAttenuation:
     def test_symmetric_divider(self):
         assert dc_attenuation(ProbeNetwork.uniform(1, 1e3, 0, 1e3, 0)) == 0.5
 
+    def test_underflowing_ratio_raises(self):
+        # R0 / (R0 + R1) = 1e-310 is subnormal, though the sum is finite
+        with pytest.raises(DomainError, match="over- or underflows"):
+            dc_attenuation(ProbeNetwork.uniform(1, 1e10, 0.0, 1e-300, 0.0))
+
+    def test_smallest_normal_ratio_is_kept(self):
+        # R0 / (R0 + 1) rounds to R0 exactly
+        net = ProbeNetwork.uniform(1, 1.0, 0.0, sys.float_info.min, 0.0)
+        assert dc_attenuation(net) == sys.float_info.min
+
     def test_adding_stage_strictly_decreases_ratio(self):
         stage = RCStage(1e6, 10e-12)
         net = ProbeNetwork(base=RCStage(1e3))
@@ -267,6 +278,8 @@ class TestBodeSweep:
             bode_sweep(net, 0.0, 1e6, 10)
         with pytest.raises(DomainError):
             bode_sweep(net, 1e6, 1e3, 10)
+        with pytest.raises(DomainError, match="f_min < f_max"):
+            bode_sweep(net, 1e3, 1e3, 10)
         with pytest.raises(DomainError):
             bode_sweep(net, 1.0, 1e6, 1)
         with pytest.raises(DomainError):
