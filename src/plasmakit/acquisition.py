@@ -193,15 +193,11 @@ def read_samples(fields, chunks, diagnostics: Optional[list] = None, prefix: str
                           f"(allowed: {','.join(OUT_HEADER)})")
 
     def convert(cells, n, start):
-        if "t_ms" in cells:
-            t, t_errors = files.floats(cells["t_ms"], n, prefix)
-        else:
-            t, t_errors = np.arange(start, start + n, dtype=float), {}
-        v, v_errors = files.floats(cells["v_volts"], n, prefix)
-        i, i_errors = files.floats(cells["i_amps"], n, prefix)
-        lux, lux_errors = files.floats(cells.get("lux"), n, prefix, optional=True)
-        return ((t, v, i, lux),
-                [t_errors, v_errors, i_errors, lux_errors, *_row_errors(t, v, i, lux, prefix)])
+        (t, v, i, lux), errors = files.float_columns(
+            cells, n, ("t_ms", "v_volts", "i_amps", "lux"), prefix, optional=("lux",))
+        if "t_ms" not in fields:
+            t = np.arange(start, start + n, dtype=float)
+        return (t, v, i, lux), [*errors, *_row_errors(t, v, i, lux, prefix)]
 
     return Samples(*(files.collect(chunks, convert, diagnostics) or [()] * 4))
 

@@ -316,9 +316,7 @@ def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:
             raise SchemaError("sample CSV must have header columns: input,lux")
 
         def convert(cells, n, start):
-            x, x_errors = files.floats(cells["input"], n)
-            y, y_errors = files.floats(cells["lux"], n)
-            errors = [x_errors, y_errors]
+            (x, y), errors = files.float_columns(cells, n, ("input", "lux"))
             for name, col in (("input", x), ("illuminance", y)):
                 bad = np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist()
                 errors.append({k: f"sample {name} must be > 0, got {float(col[k])}" for k in bad})

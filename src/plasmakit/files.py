@@ -1,18 +1,21 @@
 """Every file plasmakit reads or writes goes through this module: one
 chunked CSV reader with its one row collector, one JSON loader, and one
-atomic writer."""
+atomic writer.  A plain chunk's float columns are read in one pass of
+NumPy's C reader; any other chunk, and every error, goes through the cells."""
 
 from __future__ import annotations
 
 import csv
 import errno
+import functools
 import itertools
 import json
 import math
 import os
 import stat
+from collections import UserDict
 from contextlib import ExitStack, contextmanager, nullcontext
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -59,9 +62,10 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
     A plain chunk, with no quote, CR or NUL (csv rejects NUL before Python
     3.11), no blank line, len(fields) - 1 commas on every line and no line
     over csv.field_size_limit(), is split on commas as csv.reader would
-    split it.  Any other chunk goes through csv.reader, which reads on past
-    the chunk's lines to close a quoted field; a csv.Error there yields the
-    records read before it, then raises RowError on its line."""
+    split it, when a cell is first asked for.  Any other chunk goes through
+    csv.reader, which reads on past the chunk's lines to close a quoted
+    field; a csv.Error there yields the records read before it, then raises
+    RowError on its line."""
     width, limit = len(fields), csv.field_size_limit()
     while block := list(itertools.islice(fh, CHUNK_ROWS)):
         start, text = end, "".join(block)
@@ -86,8 +90,20 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
                 raise RowError(end, str(error)) from error
         else:
             end = start + len(block)
-            cells = tuple(text.removesuffix("\n").replace("\n", ",").split(","))
-            yield range(start + 1, end + 1), {name: cells[j::width] for j, name in enumerate(fields)}
+            yield range(start + 1, end + 1), _Plain(fields, block, text)
+
+
+class _Plain(UserDict):
+    """The cells of a plain chunk by header name, split from its lines on
+    commas when first asked for."""
+
+    def __init__(self, fields: tuple[str, ...], block: list[str], text: str):
+        self.fields, self.block, self.text = fields, block, text
+
+    @functools.cached_property
+    def data(self) -> dict:
+        cells = tuple(self.text.removesuffix("\n").replace("\n", ",").split(","))
+        return {name: cells[j::len(self.fields)] for j, name in enumerate(self.fields)}
 
 
 def floats(cells: Optional[Cells], n: int, prefix: str = "",
@@ -110,6 +126,30 @@ def floats(cells: Optional[Cells], n: int, prefix: str = "",
         except (ValueError, TypeError) as exc:
             errors[len(values)] = prefix + str(exc)
             values.append(math.nan)
+
+
+def float_columns(cells: Mapping, n: int, names: Sequence[str], prefix: str = "",
+                  optional: Sequence[str] = ()) -> tuple[list[np.ndarray], list[Errors]]:
+    """floats' values and errors for each named column of a chunk's n records,
+    NaN for a name it lacks.  A plain ASCII chunk without \\x1c-\\x1f (np.loadtxt
+    strips them, float() does not) takes one np.loadtxt call, kept if it
+    raises no ValueError and has n rows."""
+    if isinstance(cells, _Plain) and cells.text.isascii() and not any(
+            map(cells.text.__contains__, "\x1c\x1d\x1e\x1f")):
+        at = {name: j for j, name in enumerate(cells.fields)}  # a repeated name: its last column
+        try:
+            table = np.loadtxt(cells.block, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                               usecols=[at[name] for name in names if name in at],
+                               converters={at[name]: lambda cell: float(cell or "nan")
+                                           for name in optional if name in at})
+        except ValueError:
+            table = ()
+        if len(table) == n:
+            parsed = iter(table.T)
+            return ([next(parsed) if name in at else np.full(n, math.nan) for name in names],
+                    [{}] * len(names))
+    parsed = [floats(cells.get(name), n, prefix, name in optional) for name in names]
+    return [values for values, _ in parsed], [errors for _, errors in parsed]
 
 
 def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,

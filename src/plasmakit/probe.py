@@ -246,7 +246,7 @@ def dc_attenuation(net: ProbeNetwork) -> float:
     Raises DomainError when the sum overflows or the ratio underflows."""
     total = net.base.resistance + sum(st.resistance for st in net.ladder)
     ratio = net.base.resistance / total
-    if not (total < math.inf and ratio >= sys.float_info.min):
+    if not ratio >= sys.float_info.min:  # an overflowing sum gives a ratio of 0
         raise DomainError(f"DC attenuation R0/(R0 + sum Ri) = {net.base.resistance}/{total} "
                           "over- or underflows")
     return ratio
