@@ -1,7 +1,8 @@
 """Every file plasmakit reads or writes goes through this module: one
 chunked CSV reader with its one row collector, one JSON loader, and one
-atomic writer.  A plain chunk's float columns are read in one pass of
-NumPy's C reader; any other chunk, and every error, goes through the cells."""
+atomic writer.  A plain chunk, one record per line, has its float columns
+read in one pass of NumPy's C reader, with no Python call per cell; any
+other chunk, and every error, goes through the cells."""
 
 from __future__ import annotations
 
@@ -60,17 +61,15 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
     """The records of `fh` after its first `end` lines, CHUNK_ROWS lines at a time.
 
     A plain chunk, with no quote, CR or NUL (csv rejects NUL before Python
-    3.11), no blank line, len(fields) - 1 commas on every line and no line
-    over csv.field_size_limit(), is split on commas as csv.reader would
-    split it, when a cell is first asked for.  Any other chunk goes through
-    csv.reader, which reads on past the chunk's lines to close a quoted
-    field; a csv.Error there yields the records read before it, then raises
-    RowError on its line."""
+    3.11), no blank line and no line over csv.field_size_limit(), holds one
+    record per line and is split into cells only when one is first asked
+    for (_Plain).  Any other chunk goes through csv.reader, which reads on
+    past the chunk's lines to close a quoted field; a csv.Error there yields
+    the records read before it, then raises RowError on its line."""
     width, limit = len(fields), csv.field_size_limit()
     while block := list(itertools.islice(fh, CHUNK_ROWS)):
         start, text = end, "".join(block)
-        if ('"' in text or "\r" in text or "\0" in text or text[0] == "\n" or "\n\n" in text
-                or set(map(str.count, block, itertools.repeat(","))) != {width - 1}
+        if ('"' in text or "\r" in text or "\0" in text or "\n" in block
                 or max(map(len, block)) > limit):
             reader, rows, lines, error = csv.reader(itertools.chain(block, fh)), [], [], None
             try:
@@ -94,16 +93,20 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
 
 
 class _Plain(UserDict):
-    """The cells of a plain chunk by header name, split from its lines on
-    commas when first asked for."""
+    """The cells of a plain chunk by header name, split when first asked for:
+    by stride if every line has len(fields) - 1 commas, else by csv.reader."""
 
     def __init__(self, fields: tuple[str, ...], block: list[str], text: str):
         self.fields, self.block, self.text = fields, block, text
 
     @functools.cached_property
     def data(self) -> dict:
-        cells = tuple(self.text.removesuffix("\n").replace("\n", ",").split(","))
-        return {name: cells[j::len(self.fields)] for j, name in enumerate(self.fields)}
+        width = len(self.fields)
+        if set(map(str.count, self.block, itertools.repeat(","))) == {width - 1}:
+            cells = tuple(self.text.removesuffix("\n").replace("\n", ",").split(","))
+            return {name: cells[j::width] for j, name in enumerate(self.fields)}
+        rows = [row + [None] * (width - len(row)) for row in csv.reader(self.block)]
+        return dict(zip(self.fields, zip(*rows)))
 
 
 def floats(cells: Optional[Cells], n: int, prefix: str = "",
@@ -133,15 +136,18 @@ def float_columns(cells: Mapping, n: int, names: Sequence[str], prefix: str = ""
     """floats' values and errors for each named column of a chunk's n records,
     NaN for a name it lacks.  A plain ASCII chunk without \\x1c-\\x1f (np.loadtxt
     strips them, float() does not) takes one np.loadtxt call, kept if it
-    raises no ValueError and has n rows."""
+    raises no ValueError (a line short of a column, an empty cell) and has n
+    rows.  An optional last column's empty cells, at line ends, read "nan"."""
     if isinstance(cells, _Plain) and cells.text.isascii() and not any(
             map(cells.text.__contains__, "\x1c\x1d\x1e\x1f")):
         at = {name: j for j, name in enumerate(cells.fields)}  # a repeated name: its last column
+        lines = cells.block
+        if cells.fields and cells.fields[-1] in optional:
+            lines = [line[:-1] + "nan\n" if line.endswith(",\n") else line for line in lines]
+            lines[-1] += "nan" if lines[-1].endswith(",") else ""
         try:
-            table = np.loadtxt(cells.block, delimiter=",", comments=None, quotechar=None, ndmin=2,
-                               usecols=[at[name] for name in names if name in at],
-                               converters={at[name]: lambda cell: float(cell or "nan")
-                                           for name in optional if name in at})
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                               usecols=[at[name] for name in names if name in at])
         except ValueError:
             table = ()
         if len(table) == n:

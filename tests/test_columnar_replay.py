@@ -273,6 +273,10 @@ class TestAgainstRowReference:
     # a cell int() rejects is reported before an out-of-range count in an earlier column
     @example(("t_ms,raw_hv,raw_shunt,raw_ldr\n1,5000,x,9999\n2,5000,2000,abc\n",
               ChannelConfig(), None), 2)
+    # ragged quote-free chunks: records longer and shorter than the header
+    @example(("t_ms,raw_hv,raw_shunt,raw_ldr\n0,1,2,3,4\n1,5,6\n2,7\n3,8,9,10\n4,11,12,\n",
+              ChannelConfig(), None), 9)
+    @example(("t_ms,raw_hv,raw_shunt\n0,1,2\n1,3\n2,4,5,6\n3,7,8\n", ChannelConfig(), None), 2)
     @settings(max_examples=200, deadline=None)
     def test_raw_replay(self, case, chunk_rows):
         text, cfg, curve = case

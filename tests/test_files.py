@@ -307,6 +307,7 @@ def check_line_numbers(text):
 @example("h1,h2", ["1,2", "3,4", "", "5", "6,7,8"], "\n", True)
 @example("h1", ["1", "", "2", "", "", "3,4", " "], "\n", False)
 @example("h1,h2", ["1,2", "n\0l,3", "4,5"], "\n", True)
+@example("h1,h2", ["1,2", "3", "4,5,6", " ", "7,8"], "\n", False)  # ragged, plain
 @settings(max_examples=300, deadline=None)
 def test_read_csv_line_numbers_match_a_per_record_reader(header, records, ending, last_ending):
     check_line_numbers(csv_text(header, records, ending, last_ending))
@@ -354,6 +355,21 @@ def test_plain_chunks_are_split_without_csv_reader(tmp_path):
     records, rows = rows_through_csv_reader(str(path))
     assert records == [(k + 2, (str(k), str(2 * k))) for k in range(7)]
     assert rows == [["a", "b"]]
+
+
+def test_ragged_plain_chunks_split_only_their_own_lines(tmp_path):
+    # Records shorter or longer than the header, with no quote, CR, NUL or
+    # blank line, are still one record per line: every chunk is plain and
+    # numbered by a range.  csv.reader splits only a ragged chunk's own
+    # lines, each once; the uniform chunk (lines 4-5) is split by stride.
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n1,2\n3\n4,5\n6,7\n8,9,10\n11,12\n13\n")
+    records, rows = rows_through_csv_reader(str(path))
+    assert records == [(2, ("1", "2")), (3, ("3", None)), (4, ("4", "5")), (5, ("6", "7")),
+                       (6, ("8", "9")), (7, ("11", "12")), (8, ("13", None))]
+    assert rows == [["a", "b"], ["1", "2"], ["3"], ["8", "9", "10"], ["11", "12"], ["13"]]
+    with mock.patch.object(files, "CHUNK_ROWS", 2), files.read_csv(str(path)) as (_, chunks):
+        assert all(isinstance(lines, range) for lines, _ in chunks)
 
 
 def test_quoted_record_across_a_chunk_boundary_keeps_later_lines(tmp_path):

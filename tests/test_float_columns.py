@@ -149,6 +149,96 @@ def test_edge_chunks_match_float(text):
     check(text)
 
 
+@st.composite
+def ragged_tables(draw):
+    """A header and quote-free records of one cell up to two more than the
+    header's width, none blank: plain chunks, most of them ragged."""
+    header = draw(HEADERS)
+    width = header.count(",") + 1
+    records = draw(st.lists(st.lists(CELLS, min_size=1, max_size=width + 2).filter(
+        lambda row: row != [""]).map(",".join), max_size=8))
+    return "\n".join([header, *records]) + draw(st.sampled_from(["\n", ""]))
+
+
+@given(ragged_tables())
+@example("t_ms,v_volts,i_amps,lux\n0,1,2,3,\n1,4,5\n2,6\n3,7,8,,9\n")
+@settings(max_examples=300, deadline=None)
+def test_ragged_plain_chunks_match_float(text):
+    check(text)
+
+
+@pytest.mark.parametrize("text", [
+    "t_ms,v_volts,i_amps,lux\n0,1,2,3,4\n1,4,5,6,x,y\n",  # longer than the header
+    "t_ms,v_volts,i_amps,lux\n0,1,2,3\n1,4,5\n2,6,7,8\n",  # short of lux only
+    "t_ms,v_volts,i_amps,lux\n0,1,2,3\n1,4\n2,6,7,8\n",  # short of a required column
+    "t_ms,v_volts,i_amps,lux\n0,1,2,3,\n1,4,5\n2\n3,7,8,9,10,11\n4,,5,6",  # all of them
+    "v_volts,i_amps\n1\n2,3,4\n 5 \n",
+    "v_volts,i_amps\n1,2\n3,\n4,",  # an empty required last cell is an error, not NaN
+    "lux,i_amps,v_volts\n1,2,\n",
+])
+def test_ragged_chunks_and_empty_last_cells_match_float(text):
+    check(text)
+
+
+def test_a_ragged_chunk_the_c_reader_accepts_is_not_split():
+    text = "v_volts,i_amps,lux\n1.5,2,3,9\n-0,1e309,4,x,\n2,3,nan,\n"
+    with files.read_csv(io.StringIO(text)) as (_, chunks), \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        ((lines, cells),) = chunks
+        columns, errors = files.float_columns(cells, len(lines), NAMES, PREFIX, OPTIONAL)
+        assert "data" not in vars(cells) and loadtxt.call_count == 1
+    assert errors == [{}] * 4
+    assert bits(columns, 4) == bits([[math.nan] * 3, [1.5, -0.0, 2.0], [2.0, math.inf, 3.0],
+                                     [3.0, 4.0, math.nan]], 4)
+
+
+def columns_without_cells(text, chunk_rows):
+    """float_columns over every chunk of text with files.floats, the cell
+    path, made to fail: the columns as bits, each read by np.loadtxt."""
+    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(files, "floats", side_effect=AssertionError("cell path")), \
+            files.read_csv(io.StringIO(text)) as (_, chunks):
+        return bits(files.collect(chunks, lambda cells, n, start: files.float_columns(
+            cells, n, NAMES, PREFIX, OPTIONAL)), 4)
+
+
+@pytest.mark.parametrize("ending", ["\n", ""])
+def test_empty_last_lux_cells_read_nan_in_the_c_reader(ending):
+    text = "t_ms,v_volts,i_amps,lux\n0,1,2,\n1,3,4,5\n2,6,7,\n3,8,9," + ending
+    want = bits([[0, 1, 2, 3], [1, 3, 6, 8], [2, 4, 7, 9], [math.nan, 5, math.nan, math.nan]], 4)
+    for rows in (1, 2, 3, files.CHUNK_ROWS):
+        assert columns_without_cells(text, rows) == want
+    check(text)
+
+
+def test_the_c_reader_gets_no_converter():
+    text = "t_ms,v_volts,i_amps,lux\n0,1,2,\n1,3,4,5\n"
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert read(text, False) == expected(text, False)
+    assert loadtxt.call_count == 1 and "converters" not in loadtxt.call_args.kwargs
+
+
+@pytest.mark.parametrize("header", ["lux,t_ms,v_volts,i_amps", "t_ms,lux,v_volts,i_amps",
+                                    "t_ms,v_volts,i_amps,lux,p_watts"])
+def test_an_empty_lux_cell_not_last_goes_cell_by_cell(header):
+    width = header.count(",") + 1
+    at = header.split(",").index("lux")
+    rows = [[str(k + j) for j in range(width)] for k in range(3)]
+    rows[1][at] = ""
+    text = "\n".join([header, *map(",".join, rows)]) + "\n"
+    with mock.patch.object(files, "floats", wraps=files.floats) as floats:
+        check(text)
+    assert floats.called
+
+
+@pytest.mark.parametrize("cell", [" ", "\t", "  "])
+@pytest.mark.parametrize("ending", ["\n", ""])
+def test_a_whitespace_only_lux_cell_fails_as_float_fails(cell, ending):
+    text = f"t_ms,v_volts,i_amps,lux\n0,1,2,3\n1,4,5,{cell}\n2,6,7,{cell}" + ending
+    check(text)
+    assert read(text, True)[1] == [f"line {k}: {PREFIX}{float_message(cell)}" for k in (3, 4)]
+
+
 @pytest.mark.parametrize("loadtxt", [mock.Mock(side_effect=ValueError("rejected")),
                                      mock.Mock(return_value=np.zeros((0, 4)))])
 def test_a_chunk_the_c_reader_rejects_goes_cell_by_cell(loadtxt):
