@@ -111,16 +111,12 @@ class _Plain(UserDict):
 
 def floats(cells: Optional[Cells], n: int, prefix: str = "",
            optional: bool = False) -> tuple[np.ndarray, Errors]:
-    """float() of every cell, and errors; a cell float() rejects reads NaN.
-    In an optional column an empty or missing cell reads NaN with no error."""
+    """float() of each cell, parsed once, and errors; a cell float() rejects
+    reads NaN.  In an optional column an empty or missing cell reads NaN without error."""
     if cells is None:
         return np.full(n, math.nan), {}
     if optional and not all(cells):
         cells = [cell or "nan" for cell in cells]
-    try:
-        return np.fromiter(map(float, cells), float, n), {}
-    except (ValueError, TypeError):
-        pass
     values, errors, rest = [], {}, iter(cells)
     while True:  # each pass parses up to the next bad cell, which reads NaN
         try:

@@ -83,12 +83,6 @@ class ProbeNetwork:
     def n(self) -> int:
         return len(self.ladder)
 
-    def has_uniform_ladder(self) -> bool:
-        return all(math.isclose(st.resistance, self.ladder[0].resistance, rel_tol=UNIFORMITY_RTOL)
-                   and math.isclose(st.capacitance, self.ladder[0].capacitance,
-                                    rel_tol=UNIFORMITY_RTOL)
-                   for st in self.ladder[1:])
-
     @classmethod
     def uniform(cls, n: int, ladder_r: float, ladder_c: float,
                 base_r: float, base_c: float) -> "ProbeNetwork":
@@ -252,19 +246,19 @@ def dc_attenuation(net: ProbeNetwork) -> float:
     return ratio
 
 
-def _require_uniform(net: ProbeNetwork, op: str) -> RCStage:
-    if net.n < 1:
-        raise PreconditionError(f"{op} requires at least one ladder stage")
-    if not net.has_uniform_ladder():
-        raise PreconditionError(f"{op} requires a uniform ladder (all R and C equal)")
-    return net.ladder[0]
-
-
 def compensation_capacitor(net: ProbeNetwork) -> float:
     """Base capacitance C1*R1/R0 that makes a uniform ladder frequency-flat.
 
-    Raises DomainError when C1 > 0 and the result over- or underflows."""
-    st = _require_uniform(net, "compensation_capacitor")
+    Raises PreconditionError without a stage or a ladder uniform to
+    UNIFORMITY_RTOL, DomainError when C1 > 0 and the result over- or underflows."""
+    if net.n < 1:
+        raise PreconditionError("compensation_capacitor requires at least one ladder stage")
+    st = net.ladder[0]
+    if not all(math.isclose(other.resistance, st.resistance, rel_tol=UNIFORMITY_RTOL)
+               and math.isclose(other.capacitance, st.capacitance, rel_tol=UNIFORMITY_RTOL)
+               for other in net.ladder[1:]):
+        raise PreconditionError(
+            "compensation_capacitor requires a uniform ladder (all R and C equal)")
     c0 = st.capacitance * st.resistance / net.base.resistance
     if st.capacitance > 0.0 and not sys.float_info.min <= c0 < math.inf:
         raise DomainError(f"compensation capacitor C1*R1/R0 = {c0} over- or underflows")

@@ -123,6 +123,12 @@ class TestProbeCommands:
         assert (code, out) == (1, "")
         assert err == "error: compensation capacitor C1*R1/R0 = inf over- or underflows\n"
 
+    def test_analyze_without_a_ladder_stage_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "analyze", "--n", "0", "--r1", "1e6",
+                                 "--c1", "1e-12", "--r0", "1e3", "--c0", "1e-9")
+        assert (code, out) == (1, "")
+        assert err == "error: compensation_capacitor requires at least one ladder stage\n"
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["probe", "analyze", "--n", "5"])  # missing component flags

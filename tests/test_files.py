@@ -226,6 +226,18 @@ def test_read_csv_takes_a_path_or_a_stream(tmp_path):
 
 
 
+def per_cell_parse(cells, optional=False):
+    """The reprs of float() of each cell (NaN where it fails) and the errors."""
+    values, errors = [], {}
+    for k, cell in enumerate(cells):
+        try:
+            values.append(float(cell or "nan") if optional else float(cell))
+        except (ValueError, TypeError) as exc:
+            values.append(math.nan)
+            errors[k] = f"bad: {exc}"
+    return [repr(v) for v in values], errors
+
+
 @given(st.lists(st.one_of(st.floats().map(repr), st.none(),
                           st.sampled_from(("x", "", " ", "1_0", " 2 ", "-nan", "0x10"))),
                 max_size=30),
@@ -233,16 +245,22 @@ def test_read_csv_takes_a_path_or_a_stream(tmp_path):
 @example(["x", "1", "y", "z", "2", None], False)  # bad first, adjacent and last cells
 @settings(max_examples=200, deadline=None)
 def test_floats_matches_a_per_cell_parse(cells, optional):
-    want_values, want_errors = [], {}
-    for k, cell in enumerate(cells):
-        try:
-            want_values.append(float(cell or "nan") if optional else float(cell))
-        except (ValueError, TypeError) as exc:
-            want_values.append(math.nan)
-            want_errors[k] = f"bad: {exc}"
     values, errors = files.floats(tuple(cells), len(cells), "bad: ", optional)
-    assert [repr(v) for v in values.tolist()] == [repr(v) for v in want_values]
-    assert errors == want_errors
+    assert ([repr(v) for v in values.tolist()], errors) == per_cell_parse(cells, optional)
+
+
+def test_floats_walks_its_cells_once():
+    class Walked(tuple):
+        walks = 0
+
+        def __iter__(self):
+            self.walks += 1
+            return super().__iter__()
+
+    cells = Walked(("1.5", "-2e3", "x", "nan", "4"))
+    values, errors = files.floats(cells, len(cells), "bad: ")
+    assert cells.walks == 1
+    assert ([repr(v) for v in values.tolist()], errors) == per_cell_parse(cells)
 
 # ---------------------------------------------------------------- reader line numbers
 # read_csv numbers each record by the physical line it ends on.  The

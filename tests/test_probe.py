@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -185,6 +187,10 @@ class TestDcAttenuation:
             prev = cur
 
 
+NO_STAGE = "compensation_capacitor requires at least one ladder stage"
+NOT_UNIFORM = "compensation_capacitor requires a uniform ladder (all R and C equal)"
+
+
 class TestCompensation:
     def test_reference_value(self):
         c0 = compensation_capacitor(reference_network())
@@ -210,6 +216,26 @@ class TestCompensation:
             compensation_capacitor(net)
         with pytest.raises(PreconditionError):
             is_compensated(net, 0.1)
+
+    @pytest.mark.parametrize("call", [compensation_capacitor,
+                                      lambda net: is_compensated(net, 0.1)])
+    def test_needs_a_ladder_stage(self, call):
+        with pytest.raises(PreconditionError, match="^" + re.escape(NO_STAGE) + "$"):
+            call(ProbeNetwork.uniform(0, 1e6, 1e-12, 1e3, 1e-9))
+        call(ProbeNetwork.uniform(1, 1e6, 1e-12, 1e3, 1e-9))
+
+    @pytest.mark.parametrize("name", ["resistance", "capacitance"])
+    @pytest.mark.parametrize("rel", [2e-9, -2e-9, 5e-10, -5e-10])
+    def test_uniform_to_a_relative_1e_9(self, name, rel):
+        # every stage is compared with the first, each of R and C to UNIFORMITY_RTOL
+        first = RCStage(1e6, 1e-12)
+        other = dataclasses.replace(first, **{name: getattr(first, name) * (1 + rel)})
+        net = ProbeNetwork(base=RCStage(1e3), ladder=(first, first, other))
+        if abs(rel) > 1e-9:
+            with pytest.raises(PreconditionError, match="^" + re.escape(NOT_UNIFORM) + "$"):
+                compensation_capacitor(net)
+        else:
+            assert compensation_capacitor(net) == pytest.approx(1e-12 * 1e6 / 1e3, rel=1e-15)
 
     def test_is_compensated_tolerances(self):
         net = reference_network()  # 3 nF vs exact 2.8409 nF: 5.6% off
