@@ -304,7 +304,9 @@ def curve_from_dict(data: dict) -> CalibrationCurve:
 
 
 def load_curve(path) -> CalibrationCurve:
-    return curve_from_dict(files.read_json(path))
+    """The curve in a JSON file: a bare curve object, or a characterization's `curve` member."""
+    data = files.read_json(path)
+    return curve_from_dict(data["curve"] if isinstance(data, dict) and "curve" in data else data)
 
 
 def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ single 3-sigma outlier-trim pass for ignition transients.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -19,20 +18,16 @@ from .acquisition import IGNITION_I_MIN, Samples, detect_ignition, read_samples
 from .calibration import (
     CalibrationCurve,
     InputKind,
-    checked_range,
-    curve_from_dict,
     curve_to_dict,
     fit_log_cubic,
-    is_finite_number,
 )
-from .errors import DomainError, FitError, SchemaError
+from .errors import DomainError, FitError
 
 __all__ = [
     "ExperimentRun",
     "Characterization",
     "load_run",
     "characterize",
-    "load_characterization",
 ]
 
 
@@ -51,13 +46,13 @@ class ExperimentRun:
 @dataclass(frozen=True)
 class Characterization:
     """Fitted power-to-illuminance curve plus fit bookkeeping.  `samples` are
-    the usable rows the fit was given; None for a record read from JSON."""
+    the usable rows the fit was given."""
 
     curve: CalibrationCurve
     rmse_log: float
     max_abs_log: float
     trimmed_count: int
-    samples: Samples | None = field(default=None, compare=False, repr=False)
+    samples: Samples = field(compare=False, repr=False)
 
     @property
     def input_range(self) -> tuple[float, float]:
@@ -105,28 +100,3 @@ def characterization_to_dict(char: Characterization) -> dict:
         "input_range": list(char.input_range),
         "trimmed_count": char.trimmed_count,
     }
-
-
-def load_characterization(path) -> Characterization:
-    """The characterization in a JSON file.  SchemaError unless it has every
-    field of characterization_to_dict, the curve is a power curve, the
-    statistics are finite numbers >= 0, trimmed_count is an integer >= 0 and
-    the top-level input_range is the curve's."""
-    data = files.read_json(path)
-    try:
-        curve = curve_from_dict(data["curve"])
-        if curve.input_kind is not InputKind.PLASMA_POWER:
-            raise DomainError(f"curve kind {curve.input_kind.value!r} is not 'power'")
-        rmse_log, max_abs_log, input_range, count = (
-            data[k] for k in ("rmse_log", "max_abs_log", "input_range", "trimmed_count"))
-        if checked_range(input_range) != curve.input_range:
-            raise DomainError(f"input_range {input_range!r} is not the curve's "
-                              f"{curve.input_range!r}")
-        for name, value in (("rmse_log", rmse_log), ("max_abs_log", max_abs_log)):
-            if not (is_finite_number(value) and value >= 0.0):
-                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise DomainError(f"trimmed_count must be an integer >= 0, got {count!r}")
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaError(f"bad characterization object: {exc}") from exc
-    return Characterization(curve, float(rmse_log), float(max_abs_log), count)

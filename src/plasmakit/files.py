@@ -37,18 +37,18 @@ def read_csv(source: TextIO | str | os.PathLike):
 
     Yields (fields, chunks).  Each chunk is (lines, cells): the physical
     line each record ends on, and for each header name the column of cells.
-    As with csv.DictReader, blank lines hold no record, a short record's
-    missing cells are None, a long record's extra cells are ignored, and a
-    repeated name keeps its last column.  A path is read as UTF-8, after a
-    byte order mark if there is one.  What the reader cannot read past
-    raises in lenient mode too: bytes that are not UTF-8 as SchemaError, a
-    csv.Error as RowError on its line, after the records before it.
+    As with csv.DictReader, blank lines hold no record (the header is the
+    first non-blank one), a short record's missing cells are None, a long
+    record's extra cells are ignored, and a repeated name keeps its last
+    column.  A path is read as UTF-8, after any byte order mark.  What the
+    reader cannot read past raises in lenient mode too: bytes that are not UTF-8
+    as SchemaError, a csv.Error as RowError on its line, after the records before it.
     """
     opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8-sig")
     with opened as fh:
         reader = csv.reader(fh)
         try:
-            fields = tuple(next(reader, ()))
+            fields = tuple(next(filter(None, reader), ()))
             yield fields, _chunks(fh, fields, reader.line_num)
         except UnicodeDecodeError as exc:
             raise SchemaError("input is not UTF-8 text: cannot decode "

@@ -430,6 +430,14 @@ class TestSerialization:
         files.write_texts((path, files.json_text(curve_to_dict(voltage_curve))))
         assert load_curve(path) == voltage_curve
 
+    @pytest.mark.parametrize("text", ['["curve"]', '"a curve"', "[]", "3", "null",
+                                      '{"curve": ["a0"]}'])
+    def test_file_not_holding_a_curve_object_rejected(self, tmp_path, text):
+        path = tmp_path / "curve.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="bad calibration curve object"):
+            load_curve(path)
+
     def test_missing_coefficient_rejected(self):
         with pytest.raises(SchemaError):
             curve_from_dict({"kind": "voltage", "a0": 1.0, "a1": 2.0, "a2": 3.0})

@@ -562,6 +562,52 @@ class TestCharacterizeCommand:
         assert not out_json.exists()
 
 
+class TestCharacterizationAsCurve:
+    """A characterization JSON given as --curve is read as its curve member,
+    so illuminance reads back as plasma power."""
+
+    def _char_json(self, capsys, tmp_path):
+        run, path = TestCharacterizeCommand()._write_run(tmp_path), tmp_path / "char.json"
+        assert run_cli(capsys, "characterize", "--in", str(run), "--out", str(path))[0] == 0
+        return path
+
+    @pytest.mark.parametrize("p", [5.5, 12.0, 39.0])
+    def test_invert_then_eval_returns_the_lux(self, capsys, tmp_path, power_curve, p):
+        path, lux = self._char_json(capsys, tmp_path), lux_from_input(power_curve, p)
+        code, out, err = run_cli(capsys, "cal", "invert", "--curve", str(path), "--lux", repr(lux))
+        assert (code, err) == (0, "")
+        inverted = json.loads(out)
+        assert inverted["kind"] == "power"
+        assert inverted["input"] == pytest.approx(p, rel=1e-6)
+        code, out, err = run_cli(capsys, "cal", "eval", "--curve", str(path),
+                                 "--input", repr(inverted["input"]))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kind"] == "power"
+        assert json.loads(out)["lux"] == pytest.approx(lux, rel=1e-9)
+
+    def test_invert_outside_the_fitted_span_warns(self, capsys, tmp_path, power_curve):
+        path, lux = self._char_json(capsys, tmp_path), lux_from_input(power_curve, 80.0)
+        code, out, err = run_cli(capsys, "cal", "invert", "--curve", str(path), "--lux", repr(lux))
+        assert code == 0 and json.loads(out)["kind"] == "power"
+        assert err.startswith("warning: result ") and "outside the fitted range" in err
+
+    def test_replay_light_channel_rejects_a_power_curve(self, capsys, tmp_path):
+        path, frames = self._char_json(capsys, tmp_path), tmp_path / "frames.csv"
+        frames.write_text("t_ms,raw_hv,raw_shunt,raw_ldr\n0,652,2596,300\n")
+        assert run_cli(capsys, "acq", "replay", "--in", str(frames), "--curve", str(path)) == (
+            1, "", "error: light-channel curve must have input kind 'voltage'\n")
+
+    @pytest.mark.parametrize("argv", [["eval", "--input", "10"], ["invert", "--lux", "10"]])
+    def test_curve_without_a3_exits_1(self, capsys, tmp_path, argv):
+        path = self._char_json(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        del data["curve"]["a3"]
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "cal", argv[0], "--curve", str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: bad calibration curve object: 'a3'\n"
+
+
 # Samples whose fit succeeds but whose plot overflows lux between inputs 1 and 2.
 OVERFLOWING_PLOT = {
     "cal fit": (["cal", "fit"], "input,lux", ["1,1", "2,1e300", "3,1e-300", "4,5", "5,1e200"]),

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plasmakit import CalibrationCurve, InputKind, files, load_run, lux_from_input
+from plasmakit import (CalibrationCurve, InputKind, files, load_run, lux_from_input,
+                       read_samples_csv, replay_stream)
 from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import curve_to_dict
 from plasmakit.cli import main
@@ -416,3 +417,53 @@ def test_read_csv_numbers_a_lone_cr_as_the_stream_splits_it():
         with open(path, encoding="utf-8", newline="") as fh:
             assert [line for line, _ in read_records(fh)] == [3, 4]
         check_line_numbers(text)
+
+
+# ---------------------------------------------------------------- leading blank lines
+# A blank line holds no record, before the header too: a file read after
+# leading blank lines is the file read without them, each line number moved
+# by the count of blank lines.
+
+def sample_columns(samples):
+    return samples.t_ms, samples.v_volts, samples.i_amps, samples.lux
+
+
+# read(source, diagnostics) -> columns; header, good rows, a bad row
+BLANK_LINE_READS = {
+    "replay lenient": (lambda src, d: sample_columns(replay_stream(src, diagnostics=d)),
+                       "t_ms,raw_hv,raw_shunt", ["0,652,2596", "2,700,2600"], "x,700,2600"),
+    "replay strict": (lambda src, d: sample_columns(replay_stream(src)),
+                      "t_ms,raw_hv,raw_shunt", ["0,652,2596", "2,700,2600"], "x,700,2600"),
+    "load_run": (lambda src, d: sample_columns(load_run(src).samples),
+                 "t_ms,v_volts,i_amps,lux", ["0,500,0.02,3.5", "2,510,0.02,"], "1,abc,0.02,4"),
+    "read_samples_csv": (lambda src, d: read_samples_csv(src),
+                         "input,lux", ["1.0,2.0", "3.0,4.0"], "2.0,-1"),
+}
+
+
+def read_after_blanks(read, text, blanks):
+    """read's columns (as reprs) and diagnostics for the text after `blanks`
+    blank lines, or None and the RowError it raises; each line number less `blanks`."""
+    diagnostics = []
+    try:
+        columns = [list(map(repr, c.tolist())) for c in read(io.StringIO("\n" * blanks + text),
+                                                              diagnostics)]
+    except RowError as exc:
+        columns, diagnostics = None, [exc]
+    return columns, [(e.line_number - blanks, str(e).split(": ", 1)[1]) for e in diagnostics]
+
+
+@pytest.mark.parametrize("name", sorted(BLANK_LINE_READS))
+@pytest.mark.parametrize("bad", [False, True])
+@pytest.mark.parametrize("blanks", [1, 2])
+def test_leading_blank_lines_read_as_without_them(name, bad, blanks):
+    read, header, rows, bad_row = BLANK_LINE_READS[name]
+    text = "\n".join([header, rows[0], *[bad_row] * bad, rows[1]]) + "\n"
+    want = read_after_blanks(read, text, 0)
+    assert len(want[1]) == bad and (want[0] is None) == (bad and name != "replay lenient")
+    assert read_after_blanks(read, text, blanks) == want
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "\r\n"])
+def test_a_file_of_blank_lines_replays_as_empty(text):
+    assert len(replay_stream(io.StringIO(text))) == 0

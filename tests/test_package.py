@@ -100,8 +100,6 @@ def test_private_import_check_sees_one():
 # Public names nothing in the package or the benchmark calls, each kept on purpose.
 UNCALLED_ON_PURPOSE = {
     "transfer_function": "acceptance criterion 3 calls it, and the ROADMAP keeps it",
-    "load_characterization": "the checked characterization reader for a --curve of "
-                             "ROADMAP direction E",
 }
 
 

@@ -22,7 +22,7 @@ import pytest
 from numpy.polynomial import polynomial
 
 from plasmakit import ChannelConfig
-from plasmakit.calibration import FIT_ATOL
+from plasmakit.calibration import FIT_ATOL, INVERT_ATOL
 from plasmakit.cli import main
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
@@ -178,3 +178,34 @@ def test_characterize_fits_the_replayed_run_back_to_the_power_curve(rig, capsys)
     curve = [data["curve"][name] for name in ("a0", "a1", "a2", "a3")]
     miss = np.abs(polynomial.polyval(u, curve) - truth).max()
     assert miss <= hat_row_sums(u).max() * eps.max() + FIT_ATOL
+
+
+def test_invert_reads_the_power_back_from_the_rig_characterization(rig, capsys):
+    # `cal invert --curve char.json` at L = exp(F(u)) for usable u, F the
+    # published power curve.  The result u' = ln p' is a root of fitted(u') =
+    # ln L to INVERT_ATOL.  D = fitted - F is a cubic, so max |D| over the
+    # input range is at an end or at a real root of D' inside, and inside the
+    # range |F(u') - ln L| <= |D(u')| + INVERT_ATOL.
+    assert replay(rig, capsys, curve=True)[0] == 0
+    char = rig["root"] / "char_for_invert.json"
+    assert main(["characterize", "--in", str(rig["root"] / "samples_True.csv"),
+                 "--out", str(char)]) == 0
+    capsys.readouterr()
+    data = json.loads(char.read_text())
+    fitted = [data["curve"][name] for name in ("a0", "a1", "a2", "a3")]
+    lo, hi = np.log(data["input_range"])
+    d = polynomial.polysub(fitted, POWER_COEFFS)
+    roots = polynomial.polyroots(polynomial.polyder(d))
+    ends = [lo, hi, *(r for r in roots[np.isreal(roots)].real if lo < r < hi)]
+    max_d = np.abs(polynomial.polyval(np.array(ends), d)).max()
+
+    for u in np.linspace(lo, hi, 11)[1:-1].tolist():
+        lux = math.exp(polynomial.polyval(u, POWER_COEFFS))
+        code = main(["cal", "invert", "--curve", str(char), "--lux", repr(lux)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert result["kind"] == "power"
+        u_inv = math.log(result["input"])
+        assert abs(polynomial.polyval(u_inv, fitted) - math.log(lux)) <= INVERT_ATOL
+        assert abs(polynomial.polyval(u_inv, POWER_COEFFS) - math.log(lux)) <= max_d + INVERT_ATOL
