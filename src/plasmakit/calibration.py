@@ -70,16 +70,6 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def checked_range(rng) -> tuple[float, float]:
-    """An input range as two floats; DomainError unless it is two positive,
-    ordered, finite numbers."""
-    if not (isinstance(rng, (tuple, list)) and len(rng) == 2
-            and all(map(is_finite_number, rng)) and 0.0 < rng[0] <= rng[1]):
-        raise DomainError("input_range must be two positive, ordered, finite numbers, "
-                          f"got {rng!r}")
-    return float(rng[0]), float(rng[1])
-
-
 @dataclass(frozen=True)
 class CalibrationCurve:
     """Coefficients of the log-domain cubic, lowest order first in naming."""
@@ -97,8 +87,12 @@ class CalibrationCurve:
             if not is_finite_number(value):
                 raise DomainError(f"coefficient {name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if self.input_range is not None:
-            object.__setattr__(self, "input_range", checked_range(self.input_range))
+        if (rng := self.input_range) is not None:
+            if not (isinstance(rng, (tuple, list)) and len(rng) == 2
+                    and all(map(is_finite_number, rng)) and 0.0 < rng[0] <= rng[1]):
+                raise DomainError("input_range must be two positive, ordered, finite "
+                                  f"numbers, got {rng!r}")
+            object.__setattr__(self, "input_range", (float(rng[0]), float(rng[1])))
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:

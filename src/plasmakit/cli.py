@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
+import select
 import sys
 from typing import Callable, Optional, TextIO
 
@@ -298,10 +300,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser(_leaf_path(argv)).parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except (PlasmaKitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not (isinstance(exc, BrokenPipeError) and _stdout_closed()):
+            print(f"error: {exc}", file=sys.stderr)
+        else:  # silent, and nothing left to fail at exit: the signal docs' "Note on SIGPIPE"
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
+
+
+def _stdout_closed() -> bool:
+    """True when stdout is a pipe whose reader has gone."""
+    try:
+        (poller := select.poll()).register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, ValueError):  # no poll() on this system, or no descriptor
+        return False
+    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in poller.poll(0))
 
 
 if __name__ == "__main__":

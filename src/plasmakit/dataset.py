@@ -54,10 +54,6 @@ class Characterization:
     trimmed_count: int
     samples: Samples = field(compare=False, repr=False)
 
-    @property
-    def input_range(self) -> tuple[float, float]:
-        return self.curve.input_range
-
 
 def load_run(source: TextIO | str) -> ExperimentRun:
     """Load an engineering-unit CSV as an ExperimentRun.
@@ -97,6 +93,6 @@ def characterization_to_dict(char: Characterization) -> dict:
         "curve": curve_to_dict(char.curve),
         "rmse_log": char.rmse_log,
         "max_abs_log": char.max_abs_log,
-        "input_range": list(char.input_range),
+        "input_range": list(char.curve.input_range),
         "trimmed_count": char.trimmed_count,
     }

@@ -118,14 +118,13 @@ def render_chart(series: Sequence[Series], *, title: str = "",
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         shown = ((s.x > 0.0) | (not x_log)) & ((s.y > 0.0) | (not y_log))
-        pts = list(zip(ax.to_px(s.x[shown], np.log10).tolist(),
-                       ay.to_px(s.y[shown], np.log10).tolist()))
-        if s.style == "dots":
-            parts.extend(map(f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'.__mod__, pts))
-        else:
-            path = " ".join(map("%.2f,%.2f".__mod__, pts))
-            parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
-                         f'stroke-width="1.5"/>')
+        px, py = ax.to_px(s.x[shown], np.log10), ay.to_px(s.y[shown], np.log10)
+        if s.style != "dots":
+            parts.append(f'<polyline points="{_points("%.2f,%.2f", " ", px, py)}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
+        elif px.size:  # no points draw no circles, not an empty line
+            parts.append(_points(f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>',
+                                 "\n", px, py))
         if s.label:
             ly = MARGIN_T + 16 + 16 * k
             parts.append(f'<rect x="{x1 - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
@@ -133,6 +132,32 @@ def render_chart(series: Sequence[Series], *, title: str = "",
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _points(template: str, sep: str, x: np.ndarray, y: np.ndarray) -> str:
+    """sep.join(map(template.__mod__, zip(x, y))) for a template whose only
+    conversions are two %.2f: a byte matrix with a row of sep + template per
+    point, masked to drop each number's unused leading digits, less the first sep."""
+    p = (v := np.array([x, y], dtype=float)) * 100.0
+    if (np.signbit(p) | ~(p < 2.0 ** 52)).any():
+        raise ValueError("cannot format a pixel that is negative, -0.0, inf, nan or >= 2**52 / 100")
+    # Below 2**52 each half k + 0.5 is a float that rounding the product cannot
+    # cross, so rint rounds as '%.2f' does unless the product lands on a half.
+    q = np.rint(p).astype(np.int64)
+    ties = np.nonzero(p - np.floor(p) == 0.5)
+    q[ties] = [int(("%.2f" % t).replace(".", "")) for t in v[ties].tolist()]
+    widths = [len(str(m // 100)) for m in q.max(axis=1, initial=0).tolist()]
+    texts = template.encode("ascii").split(b"%.2f")
+    row = b"".join(t + b"0" * w + b".00" for t, w in zip(texts, widths)) + texts[2]
+    mat = np.tile(np.frombuffer(sep.encode("ascii") + row, np.uint8), (len(x), 1))
+    keep, end = np.ones(mat.shape, bool), len(sep)
+    for c, w, text in zip(q, widths, texts):
+        end += len(text) + w + 3  # past the number's last digit
+        keep[:, end - w - 3:end - 4] = c[:, None] >= 10.0 ** np.arange(w + 1, 2, -1)  # leading 0s
+        for col in (end - 1, end - 2, *range(end - 4, end - 4 - w, -1)):
+            c, digit = np.divmod(c, 10)
+            mat[:, col] = digit + 48
+    return str(mat[keep][len(sep):].data, "ascii")
 
 
 def _esc(text: str) -> str:

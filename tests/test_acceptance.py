@@ -153,7 +153,7 @@ def test_criterion_8_characterization_path():
     for got, want in zip(trimmed.curve.coefficients, POWER_COEFFS):
         assert abs(got - want) <= 1e-6
     # ignition filter removed exactly the zero-current head
-    assert plain.input_range[0] == pytest.approx(5.0, rel=1e-9)
+    assert plain.curve.input_range[0] == pytest.approx(5.0, rel=1e-9)
     report(8, "synthetic characterize recovers the power-curve coefficients; "
               "ignition filter and trim verified")
 

@@ -3,11 +3,16 @@ import codecs
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import plasmakit
 from plasmakit import ChannelConfig, InputKind, characterize, dataset, files, load_run, lux_from_input
 from plasmakit.calibration import CalibrationCurve, curve_to_dict
 from plasmakit.cli import build_parser, main
@@ -810,3 +815,67 @@ class TestDeterminism:
         run_cli(capsys, *args, "--out", str(a))
         run_cli(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# The child imports the plasmakit this process imported, installed or not.
+CLI = [sys.executable, "-m", "plasmakit.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(plasmakit.__file__)), os.environ.get("PYTHONPATH"))))}
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early is not an error worth a message: the
+    process exits 1 with an empty stderr.  Any other broken pipe still is."""
+
+    @staticmethod
+    def samples(tmp_path, rows=20_000):
+        path = tmp_path / "samples.csv"  # about 1 MB of replay output: more than a pipe holds
+        path.write_text("t_ms,v_volts,i_amps,lux\n" + "".join(
+            f"{k},{400.0 + k % 97},{0.03 + k % 13 * 1e-3},{k % 50 + 1}\n" for k in range(rows)))
+        return str(path)
+
+    @staticmethod
+    def popen(argv, **kw):
+        return subprocess.Popen(CLI + argv, env=CLI_ENV, stderr=subprocess.PIPE, **kw)
+
+    def test_stdout_closed_after_a_few_bytes(self, tmp_path):
+        proc = self.popen(["acq", "replay", "--in", self.samples(tmp_path)],
+                          stdout=subprocess.PIPE)
+        assert proc.stdout.read(50).startswith(b"t_ms,v_volts,i_amps,p_watts,lux\n")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("argv", [["acq", "power", "--v", "498", "--i", "0.0366"],
+                                      ["probe", "design", "--ratio", "0.001", "--n", "5",
+                                       "--r1", "10e6", "--c1", "15e-12"]])
+    def test_stdout_closed_before_a_short_output(self, argv):
+        # The output fits the pipe, so it fails when main flushes, not at exit.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.popen(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_out_fifo_closed_keeps_its_error(self, tmp_path):
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        got = []
+
+        def read_a_little():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read(50))
+
+        reader = threading.Thread(target=read_a_little, daemon=True)
+        reader.start()
+        proc = self.popen(["acq", "replay", "--in", self.samples(tmp_path), "--out", str(fifo)],
+                          stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got[0].startswith(b"t_ms,")
+        assert (proc.returncode, out, err) == (1, b"", b"error: [Errno 32] Broken pipe\n")

@@ -120,7 +120,7 @@ class TestCharacterize:
 
     def test_input_range_brackets_samples(self):
         char = characterize(synthetic_run(p_lo=5.0, p_hi=40.0))
-        lo, hi = char.input_range
+        lo, hi = char.curve.input_range
         assert lo == pytest.approx(5.0, rel=1e-9)
         assert hi == pytest.approx(40.0, rel=1e-9)
 
@@ -128,7 +128,7 @@ class TestCharacterize:
         run = synthetic_run(pre_ignition=6)
         # pre-ignition rows have zero current, so the fit never sees them
         char = characterize(run)
-        assert char.input_range[0] > 0.0
+        assert char.curve.input_range[0] > 0.0
 
     def test_deterministic(self):
         run = synthetic_run(lux_noise=lambda k: 0.01 * math.sin(k))
@@ -148,18 +148,17 @@ class TestCharacterize:
         run = synthetic_run(n=40, lux_noise=lambda k: 2.5 if k == 0 else 0.002 * math.sin(k))
         untrimmed, trimmed = characterize(run), characterize(run, trim=True)
         assert trimmed.trimmed_count == 1
-        assert untrimmed.input_range[0] == pytest.approx(5.0, rel=1e-9)
-        for lo in (trimmed.input_range[0], trimmed.curve.input_range[0]):
-            assert lo == pytest.approx(5.0 * 8.0 ** (1 / 39), rel=1e-9)
+        assert untrimmed.curve.input_range[0] == pytest.approx(5.0, rel=1e-9)
+        assert trimmed.curve.input_range[0] == pytest.approx(5.0 * 8.0 ** (1 / 39), rel=1e-9)
 
     @pytest.mark.parametrize("trim", [False, True])
     def test_one_input_range_per_fit(self, trim):
-        # the curve's range and the top-level one are the fitted powers' exact span
+        # the curve's range is the fitted powers' exact span
         for p_hi in np.linspace(20.0, 60.0, 41).tolist():
             run = synthetic_run(p_hi=p_hi, lux_noise=lambda k: 0.002 * math.sin(k))
             char = characterize(run, trim=trim)
             p = run.samples.p_watts[3:]
-            assert char.curve.input_range == char.input_range == (p.min(), p.max())
+            assert char.curve.input_range == (p.min(), p.max())
 
     def test_trim_guard_on_degenerate_trace(self):
         # alternating wild noise: the 3-sigma pass would cut > 20%, so the

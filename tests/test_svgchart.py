@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit.svgchart import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH,
-                                Series, _esc, _fmt, render_chart)
+                                Series, _esc, _fmt, _points, render_chart)
 
 
 def test_deterministic_output():
@@ -210,3 +210,91 @@ class TestAgainstPerPointReference:
                      (grid.tolist(), fit.tolist(), "fit", "line")],
                     title="Plasma characterization", x_label="plasma power (W)",
                     y_label="illuminance (lux)", x_log=True, y_log=True)
+
+
+# ---------------------------------------------------------------- formatter
+# _points writes both columns of a chart's points in one NumPy pass; each
+# number must be Python's own '%.2f' string.
+
+def formatted(values):
+    """Each of values as _points writes it, from both of its columns."""
+    v = np.asarray(values, dtype=float)
+    text = _points("%.2f,%.2f", " ", v, v[::-1])
+    pairs = [pair.split(",") for pair in text.split(" ")] if v.size else []
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs][::-1]
+    assert xs == ys
+    return xs
+
+
+def want(values):
+    return ["%.2f" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestPointFormatter:
+    def test_seeded_uniform_values(self):
+        v = np.random.default_rng(26).uniform(0.0, 1000.0, 200_000)
+        assert formatted(v) == want(v)
+
+    def test_exact_ties_round_half_to_even(self):
+        v = np.arange(8000) / 8.0  # every k/8 below 1000: 0.125 is exactly 12.5 hundredths
+        got = formatted(v)
+        assert got == want(v)
+        assert got[1:4] == ["0.12", "0.25", "0.38"]
+
+    @pytest.mark.parametrize("v, text", [
+        (1.005, "1.00"),   # 100.49999999999999 hundredths: rounds off a half
+        (2.675, "2.67"),   # just below 267.5, but the product rounds onto it
+        (0.285, "0.28"),
+        (1.115, "1.11"),
+        (8.345, "8.35"),
+    ])
+    def test_products_near_a_half(self, v, text):
+        assert formatted([v]) == [text] == want([v])
+
+    def test_every_near_half_hundredth(self):
+        v = (np.arange(100_000) + 0.5) / 100.0  # most of these products land on a half
+        v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+        assert formatted(v) == want(v)
+
+    @pytest.mark.parametrize("v, text", [
+        (9.995, "9.99"), (99.995, "100.00"), (999.995, "1000.00"),
+        (9.996, "10.00"), (99.994, "99.99"), (999.994, "999.99"),
+        (0.0, "0.00"), (0.004, "0.00"), (0.005, "0.01"), (5e-324, "0.00"),
+        (12345678.901, "12345678.90"),
+    ])
+    def test_digit_count_boundaries(self, v, text):
+        assert formatted([v]) == [text] == want([v])
+        mixed = [v, 0.0, 7.0, 70.0, 700.0, v]  # one width of matrix, several of text
+        assert formatted(mixed) == want(mixed)
+
+    def test_empty_and_one_row(self):
+        empty = np.empty(0)
+        assert _points('<circle cx="%.2f" cy="%.2f"/>', "\n", empty, empty) == ""
+        assert _points('<circle cx="%.2f" cy="%.2f"/>', "\n", np.array([70.0]),
+                       np.array([425.125])) == '<circle cx="70.00" cy="425.12"/>'
+
+    def test_template_and_separator(self):
+        x, y = np.array([70.0, 100.005, 699.999]), np.array([425.0, 40.5, 9.125])
+        template = '<circle cx="%.2f" cy="%.2f" r="2.5" fill="#d62728"/>'
+        assert _points(template, "\n", x, y) == "\n".join(
+            template % pair for pair in zip(x.tolist(), y.tolist()))
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, -0.0, math.nan, math.inf, -math.inf,
+                                     2.0 ** 52 / 100.0])
+    def test_pixel_it_cannot_format_rejected(self, bad):
+        good = np.array([100.0, 200.0])
+        for x, y in ((np.array([100.0, bad]), good), (good, np.array([bad, 100.0]))):
+            with pytest.raises(ValueError, match="^cannot format "):
+                _points("%.2f,%.2f", " ", x, y)
+
+    @pytest.mark.parametrize("x_log, y_log", [(True, True), (False, False), (True, False)])
+    def test_30000_points_through_render_chart(self, x_log, y_log):
+        rng = np.random.default_rng(30_000)
+        x = 10.0 ** rng.uniform(-1.0, 3.0, 30_000)
+        y = np.exp(rng.normal(3.0, 2.0, x.size))
+        grid = np.linspace(x.min(), x.max(), 200)
+        check_chart([(x.tolist(), y.tolist(), "data", "dots"),
+                     (grid.tolist(), np.interp(grid, np.sort(x), np.sort(y)).tolist(), "fit",
+                      "line"),
+                     (y[:500].tolist(), x[:500].tolist(), "", "line")],
+                    title="t", x_label="x", y_label="y", x_log=x_log, y_log=y_log)
