@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, TextIO
 
 import numpy as np
@@ -257,17 +257,22 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
 
     The mode is chosen by header inspection: `t_ms,raw_hv,raw_shunt[,raw_ldr]`
     for raw counts; a header with v_volts and i_amps goes to read_samples,
-    so replay reads its own output.  With a `diagnostics` list malformed
-    rows are reported there (as RowErrors, numbered by the physical line
-    the row ends on) and skipped; without one the first aborts the replay.
-    A row reports its first error (see files.collect); a break of the row
-    rule (_row_errors) comes last.  A raw replay converts each distinct
-    count of a channel once, with the scalar functions above.
+    so replay reads its own output (a curve, or a cfg other than DEFAULT_CONFIG,
+    has no effect there and raises PreconditionError).  With a `diagnostics`
+    list malformed rows are reported there (as RowErrors, numbered by the
+    physical line the row ends on) and skipped; without one the first aborts
+    the replay.  A row reports its first error (see files.collect); a break
+    of the row rule (_row_errors) comes last.  A raw replay converts each
+    distinct count of a channel once, with the scalar functions above.
     """
     with files.read_csv(source) as (fields, chunks):
         if not fields:
             return Samples(*[()] * 4)
         if {"v_volts", "i_amps"} <= set(fields):
+            ignored = ["light-channel curve"] * (ldr_curve is not None) + [
+                name for name, x in asdict(cfg).items() if x != getattr(DEFAULT_CONFIG, name)]
+            if ignored:
+                raise PreconditionError(f"{ignored[0]} has no effect on an engineering-unit input")
             return read_samples(fields, chunks, diagnostics, "bad engineering row: ")
         if not (set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields)):
             raise SchemaError(f"unrecognized frame CSV header: {fields}")

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import math
 import os
-import select
 import sys
 from typing import Callable, Optional, TextIO
 
@@ -64,10 +63,12 @@ def _network_from_args(args) -> probe.ProbeNetwork:
 
 
 def _curve_from_args(args) -> calibration.CalibrationCurve:
+    flags = ("a0", "a1", "a2", "a3", "kind")
     if args.curve:
+        if given := [f for f in flags if getattr(args, f) is not None]:
+            raise PlasmaKitError(f"--{given[0]} has no effect with --curve")
         return calibration.load_curve(args.curve)
-    missing = [f for f in ("a0", "a1", "a2", "a3", "kind")
-               if getattr(args, f, None) is None]
+    missing = [f for f in flags if getattr(args, f) is None]
     if missing:
         raise PlasmaKitError(
             "supply --curve FILE or all of --a0 --a1 --a2 --a3 --kind "
@@ -302,21 +303,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     except (PlasmaKitError, OSError) as exc:
-        if not (isinstance(exc, BrokenPipeError) and _stdout_closed()):
+        if not (isinstance(exc, BrokenPipeError) and exc.filename is None):
             print(f"error: {exc}", file=sys.stderr)
-        else:  # silent, and nothing left to fail at exit: the signal docs' "Note on SIGPIPE"
+        else:  # stdout's reader has gone: silent, nothing left to fail at exit ("Note on SIGPIPE")
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
-
-
-def _stdout_closed() -> bool:
-    """True when stdout is a pipe whose reader has gone."""
-    try:
-        (poller := select.poll()).register(sys.stdout.fileno(), select.POLLOUT)
-    except (AttributeError, ValueError):  # no poll() on this system, or no descriptor
-        return False
-    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in poller.poll(0))
 
 
 if __name__ == "__main__":

@@ -203,31 +203,36 @@ def atomic_write(path):
     open() gives a new file (0o666 less the umask) or, when the target is
     an existing regular file, with the target's permission bits.  It is
     renamed onto the target only when the `with` block succeeds; on failure
-    the target is untouched and the new file removed.  A symlink is followed: its target
-    gets the bytes and the link stays.  A target that exists and is not a
-    regular file, such as a FIFO or a device, cannot be replaced by a rename
-    and is written in place.
+    the target is untouched and the new file removed.  A symlink is followed:
+    its target gets the bytes and the link stays.  A target that exists and
+    is not a regular file, such as a FIFO or a device, is written in place.
+    An OSError with an errno and no file name, such as a failed write, gets `path`.
     """
     if not os.fspath(path):  # realpath would make it the working directory
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".plasmakit-{os.urandom(6).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # reported under the caller's path, not the temporary name
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            if os.path.isfile(target):
-                os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(target), f".plasmakit-{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:  # reported under the caller's path, not the temporary name
+            raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                if os.path.isfile(target):
+                    os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # as open() names the path it was given
+        if exc.filename is None and exc.errno is not None:
+            exc.filename = path
         raise
 
 

@@ -16,6 +16,7 @@ import plasmakit
 from plasmakit import ChannelConfig, InputKind, characterize, dataset, files, load_run, lux_from_input
 from plasmakit.calibration import CalibrationCurve, curve_to_dict
 from plasmakit.cli import build_parser, main
+from plasmakit.errors import PreconditionError
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS, narrow_span
 
@@ -612,6 +613,56 @@ class TestCharacterizationAsCurve:
         assert (code, out) == (1, "")
         assert err == "error: bad calibration curve object: 'a3'\n"
 
+    @pytest.mark.parametrize("flag, value", [("--a0", "99"), ("--a3", "1"), ("--kind", "voltage")])
+    @pytest.mark.parametrize("argv", [["eval", "--input", "10"], ["invert", "--lux", "10"]])
+    def test_coefficient_flag_with_curve_exits_1(self, capsys, tmp_path, argv, flag, value):
+        path = self._char_json(capsys, tmp_path)
+        assert run_cli(capsys, "cal", argv[0], "--curve", str(path), *argv[1:], flag, value) == (
+            1, "", f"error: {flag} has no effect with --curve\n")
+
+
+class TestEngineeringReplayFlags:
+    """An engineering-unit input holds no counts and no light-channel volts:
+    a curve or a channel setting other than the default is refused, not ignored."""
+
+    @staticmethod
+    def samples(tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("t_ms,v_volts,i_amps,p_watts,lux\n0,400.0,0.03,12.0,5.0\n1,410.0,0.031,12.71,\n")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", [InputKind.SENSOR_VOLTAGE, InputKind.PLASMA_POWER])
+    def test_curve_exits_1(self, capsys, tmp_path, kind):
+        curve = tmp_path / "curve.json"
+        coeffs = VOLTAGE_COEFFS if kind is InputKind.SENSOR_VOLTAGE else POWER_COEFFS
+        curve.write_text(files.json_text(curve_to_dict(CalibrationCurve(*coeffs, input_kind=kind))))
+        assert run_cli(capsys, "acq", "replay", "--in", self.samples(tmp_path),
+                       "--curve", str(curve)) == (
+            1, "", "error: light-channel curve has no effect on an engineering-unit input\n")
+
+    @pytest.mark.parametrize("flags, config, name", [
+        (["--probe-ratio", "0.5"], None, "probe_ratio"),
+        ([], {"shunt_ohms": 46}, "shunt_ohms")])
+    def test_channel_setting_exits_1(self, capsys, tmp_path, flags, config, name):
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            flags = ["--config", str(tmp_path / "config.json")]
+        assert run_cli(capsys, "acq", "replay", "--in", self.samples(tmp_path), *flags) == (
+            1, "", f"error: {name} has no effect on an engineering-unit input\n")
+
+    def test_default_config_gives_the_same_bytes(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dataclasses.asdict(ChannelConfig())))
+        plain = run_cli(capsys, "acq", "replay", "--in", self.samples(tmp_path))
+        assert plain[0] == 0 and plain[1].startswith("t_ms,v_volts,")
+        assert run_cli(capsys, "acq", "replay", "--in", self.samples(tmp_path),
+                       "--config", str(config)) == plain
+
+    def test_replay_stream_raises(self, tmp_path):
+        with pytest.raises(PreconditionError,
+                           match="^probe_ratio has no effect on an engineering-unit input$"):
+            plasmakit.replay_stream(self.samples(tmp_path), ChannelConfig(probe_ratio=0.5))
+
 
 # Samples whose fit succeeds but whose plot overflows lux between inputs 1 and 2.
 OVERFLOWING_PLOT = {
@@ -825,7 +876,8 @@ CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
 
 class TestClosedPipe:
     """A reader that closes stdout early is not an error worth a message: the
-    process exits 1 with an empty stderr.  Any other broken pipe still is."""
+    process exits 1 with an empty stderr.  Any other broken pipe still is, and
+    names its output file."""
 
     @staticmethod
     def samples(tmp_path, rows=20_000):
@@ -878,4 +930,40 @@ class TestClosedPipe:
         out, err = proc.communicate(timeout=60)
         reader.join(timeout=10)
         assert not reader.is_alive() and got[0].startswith(b"t_ms,")
-        assert (proc.returncode, out, err) == (1, b"", b"error: [Errno 32] Broken pipe\n")
+        assert (proc.returncode, out, err) == (
+            1, b"", f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n".encode())
+
+    def test_plot_fifo_closed_names_the_plot(self, tmp_path):
+        # Both outputs are FIFOs; only the plot's reader leaves early.
+        out_fifo, plot_fifo = tmp_path / "char.json", tmp_path / "chart.svg"
+        got = {}
+
+        def read(fifo, size):
+            with open(fifo, "rb") as fh:
+                got[fifo] = fh.read(size)
+
+        readers = [threading.Thread(target=read, args=args, daemon=True)
+                   for args in ((out_fifo, -1), (plot_fifo, 50))]
+        for fifo, reader in zip((out_fifo, plot_fifo), readers):
+            os.mkfifo(fifo)
+            reader.start()
+        proc = self.popen(["characterize", "--in", self.samples(tmp_path), "--out", str(out_fifo),
+                           "--plot", str(plot_fifo)], stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        for reader in readers:
+            reader.join(timeout=10)
+        assert got[plot_fifo].startswith(b"<svg")
+        assert (proc.returncode, out) == (1, b"")
+        assert err == f"error: [Errno 32] Broken pipe: {str(plot_fifo)!r}\n".encode()
+        assert str(out_fifo).encode() not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_dev_stdout_closed_is_an_output_file(self, tmp_path):
+        # --out /dev/stdout is written as a file is, so its broken pipe names it
+        proc = self.popen(["acq", "replay", "--in", self.samples(tmp_path), "--out", "/dev/stdout"],
+                          stdout=subprocess.PIPE)
+        assert proc.stdout.read(50).startswith(b"t_ms,v_volts,i_amps,p_watts,lux\n")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b"error: [Errno 32] Broken pipe: '/dev/stdout'\n"
+        proc.stderr.close()

@@ -2,9 +2,10 @@
 saved with write_samples_csv, and each CLI output file.  Each must give a new file the
 mode open() gives, keep an existing file's mode, write through a symlink to
 its target, write a FIFO in place, and leave the old file and no temp file
-when the final rename fails."""
+when the final rename fails.  An error that names no file names the output's path."""
 
 import csv
+import errno
 import io
 import math
 import os
@@ -202,6 +203,39 @@ def test_an_empty_path_is_a_missing_file(tmp_path, monkeypatch):
     assert str(exc.value) == "[Errno 2] No such file or directory: ''"
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
     assert list((tmp_path / "sub").iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["relative", "symlink"])
+def test_an_error_naming_no_file_names_the_path_given(tmp_path, monkeypatch, spelling):
+    # as open() names the path it cannot open: a full disk or a reader gone names the output
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "target.json").write_text("old")
+    path = {"relative": "target.json", "symlink": "link.json"}[spelling]
+    if spelling == "symlink":
+        (tmp_path / path).symlink_to("target.json")
+    with pytest.raises(OSError) as exc:
+        with files.atomic_write(path) as fh:
+            fh.write("new")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, path)
+    assert str(exc.value) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {path!r}"
+    assert (tmp_path / "target.json").read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"target.json", path})
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.EACCES, os.strerror(errno.EACCES), "elsewhere"),
+    OSError("no errno, no file"),
+    ValueError("not an OSError")], ids=["named", "message only", "ValueError"])
+def test_other_errors_pass_through_unchanged(tmp_path, error):
+    path, text = tmp_path / "out.json", str(error)
+    path.write_text("old")
+    with pytest.raises(type(error)) as exc:
+        with files.atomic_write(path):
+            raise error
+    assert exc.value is error and str(error) == text
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 @pytest.mark.parametrize("command", ["cal fit", "characterize"])
