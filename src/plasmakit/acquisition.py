@@ -23,9 +23,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, TextIO
 
-import numpy as np
-
 from . import files
+from ._numpy import np
 from .calibration import CalibrationCurve, InputKind, is_finite_number, lux_from_input
 from .errors import DomainError, PreconditionError, SchemaError
 from .files import Cells, Errors
@@ -256,18 +255,19 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
     """Replay a frame CSV into Samples, order preserved.
 
     The mode is chosen by header inspection: `t_ms,raw_hv,raw_shunt[,raw_ldr]`
-    for raw counts; a header with v_volts and i_amps goes to read_samples,
-    so replay reads its own output (a curve, or a cfg other than DEFAULT_CONFIG,
-    has no effect there and raises PreconditionError).  With a `diagnostics`
-    list malformed rows are reported there (as RowErrors, numbered by the
-    physical line the row ends on) and skipped; without one the first aborts
-    the replay.  A row reports its first error (see files.collect); a break
-    of the row rule (_row_errors) comes last.  A raw replay converts each
-    distinct count of a channel once, with the scalar functions above.
+    for raw counts, as is an input with no header (no rows); a header with
+    v_volts and i_amps goes to read_samples, so replay reads its own output.
+    What would have no effect raises PreconditionError: a curve or a cfg other
+    than DEFAULT_CONFIG on engineering units, a curve on frames without
+    raw_ldr.  With a `diagnostics` list malformed rows are reported there (as
+    RowErrors, numbered by the physical line the row ends on) and skipped;
+    without one the first aborts the replay.  A row reports its first error
+    (see files.collect); a break of the row rule (_row_errors) comes last.  A
+    raw replay converts each distinct count of a channel once, with the
+    scalar functions above.
     """
     with files.read_csv(source) as (fields, chunks):
-        if not fields:
-            return Samples(*[()] * 4)
+        fields = fields or RAW_HEADER
         if {"v_volts", "i_amps"} <= set(fields):
             ignored = ["light-channel curve"] * (ldr_curve is not None) + [
                 name for name, x in asdict(cfg).items() if x != getattr(DEFAULT_CONFIG, name)]
@@ -278,6 +278,8 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
             raise SchemaError(f"unrecognized frame CSV header: {fields}")
         if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
             raise PreconditionError("light-channel curve must have input kind 'voltage'")
+        if ldr_curve is not None and "raw_ldr" not in fields:
+            raise PreconditionError("light-channel curve has no effect on frames without raw_ldr")
         hv = _CountTable(cfg, "hv", lambda volts: needle_voltage(cfg, volts))
         shunt = _CountTable(cfg, "shunt", lambda volts: shunt_current(cfg, volts))
         ldr = _CountTable(cfg, "ldr", (lambda volts: math.nan) if ldr_curve is None else (

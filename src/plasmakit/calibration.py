@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
 
-import numpy as np
-
 from . import files
+from ._numpy import np
 from .errors import DomainError, FitError, PreconditionError, SchemaError
 
 __all__ = [

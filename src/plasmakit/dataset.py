@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TextIO
 
-import numpy as np
-
 from . import files
+from ._numpy import np
 from .acquisition import IGNITION_I_MIN, Samples, detect_ignition, read_samples
 from .calibration import (
     CalibrationCurve,

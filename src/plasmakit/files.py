@@ -18,8 +18,7 @@ from collections import UserDict
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
-import numpy as np
-
+from ._numpy import np
 from .errors import RowError, SchemaError
 
 # Physical lines read at a time, and rows formatted at a time when writing:

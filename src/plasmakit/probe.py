@@ -24,8 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TextIO
 
-import numpy as np
-
+from ._numpy import np
 from .calibration import is_finite_number
 from .errors import DomainError, PreconditionError, SingularityError
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 __all__ = ["Series", "render_chart"]
 

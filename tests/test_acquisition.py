@@ -244,7 +244,9 @@ class TestProcessFrame:
     def test_lux_requires_curve_and_channel(self):
         curve = CalibrationCurve(*VOLTAGE_COEFFS)
         assert np.isnan(replay_frames((0, 100, 2000)).lux).tolist() == [True]
-        assert np.isnan(replay_frames((0, 100, 2000), curve=curve).lux).tolist() == [True]
+        with pytest.raises(PreconditionError,
+                           match="^light-channel curve has no effect on frames without raw_ldr$"):
+            replay_frames((0, 100, 2000), curve=curve)
         assert np.isnan(replay_frames((0, 100, 2000, ""), curve=curve).lux).tolist() == [True]
         assert np.isnan(replay_frames((0, 100, 2000, 1241)).lux).tolist() == [True]
         assert np.isnan(replay_frames((0, 100, 2000, 1241), curve=curve).lux).tolist() == [False]

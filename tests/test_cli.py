@@ -664,6 +664,37 @@ class TestEngineeringReplayFlags:
             plasmakit.replay_stream(self.samples(tmp_path), ChannelConfig(probe_ratio=0.5))
 
 
+class TestRawReplayFlags:
+    """Raw frames hear a light-channel curve only through raw_ldr; an input
+    with no header is raw frames with no rows."""
+
+    @staticmethod
+    def curve(tmp_path, kind):
+        path = tmp_path / f"{kind.value}.json"
+        coeffs = VOLTAGE_COEFFS if kind is InputKind.SENSOR_VOLTAGE else POWER_COEFFS
+        path.write_text(files.json_text(curve_to_dict(CalibrationCurve(*coeffs, input_kind=kind))))
+        return str(path)
+
+    def test_empty_input_with_default_flags_prints_the_header(self, capsys, tmp_path):
+        (tmp_path / "empty.csv").write_text("")
+        assert run_cli(capsys, "acq", "replay", "--in", str(tmp_path / "empty.csv")) == (
+            0, "t_ms,v_volts,i_amps,p_watts,lux\n", "")
+
+    def test_empty_input_rejects_a_power_curve(self, capsys, tmp_path):
+        (tmp_path / "empty.csv").write_text("")
+        assert run_cli(capsys, "acq", "replay", "--in", str(tmp_path / "empty.csv"),
+                       "--probe-ratio", "0.5",
+                       "--curve", self.curve(tmp_path, InputKind.PLASMA_POWER)) == (
+            1, "", "error: light-channel curve must have input kind 'voltage'\n")
+
+    def test_curve_without_raw_ldr_exits_1(self, capsys, tmp_path):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n")
+        assert run_cli(capsys, "acq", "replay", "--in", str(frames),
+                       "--curve", self.curve(tmp_path, InputKind.SENSOR_VOLTAGE)) == (
+            1, "", "error: light-channel curve has no effect on frames without raw_ldr\n")
+
+
 # Samples whose fit succeeds but whose plot overflows lux between inputs 1 and 2.
 OVERFLOWING_PLOT = {
     "cal fit": (["cal", "fit"], "input,lux", ["1,1", "2,1e300", "3,1e-300", "4,5", "5,1e200"]),

@@ -232,10 +232,12 @@ def raw_case(draw):
                         adc_bits=bits)
     header = ["t_ms", "raw_hv", "raw_shunt"]
     cells = [TIMES, counts(cfg.max_count), counts(cfg.max_count)]
+    curve = None  # a curve on frames without raw_ldr raises (test_acquisition)
     if draw(st.booleans()):
         header.append("raw_ldr")
         cells.append(counts(cfg.max_count))
-    return draw(csv_text(header, cells)), cfg, draw(st.sampled_from(CURVES))
+        curve = draw(st.sampled_from(CURVES))
+    return draw(csv_text(header, cells)), cfg, curve
 
 
 @st.composite
