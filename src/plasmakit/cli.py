@@ -6,8 +6,8 @@ Subcommands:
     acq replay|power            frame replay and point power computation
     characterize                power-versus-illuminance fit of a run file
 
-A call adds flags to the one command its argv names, or to all of them when
-it names none (a bare `--help`).  Exit codes, set by `main` alone:
+A call builds only the parsers that argparse reaches on argv: the top one,
+a group and a leaf.  Exit codes, set by `main` alone:
 0 success, 1 runtime/domain error, 2 usage error.
 """
 
@@ -34,7 +34,7 @@ def _load_config(args) -> acquisition.ChannelConfig:
     """Flags override config-file values override built-in defaults;
     ChannelConfig checks the file's values before any flag replaces them."""
     cfg, fields = acquisition.DEFAULT_CONFIG, dataclasses.fields(acquisition.ChannelConfig)
-    if args.config:
+    if args.config is not None:
         values = files.read_json(args.config)
         if not isinstance(values, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
@@ -50,7 +50,7 @@ def _load_config(args) -> acquisition.ChannelConfig:
 
 def _write_out(path: Optional[str], write: Callable[[TextIO], object], note: str = "") -> None:
     """write(fh) to the file at path, atomically, and say so; to stdout without a path."""
-    if not path:
+    if path is None:
         write(sys.stdout)
         return
     with files.atomic_write(path) as fh:
@@ -64,7 +64,7 @@ def _network_from_args(args) -> probe.ProbeNetwork:
 
 def _curve_from_args(args) -> calibration.CalibrationCurve:
     flags = ("a0", "a1", "a2", "a3", "kind")
-    if args.curve:
+    if args.curve is not None:
         if given := [f for f in flags if getattr(args, f) is not None]:
             raise PlasmaKitError(f"--{given[0]} has no effect with --curve")
         return calibration.load_curve(args.curve)
@@ -127,9 +127,9 @@ def _cmd_cal_fit(args) -> None:
     curve, _, stats = calibration.fit_log_cubic(inputs, lux, calibration.InputKind(args.kind),
                                                 args.trim)
     files.write_texts(  # rendered first: a failing render leaves no file written
-        args.out and (args.out, files.json_text(calibration.curve_to_dict(curve))),
-        args.plot and (args.plot, _fit_svg(inputs, lux, curve, "Calibration fit",
-                                           f"input ({args.kind})")))
+        args.out is not None and (args.out, files.json_text(calibration.curve_to_dict(curve))),
+        args.plot is not None and (args.plot, _fit_svg(
+            inputs, lux, curve, "Calibration fit", f"input ({args.kind})")))
     _print_json({**calibration.curve_to_dict(curve), **stats})
 
 
@@ -171,7 +171,7 @@ def _cmd_acq_power(args) -> None:
 
 def _cmd_acq_replay(args) -> None:
     cfg = _load_config(args)
-    curve = calibration.load_curve(args.curve) if args.curve else None
+    curve = calibration.load_curve(args.curve) if args.curve is not None else None
     diagnostics = None if args.strict else []
     samples = acquisition.replay_stream(args.infile, cfg, curve, diagnostics=diagnostics)
     for err in diagnostics or ():
@@ -187,9 +187,9 @@ def _cmd_characterize(args) -> None:
                                 ignition_i_min=args.i_min)
     used, text = char.samples, files.json_text(dataset.characterization_to_dict(char))
     files.write_texts(  # rendered first: a failing render leaves no file written
-        args.out and (args.out, text),
-        args.plot and (args.plot, _fit_svg(used.p_watts, used.lux, char.curve,
-                                           "Plasma power vs illuminance", "power (W)")))
+        args.out is not None and (args.out, text),
+        args.plot is not None and (args.plot, _fit_svg(
+            used.p_watts, used.lux, char.curve, "Plasma power vs illuminance", "power (W)")))
     sys.stdout.write(text)
 
 
@@ -260,45 +260,41 @@ _COMMANDS = {
 }
 
 
-def _leaf_path(argv, commands=_COMMANDS) -> Optional[tuple[str, ...]]:
-    """The names of the leaf command that argv's first words spell, or None."""
-    entry = commands.get(argv[0]) if argv else None
-    if entry is None or len(entry) == 3:
-        return entry and (argv[0],)
-    rest = _leaf_path(argv[1:], entry[1])
-    return rest and (argv[0], *rest)
+class _Parser(argparse.ArgumentParser):
+    """A parser that holds its `_COMMANDS` entry until argparse first asks it
+    to parse, which argparse does for each command that argv names, and then
+    adds the entry's commands, registered empty, or its flags and handler."""
 
+    entry = None
 
-def _add_commands(sub, commands: dict, path: Optional[tuple[str, ...]]) -> None:
-    """Register each of commands with the subparsers action sub; only the one
-    that path starts with (every one, when path is None) gets what is under it."""
-    for name, (text, *body) in commands.items():
-        p = sub.add_parser(name, help=text)
-        if path is None or path[0] == name:
+    def parse_known_args(self, args=None, namespace=None):
+        if self.entry:
+            (_, *body), self.entry = self.entry, None
             if len(body) == 1:  # a group
-                _add_commands(p.add_subparsers(dest="subcommand", required=True), body[0],
-                              path and path[1:])
+                dest = "command" if body[0] is _COMMANDS else "subcommand"
+                sub = self.add_subparsers(dest=dest, required=True)
+                for name, entry in body[0].items():
+                    sub.add_parser(name, help=entry[0]).entry = entry
             else:
                 handler, flags = body
                 for flag, kwargs in flags.items():
-                    p.add_argument(flag, **kwargs)
-                p.set_defaults(func=handler)
+                    self.add_argument(flag, **kwargs)
+                self.set_defaults(func=handler)
+        return super().parse_known_args(args, namespace)
 
 
-def build_parser(path: Optional[tuple[str, ...]] = None) -> argparse.ArgumentParser:
-    """The full command tree; given a leaf's path, such as ("acq", "replay"),
-    the same tree with flags on that leaf alone."""
-    parser = argparse.ArgumentParser(
+def build_parser() -> argparse.ArgumentParser:
+    """The top parser; each parser under it is built when a parse reaches it."""
+    parser = _Parser(
         prog="plasmakit",
         description="Low-cost plasma diagnostics: probe analysis, sensor "
                     "calibration, acquisition replay, characterization.")
-    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, path)
+    parser.entry = (None, _COMMANDS)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(_leaf_path(argv)).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

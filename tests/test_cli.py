@@ -1,4 +1,3 @@
-import argparse
 import codecs
 import dataclasses
 import json
@@ -13,9 +12,10 @@ import numpy as np
 import pytest
 
 import plasmakit
-from plasmakit import ChannelConfig, InputKind, characterize, dataset, files, load_run, lux_from_input
+from plasmakit import (ChannelConfig, InputKind, characterize, cli, dataset, files, load_run,
+                       lux_from_input)
 from plasmakit.calibration import CalibrationCurve, curve_to_dict
-from plasmakit.cli import build_parser, main
+from plasmakit.cli import main
 from plasmakit.errors import PreconditionError
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS, narrow_span
@@ -378,14 +378,11 @@ class TestAcqCommands:
         assert err.startswith(f"error: {cfg}: ")
 
     def test_replay_channel_flags_are_the_config_fields(self):
-        def subparser(parser, name):
-            actions = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            return actions.choices[name]
-
-        replay = subparser(subparser(build_parser(), "acq"), "replay")
-        flags = [(a.dest, a.type.__name__) for a in replay._actions
-                 if a.dest not in ("help", "infile", "out", "config", "curve", "strict")]
-        assert flags == [(f.name, f.type) for f in dataclasses.fields(ChannelConfig)]
+        _, _, flags = cli._COMMANDS["acq"][1]["replay"]
+        channel = [(flag, kwargs["dest"], kwargs["type"].__name__) for flag, kwargs in flags.items()
+                   if flag not in ("--in", "--out", "--config", "--curve", "--strict")]
+        assert channel == [(f"--{f.name.replace('_', '-')}", f.name, f.type)
+                           for f in dataclasses.fields(ChannelConfig)]
 
     @pytest.mark.parametrize("curve", [False, True])
     def test_replay_light_count_out_of_range_is_a_bad_row(self, capsys, tmp_path, curve):

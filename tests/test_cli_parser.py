@@ -1,18 +1,39 @@
-"""`cli.main` builds only the parser of the command its argv names.
+"""`cli.main` builds only the parsers that argparse reaches on argv.
 
-The oracle is the full tree of `build_parser()`: for each argv below, `main`
-must give the same exit code, stdout and stderr as `main` made to build the
-full tree.  Both run in one interpreter, so argparse's own wording, which
-differs between Python versions, is the same on both sides.
+The oracle is a reference implementation: the full tree, every parser built
+up front from `cli._COMMANDS` with plain argparse.  For each argv below,
+`main` must give the same exit code, stdout and stderr as `main` made to
+parse with that tree.  Both run in one interpreter, so argparse's own
+wording, which differs between Python versions, is the same on both sides.
 """
 
 import argparse
+import random
 import sys
 
 import pytest
 
 from plasmakit import cli
 from plasmakit.cli import build_parser, main
+
+
+def reference_parser():
+    """The full tree, eagerly built from cli._COMMANDS."""
+    def add(parser, commands, dest):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (text, *body) in commands.items():
+            p = sub.add_parser(name, help=text)
+            if len(body) == 1:
+                add(p, body[0], "subcommand")
+            else:
+                handler, flags = body
+                for flag, kwargs in flags.items():
+                    p.add_argument(flag, **kwargs)
+                p.set_defaults(func=handler)
+
+    parser = argparse.ArgumentParser(prog="plasmakit", description=build_parser().description)
+    add(parser, cli._COMMANDS, "command")
+    return parser
 
 
 def subparsers(parser):
@@ -29,7 +50,13 @@ def tree(parser, path=()):
     return found
 
 
-FULL = tree(build_parser())
+def described(parser):
+    """What argparse was told of each of parser's arguments."""
+    return [(a.option_strings, a.dest, a.type, a.default, a.choices, a.required, a.help,
+             type(a)) for a in parser._actions if not isinstance(a, argparse._SubParsersAction)]
+
+
+FULL = tree(reference_parser())
 LEAVES = [path for path, parser in FULL.items() if not subparsers(parser)]
 # The flags each leaf needs to parse; the handlers then run on them.
 REQUIRED = {
@@ -70,16 +97,46 @@ ARGVS = [
     ["characterize", "acq", "replay"],
     ["probe", "-h", "analyze"],
 ]
+ODD_ARGVS = [
+    ["--"], ["-"], ["-1"], ["--he"], ["--", "characterize"], ["-", "acq"],
+    ["characterize", "--"], ["characterize", "--he"], ["acq", "--", "power"],
+    ["probe", "--he"], ["cal", "-1"], ["acq", "power", "--v", "-1", "--i", "-1"],
+]
+
+# The random sweep's words: commands, flags (some abbreviated), values and odd tokens.
+TOKENS = ["probe", "cal", "acq", "characterize", "analyze", "design", "bode", "fit", "eval",
+          "invert", "power", "replay", "bogus", "-h", "--help", "--he", "--", "-", "-1", "",
+          "--n", "1", "3", "--r1", "1e6", "--c1", "1e-12", "--r0", "1e3", "--c0", "0",
+          "--tol", "0.5", "--ratio", "--fmin", "--fmax", "--points", "--spacing", "log",
+          "--out", "--in", "no-such-dir/x.csv", "--kind", "voltage", "power", "--trim", "--plot",
+          "--a0", "--a1", "--a2", "--a3", "--curve", "--input", "--lux", "--v", "--i", "--config",
+          "--strict", "--probe-ratio", "--adc-bits", "--i-min", "x", "--tr", "--inp", "--ki"]
+
+
+def sweep(seed, count):
+    """count argvs of up to 8 TOKENS after nothing, a leaf's path, or a leaf's
+    path and its REQUIRED flags, in turn."""
+    rng = random.Random(seed)
+    heads = [lambda: (), lambda: rng.choice(LEAVES),
+             lambda: (leaf := rng.choice(LEAVES)) + tuple(REQUIRED[leaf])]
+    return [[*heads[k % 3](), *(rng.choice(TOKENS) for _ in range(rng.randint(0, 8)))]
+            for k in range(count)]
 
 
 def outcome(capsys, argv):
     """(exit code, stdout, stderr) of main(argv)."""
     try:
-        code = main(list(argv))
+        code = main(argv if argv is None else list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_outcome(capsys, monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", reference_parser)
+        return outcome(capsys, argv)
 
 
 def test_the_full_tree_has_13_parsers_and_9_leaves():
@@ -87,50 +144,67 @@ def test_the_full_tree_has_13_parsers_and_9_leaves():
     assert sorted(LEAVES) == sorted(REQUIRED)
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-def test_lean_path_matches_the_full_tree(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv", ARGVS + ODD_ARGVS, ids=" ".join)
+def test_main_matches_the_full_tree(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert outcome(capsys, argv) == reference_outcome(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_random_argvs_match_the_full_tree(capsys, monkeypatch, tmp_path, seed):
+    monkeypatch.chdir(tmp_path)
+    codes, differ = set(), []
+    for argv in sweep(seed, 500):
+        got = outcome(capsys, argv)
+        codes.add(got[0])
+        if got != reference_outcome(capsys, monkeypatch, argv):
+            differ.append(argv)
+    assert differ == []
+    assert codes == {0, 1, 2}
+
+
+def built_by(monkeypatch, capsys, argv):
+    """The tree of the parser that main(argv) built and parsed with."""
     built = []
-    monkeypatch.setattr(cli, "build_parser", lambda path=None: built.append(path) or
-                        build_parser(path))
-    lean = outcome(capsys, argv)
-    assert built == [cli._leaf_path(argv)]
-    monkeypatch.setattr(cli, "_leaf_path", lambda argv: None)
-    assert outcome(capsys, argv) == lean
-    assert built[-1] is None
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+    outcome(capsys, argv)
+    assert len(built) == 1
+    return tree(built[0])
 
 
-@pytest.mark.parametrize("argv, path", [
-    (["characterize", "--in", "x"], ("characterize",)),
-    (["acq", "replay", "-h"], ("acq", "replay")),
-    (["probe", "bode"], ("probe", "bode")),
-    (["acq"], None),
-    (["acq", "-h"], None),
-    (["acq", "bogus"], None),
-    (["-h", "characterize"], None),
-    (["--", "characterize"], None),
-    ([], None),
-])
-def test_only_an_argv_that_starts_with_a_leaf_is_lean(argv, path):
-    assert cli._leaf_path(argv) == path
+def expanded(parsers):
+    """The paths of the parsers that hold more than their -h."""
+    return [path for path, parser in parsers.items() if len(parser._actions) > 1]
+
+
+def test_build_parser_alone_builds_the_top_parser_empty():
+    assert expanded(tree(build_parser())) == []
 
 
 @pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
-def test_a_lean_tree_registers_every_command_but_flags_only_its_leaf(leaf):
-    lean = tree(build_parser(leaf))
-    assert list(subparsers(lean[()])) == list(subparsers(FULL[()]))
-    flagged = [path for path, parser in lean.items() if len(parser._actions) > 1]
-    assert flagged == [path for path in lean if path in (leaf, leaf[:1], ())]
-    assert [a.dest for a in lean[leaf]._actions] == [a.dest for a in FULL[leaf]._actions]
+def test_a_call_expands_only_the_parsers_on_its_path(capsys, monkeypatch, tmp_path, leaf):
+    monkeypatch.chdir(tmp_path)
+    parsers = built_by(monkeypatch, capsys, [*leaf, *REQUIRED[leaf]])
+    assert expanded(parsers) == [path for path in FULL if path in ((), leaf[:1], leaf)]
+    assert list(parsers) == [path for path in FULL if len(path) < 2 or path[:1] == leaf[:1]]
+    for path in ((), leaf[:1], leaf):
+        assert described(parsers[path]) == described(FULL[path])
+
+
+@pytest.mark.parametrize("argv, paths", [
+    (["-h"], [()]),
+    (["bogus"], [()]),
+    (["acq", "-h"], [(), ("acq",)]),
+    (["probe", "-h", "analyze"], [(), ("probe",)]),
+    (["characterize", "acq", "replay"], [(), ("characterize",)]),
+])
+def test_a_call_that_stops_early_expands_less(capsys, monkeypatch, argv, paths):
+    assert expanded(built_by(monkeypatch, capsys, argv)) == paths
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     argv = ["characterize", "--in", "no-such-dir/run.csv", "--trim"]
     expected = outcome(capsys, argv)
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda path=None: built.append(path) or
-                        build_parser(path))
     monkeypatch.setattr(sys, "argv", ["plasmakit", *argv])
-    code = main()
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == expected
-    assert expected[0] == 1 and built == [("characterize",)]
+    assert outcome(capsys, None) == expected
+    assert expected[0] == 1
