@@ -6,8 +6,8 @@ Subcommands:
     acq replay|power            frame replay and point power computation
     characterize                power-versus-illuminance fit of a run file
 
-A call builds only the parsers that argparse reaches on argv: the top one,
-a group and a leaf.  Exit codes, set by `main` alone:
+The parser tree is built once per process, from `_COMMANDS`, and every
+call parses with it.  Exit codes, set by `main` alone:
 0 success, 1 runtime/domain error, 2 usage error.
 """
 
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
+import re
 import sys
 from typing import Callable, Optional, TextIO
 
@@ -68,8 +70,7 @@ def _curve_from_args(args) -> calibration.CalibrationCurve:
         if given := [f for f in flags if getattr(args, f) is not None]:
             raise PlasmaKitError(f"--{given[0]} has no effect with --curve")
         return calibration.load_curve(args.curve)
-    missing = [f for f in flags if getattr(args, f) is None]
-    if missing:
+    if missing := [f for f in flags if getattr(args, f) is None]:
         raise PlasmaKitError(
             "supply --curve FILE or all of --a0 --a1 --a2 --a3 --kind "
             f"(missing: {', '.join('--' + m for m in missing)})")
@@ -260,37 +261,31 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser that holds its `_COMMANDS` entry until argparse first asks it
-    to parse, which argparse does for each command that argv names, and then
-    adds the entry's commands, registered empty, or its flags and handler."""
-
-    entry = None
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.entry:
-            (_, *body), self.entry = self.entry, None
-            if len(body) == 1:  # a group
-                dest = "command" if body[0] is _COMMANDS else "subcommand"
-                sub = self.add_subparsers(dest=dest, required=True)
-                for name, entry in body[0].items():
-                    sub.add_parser(name, help=entry[0]).entry = entry
-            else:
-                handler, flags = body
-                for flag, kwargs in flags.items():
-                    self.add_argument(flag, **kwargs)
-                self.set_defaults(func=handler)
-        return super().parse_known_args(args, namespace)
+_NUMBER = re.compile(r"-\.?\d")  # -1, -.5, -1e-05: values; argparse's own matcher misses -1e-05
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top parser; each parser under it is built when a parse reaches it."""
-    parser = _Parser(
-        prog="plasmakit",
-        description="Low-cost plasma diagnostics: probe analysis, sensor "
-                    "calibration, acquisition replay, characterization.")
-    parser.entry = (None, _COMMANDS)
+def _add_commands(parser, entry: tuple, dest: str = "command") -> argparse.ArgumentParser:
+    """parser, built from its `_COMMANDS` entry: a group's commands, each on
+    its own parser, or a leaf's flags and handler."""
+    parser._negative_number_matcher = _NUMBER
+    if len(entry) == 1:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (text, *body) in entry[0].items():
+            _add_commands(sub.add_parser(name, help=text), body, "subcommand")
+    else:
+        handler, flags = entry
+        for flag, kwargs in flags.items():
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(func=handler)
     return parser
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree, built on the first call; every call returns it."""
+    return _add_commands(argparse.ArgumentParser(prog="plasmakit", description=(
+        "Low-cost plasma diagnostics: probe analysis, sensor calibration, acquisition "
+        "replay, characterization.")), (_COMMANDS,))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

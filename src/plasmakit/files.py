@@ -19,7 +19,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from ._numpy import np
-from .errors import RowError, SchemaError
+from .errors import PlasmaKitError, RowError, SchemaError
 
 # Physical lines read at a time, and rows formatted at a time when writing:
 # enough that the per-chunk NumPy calls cost little per row, few enough that
@@ -243,8 +243,12 @@ def json_text(obj) -> str:
 def write_texts(*outputs) -> None:
     """Write each (path, text) output, all or none: every new file is made
     and written before any is renamed onto its target, so a failure leaves
-    every target as it was.  A falsy output is skipped; a path given twice
-    gets its last text."""
+    every target as it was.  A falsy output is skipped; one that names the
+    file of an earlier one, however spelled, raises PlasmaKitError."""
     with ExitStack() as stack:
-        for path, text in dict(filter(None, outputs)).items():
+        targets = set()
+        for path, text in filter(None, outputs):
+            if (target := os.path.realpath(path)) in targets:
+                raise PlasmaKitError(f"{path}: two outputs name this one file")
+            targets.add(target)
             stack.enter_context(atomic_write(path)).write(text)

@@ -305,6 +305,22 @@ class TestCalCommands:
         assert err.startswith("error: fitted curve is ") and "least-squares fit" in err
         assert not out.exists()
 
+    def test_fitted_coefficients_typed_as_flags_evaluate_as_the_curve(self, capsys, tmp_path):
+        # repr writes a coefficient below 1e-4 as -1.5...e-05, which argparse's own
+        # negative-number rule reads as an option
+        curve = CalibrationCurve(1.0, 0.5, 0.01, -1.5e-05)
+        samples, path = tmp_path / "samples.csv", tmp_path / "curve.json"
+        samples.write_text("input,lux\n" + "".join(
+            f"{x!r},{lux_from_input(curve, x)!r}\n" for x in np.geomspace(0.5, 8.0, 20).tolist()))
+        assert run_cli(capsys, "cal", "fit", "--in", str(samples), "--out", str(path))[0] == 0
+        fitted = json.loads(path.read_text())
+        coeffs = [repr(fitted[f"a{k}"]) for k in range(4)]
+        assert coeffs[3].startswith("-1.") and coeffs[3].endswith("e-05")
+        flags = [word for k, c in enumerate(coeffs) for word in (f"--a{k}", c)]
+        by_curve = run_cli(capsys, "cal", "eval", "--curve", str(path), "--input", "2")
+        by_flags = run_cli(capsys, "cal", "eval", *flags, "--kind", "voltage", "--input", "2")
+        assert by_flags == by_curve == (0, by_curve[1], "")
+
     def test_missing_curve_flags_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "cal", "eval", "--input", "1")
         assert code == 1
@@ -330,6 +346,12 @@ class TestAcqCommands:
         assert out == ""
         assert err == {"nan": "error: v_volts must be finite, got nan\n",
                        "1e308": "error: p_watts must be finite, got inf\n"}[v]
+
+    @pytest.mark.parametrize("i", ["-3.66e-2", "-3.66E-2", "-.0366"])
+    def test_power_negative_current_is_a_value(self, capsys, i):
+        code, out, err = run_cli(capsys, "acq", "power", "--v", "498", "--i", i)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["p_watts"] == pytest.approx(-18.2268, abs=5e-4)
 
     def test_power_byte_stable(self, capsys):
         outs = {run_cli(capsys, "acq", "power", "--v", "498", "--i", "0.0366")[1]

@@ -1,10 +1,13 @@
-"""`cli.main` builds only the parsers that argparse reaches on argv.
+"""`cli.main` parses every call with one parser tree, built once.
 
-The oracle is a reference implementation: the full tree, every parser built
-up front from `cli._COMMANDS` with plain argparse.  For each argv below,
-`main` must give the same exit code, stdout and stderr as `main` made to
-parse with that tree.  Both run in one interpreter, so argparse's own
-wording, which differs between Python versions, is the same on both sides.
+The oracle is a reference implementation: the full tree, built afresh from
+`cli._COMMANDS` with plain argparse.  For each argv below, `main` must give
+the same exit code, stdout and stderr as `main` made to parse with that
+tree.  Both run in one interpreter, so argparse's own wording, which differs
+between Python versions, is the same on both sides.  The reference keeps
+argparse's own negative-number rule, so no argv here holds a word such as
+-1e-05, which the two read differently.  The shared tree must be the full
+one, and no call may leave state in it.
 """
 
 import argparse
@@ -163,43 +166,25 @@ def test_random_argvs_match_the_full_tree(capsys, monkeypatch, tmp_path, seed):
     assert codes == {0, 1, 2}
 
 
-def built_by(monkeypatch, capsys, argv):
-    """The tree of the parser that main(argv) built and parsed with."""
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
-    outcome(capsys, argv)
-    assert len(built) == 1
-    return tree(built[0])
+def test_build_parser_returns_one_full_tree():
+    parser = build_parser()
+    assert build_parser() is parser
+    parsers = tree(parser)
+    assert list(parsers) == list(FULL)
+    assert [described(p) for p in parsers.values()] == [described(p) for p in FULL.values()]
 
 
-def expanded(parsers):
-    """The paths of the parsers that hold more than their -h."""
-    return [path for path, parser in parsers.items() if len(parser._actions) > 1]
+def snapshot(parser):
+    """described(), the set_defaults values and format_help() of each parser of the tree."""
+    return {path: (described(p), dict(p._defaults), p.format_help())
+            for path, p in tree(parser).items()}
 
 
-def test_build_parser_alone_builds_the_top_parser_empty():
-    assert expanded(tree(build_parser())) == []
-
-
-@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
-def test_a_call_expands_only_the_parsers_on_its_path(capsys, monkeypatch, tmp_path, leaf):
+def test_calls_leave_the_shared_tree_as_built(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    parsers = built_by(monkeypatch, capsys, [*leaf, *REQUIRED[leaf]])
-    assert expanded(parsers) == [path for path in FULL if path in ((), leaf[:1], leaf)]
-    assert list(parsers) == [path for path in FULL if len(path) < 2 or path[:1] == leaf[:1]]
-    for path in ((), leaf[:1], leaf):
-        assert described(parsers[path]) == described(FULL[path])
-
-
-@pytest.mark.parametrize("argv, paths", [
-    (["-h"], [()]),
-    (["bogus"], [()]),
-    (["acq", "-h"], [(), ("acq",)]),
-    (["probe", "-h", "analyze"], [(), ("probe",)]),
-    (["characterize", "acq", "replay"], [(), ("characterize",)]),
-])
-def test_a_call_that_stops_early_expands_less(capsys, monkeypatch, argv, paths):
-    assert expanded(built_by(monkeypatch, capsys, argv)) == paths
+    codes = {outcome(capsys, argv)[0] for argv in [*ARGVS, *ODD_ARGVS, *sweep(5, 300)]}
+    assert codes == {0, 1, 2}  # handlers ran, and help and usage errors exited
+    assert snapshot(build_parser()) == snapshot(reference_parser())
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -2,7 +2,8 @@
 saved with write_samples_csv, and each CLI output file.  Each must give a new file the
 mode open() gives, keep an existing file's mode, write through a symlink to
 its target, write a FIFO in place, and leave the old file and no temp file
-when the final rename fails.  An error that names no file names the output's path."""
+when the final rename fails.  An error that names no file names the output's path.
+Two outputs of one write_texts call that name one file are an error."""
 
 import csv
 import errno
@@ -23,7 +24,7 @@ from plasmakit import (CalibrationCurve, InputKind, files, load_run, lux_from_in
 from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import curve_to_dict
 from plasmakit.cli import main
-from plasmakit.errors import RowError
+from plasmakit.errors import PlasmaKitError, RowError
 
 from conftest import POWER_COEFFS, VOLTAGE_COEFFS
 
@@ -194,12 +195,13 @@ def test_an_output_that_cannot_be_created_writes_no_file(capsys, inputs, tmp_pat
     assert not good_exists or good.read_text() == "old"
 
 
-def test_an_empty_path_is_a_missing_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("outputs", [[("", "x")], [("", "x"), ("", "y")]], ids=["one", "twice"])
+def test_an_empty_path_is_a_missing_file(tmp_path, monkeypatch, outputs):
     # realpath("") is the working directory: the new file must not be made beside it
     (tmp_path / "sub").mkdir()
     monkeypatch.chdir(tmp_path / "sub")
     with pytest.raises(FileNotFoundError) as exc:
-        files.write_texts(("", "x"))
+        files.write_texts(*outputs)
     assert str(exc.value) == "[Errno 2] No such file or directory: ''"
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
     assert list((tmp_path / "sub").iterdir()) == []
@@ -238,13 +240,33 @@ def test_other_errors_pass_through_unchanged(tmp_path, error):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("second", ["target", "./target", "link"])
+def test_two_outputs_naming_one_file_write_nothing(tmp_path, monkeypatch, second, exists):
+    # the second output would replace the first: an error, raised before any rename
+    monkeypatch.chdir(tmp_path)
+    if exists:
+        (tmp_path / "target").write_text("old")
+    if second == "link":
+        (tmp_path / "link").symlink_to("target")
+    with pytest.raises(PlasmaKitError) as exc:
+        files.write_texts(("target", "a"), None, (second, "b"))
+    assert str(exc.value) == f"{second}: two outputs name this one file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["link"] * (second == "link") + ["target"] * exists)
+    assert not exists or (tmp_path / "target").read_text() == "old"
+
+
+@pytest.mark.parametrize("spelling", ["same", "./"])
 @pytest.mark.parametrize("command", ["cal fit", "characterize"])
-def test_out_and_plot_naming_one_file_leave_the_plot(inputs, tmp_path, command):
-    path = tmp_path / "both"
+def test_out_and_plot_naming_one_file_exit_1(capsys, inputs, tmp_path, monkeypatch, command,
+                                             spelling):
+    monkeypatch.chdir(tmp_path)
     src = inputs / ("samples.csv" if command == "cal fit" else "run.csv")
-    cli(*command.split(), "--in", str(src), "--out", str(path), "--plot", str(path))
-    assert path.read_text().startswith("<svg")
-    assert [p.name for p in tmp_path.iterdir()] == ["both"]
+    plot = {"same": "both", "./": "./both"}[spelling]
+    assert main([*command.split(), "--in", str(src), "--out", "both", "--plot", plot]) == 1
+    assert capsys.readouterr() == ("", f"error: {plot}: two outputs name this one file\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_csv_takes_a_path_or_a_stream(tmp_path):
