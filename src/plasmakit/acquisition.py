@@ -12,16 +12,17 @@ the light-sensor amplifier.  The conversion chain is
 
 Replay works on columns: a frame CSV is read in chunks of files.CHUNK_ROWS
 records, each distinct count of a channel is converted once by the scalar
-functions below, and the result is a columnar `Samples`.
+functions below, and each chunk is written before the next but one is read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import files
 from ._numpy import np
@@ -176,8 +177,9 @@ def _row_errors(t: np.ndarray, v: np.ndarray, i: np.ndarray, lux: np.ndarray,
             for rule, col, bad in checks]
 
 
-def read_samples(fields, chunks, diagnostics: Optional[list] = None, prefix: str = "") -> Samples:
-    """The Samples of an engineering CSV, from files.read_csv's header and chunks.
+def read_samples(fields, chunks, diagnostics: Optional[list] = None,
+                 prefix: str = "") -> Iterator[tuple[np.ndarray, ...]]:
+    """Each chunk's t, v, i, lux columns of an engineering CSV, from read_csv.
 
     The header names OUT_HEADER columns only, v_volts and i_amps required;
     p_watts is ignored (p = v*i), t is the record index without t_ms, and an
@@ -198,7 +200,7 @@ def read_samples(fields, chunks, diagnostics: Optional[list] = None, prefix: str
             t = np.arange(start, start + n, dtype=float)
         return (t, v, i, lux), [*errors, *_row_errors(t, v, i, lux, prefix)]
 
-    return Samples(*(files.collect(chunks, convert, diagnostics) or [()] * 4))
+    return files.collect(chunks, convert, diagnostics)
 
 
 class _CountTable(dict):
@@ -249,10 +251,10 @@ class _CountTable(dict):
                          for errors in (self.bad, self.unconverted))
 
 
-def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
+def replay_stream(source: TextIO | str, out: TextIO, cfg: ChannelConfig = DEFAULT_CONFIG,
                   ldr_curve: Optional[CalibrationCurve] = None,
-                  diagnostics: Optional[list] = None) -> Samples:
-    """Replay a frame CSV into Samples, order preserved.
+                  diagnostics: Optional[list] = None) -> int:
+    """Replay a frame CSV to `out`, order preserved; the number of rows written.
 
     The mode is chosen by header inspection: `t_ms,raw_hv,raw_shunt[,raw_ldr]`
     for raw counts, as is an input with no header (no rows); a header with
@@ -261,11 +263,15 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
     than DEFAULT_CONFIG on engineering units, a curve on frames without
     raw_ldr.  With a `diagnostics` list malformed rows are reported there (as
     RowErrors, numbered by the physical line the row ends on) and skipped;
-    without one the first aborts the replay.  A row reports its first error
-    (see files.collect); a break of the row rule (_row_errors) comes last.  A
-    raw replay converts each distinct count of a channel once, with the
-    scalar functions above.
+    without one the first aborts the replay, once the chunks before it are
+    written.  A row reports its first error (see files.collect); a break of
+    the row rule (_row_errors) comes last.  A raw replay converts each
+    distinct count of a channel once, with the scalar functions above.
     """
+    return write_samples_csv(_replay_chunks(source, cfg, ldr_curve, diagnostics), out)
+
+
+def _replay_chunks(source, cfg, ldr_curve, diagnostics) -> Iterator[Samples]:
     with files.read_csv(source) as (fields, chunks):
         fields = fields or RAW_HEADER
         if {"v_volts", "i_amps"} <= set(fields):
@@ -273,7 +279,8 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
                 name for name, x in asdict(cfg).items() if x != getattr(DEFAULT_CONFIG, name)]
             if ignored:
                 raise PreconditionError(f"{ignored[0]} has no effect on an engineering-unit input")
-            return read_samples(fields, chunks, diagnostics, "bad engineering row: ")
+            return (yield from itertools.starmap(Samples, read_samples(
+                fields, chunks, diagnostics, "bad engineering row: ")))
         if not (set(fields) <= set(RAW_HEADER) and {"t_ms", "raw_hv", "raw_shunt"} <= set(fields)):
             raise SchemaError(f"unrecognized frame CSV header: {fields}")
         if ldr_curve is not None and ldr_curve.input_kind is not InputKind.SENSOR_VOLTAGE:
@@ -295,7 +302,7 @@ def replay_stream(source: TextIO | str, cfg: ChannelConfig = DEFAULT_CONFIG,
                     [t_errors, hv_bad, shunt_bad, ldr_bad, hv_unconverted,
                      shunt_unconverted, ldr_unconverted, *_row_errors(t, v, i, lux)])
 
-        return Samples(*(files.collect(chunks, convert, diagnostics) or [()] * 4))
+        yield from itertools.starmap(Samples, files.collect(chunks, convert, diagnostics))
 
 
 def detect_ignition(samples: Samples, i_min: float = IGNITION_I_MIN) -> Optional[float]:
@@ -325,17 +332,21 @@ def _reprs(col: np.ndarray, known: tuple[np.ndarray, np.ndarray]) -> tuple[np.nd
     return strings[index], (bits, strings)
 
 
-def write_samples_csv(samples: Samples, out: TextIO) -> None:
-    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs,
-    files.CHUNK_ROWS at a time; a NaN lux (no reading) is an empty cell.
-    A value that recurs from one chunk to the next is formatted once."""
-    out.write(",".join(OUT_HEADER) + "\n")
+def write_samples_csv(chunks: Iterable[Samples], out: TextIO) -> int:
+    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs, a chunk
+    of Samples at a time and flushed, and return their number; a NaN lux (no
+    reading) is an empty cell.  A chunk, the header with the first, is written
+    once the next is pulled.  A value recurring across chunks is formatted once."""
     known = dict.fromkeys(OUT_HEADER, (np.empty(0, np.int64), np.empty(0, object)))
-    for start in range(0, len(samples), files.CHUNK_ROWS):
-        part = samples[start:start + files.CHUNK_ROWS]
+    rows, text = 0, ",".join(OUT_HEADER) + "\n"
+    for part, _ in itertools.pairwise(itertools.chain(filter(len, chunks), [None])):
         columns = []
         for name in OUT_HEADER:
             strings, known[name] = _reprs(getattr(part, name), known[name])
             columns.append(strings)
         columns[-1] = np.where(np.isnan(part.lux), "", columns[-1])
-        out.write("\n".join(map(",".join, zip(*(c.tolist() for c in columns)))) + "\n")
+        out.write(text + "\n".join([*map(",".join, zip(*(c.tolist() for c in columns))), ""]))
+        out.flush()
+        rows, text = rows + len(part), ""
+    out.write(text)  # the header of no rows
+    return rows

@@ -317,4 +317,4 @@ def read_samples_csv(source: TextIO | str) -> tuple[np.ndarray, np.ndarray]:
                 errors.append({k: f"sample {name} must be > 0, got {float(col[k])}" for k in bad})
             return (x, y), errors
 
-        return files.collect(chunks, convert) or (np.empty(0), np.empty(0))
+        return tuple(map(np.hstack, zip([()] * 2, *files.collect(chunks, convert))))

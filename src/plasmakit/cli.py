@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import math
 import os
 import re
@@ -50,14 +51,19 @@ def _load_config(args) -> acquisition.ChannelConfig:
                                        if getattr(args, f.name) is not None})
 
 
+def _source(path: str) -> TextIO | str:
+    """An `--in` value: standard input, read as a path is, for -."""
+    return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig") if path == "-" else path
+
+
 def _write_out(path: Optional[str], write: Callable[[TextIO], object], note: str = "") -> None:
-    """write(fh) to the file at path, atomically, and say so; to stdout without a path."""
+    """write(fh) to path atomically and say so, with note.format(result); stdout without one."""
     if path is None:
         write(sys.stdout)
         return
     with files.atomic_write(path) as fh:
-        write(fh)
-    print(f"wrote {path}{note}")
+        result = write(fh)
+    print(f"wrote {path}{note.format(result)}")
 
 
 def _network_from_args(args) -> probe.ProbeNetwork:
@@ -124,7 +130,7 @@ def _cmd_probe_bode(args) -> None:
 # ------------------------------------------------------------------ cal
 
 def _cmd_cal_fit(args) -> None:
-    inputs, lux = calibration.read_samples_csv(args.infile)
+    inputs, lux = calibration.read_samples_csv(_source(args.infile))
     curve, _, stats = calibration.fit_log_cubic(inputs, lux, calibration.InputKind(args.kind),
                                                 args.trim)
     files.write_texts(  # rendered first: a failing render leaves no file written
@@ -174,17 +180,16 @@ def _cmd_acq_replay(args) -> None:
     cfg = _load_config(args)
     curve = calibration.load_curve(args.curve) if args.curve is not None else None
     diagnostics = None if args.strict else []
-    samples = acquisition.replay_stream(args.infile, cfg, curve, diagnostics=diagnostics)
+    _write_out(args.out, lambda out: acquisition.replay_stream(  # the rows stream into out
+        _source(args.infile), out, cfg, curve, diagnostics=diagnostics), " ({} samples)")
     for err in diagnostics or ():
         print(f"warning: {err}", file=sys.stderr)
-    _write_out(args.out, lambda fh: acquisition.write_samples_csv(samples, fh),
-               f" ({len(samples)} samples)")
 
 
 # -------------------------------------------------------- characterize
 
 def _cmd_characterize(args) -> None:
-    char = dataset.characterize(dataset.load_run(args.infile), trim=args.trim,
+    char = dataset.characterize(dataset.load_run(_source(args.infile)), trim=args.trim,
                                 ignition_i_min=args.i_min)
     used, text = char.samples, files.json_text(dataset.characterization_to_dict(char))
     files.write_texts(  # rendered first: a failing render leaves no file written
@@ -204,6 +209,7 @@ _NETWORK_FLAGS = {
     "--c0": dict(type=float, required=True, help="base capacitance (farads)"),
 }
 _KINDS = [kind.value for kind in calibration.InputKind]
+_STDIN = "; - reads standard input (a file named - is ./-)"
 _CURVE_FLAGS = {"--curve": dict(help="curve JSON file"),
                 **{f"--a{k}": dict(type=float) for k in range(4)},
                 "--kind": dict(choices=_KINDS)}
@@ -230,7 +236,7 @@ _COMMANDS = {
             "--out": dict(help="output path (.csv or .svg); default stdout CSV")})}),
     "cal": ("illuminance calibration curves", {
         "fit": ("fit a log-cubic curve to samples", _cmd_cal_fit, {
-            "--in": dict(dest="infile", required=True, help="CSV with header input,lux"),
+            "--in": dict(dest="infile", required=True, help=f"CSV with header input,lux{_STDIN}"),
             "--out": dict(help="curve JSON output path"),
             "--kind": dict(choices=_KINDS, default="voltage"),
             "--trim": dict(action="store_true", help="3-sigma trim-and-refit pass"),
@@ -244,7 +250,7 @@ _COMMANDS = {
             "--v": dict(type=float, required=True, help="needle voltage (V)"),
             "--i": dict(type=float, required=True, help="plasma current (A)")}),
         "replay": ("convert a frame CSV to samples", _cmd_acq_replay, {
-            "--in": dict(dest="infile", required=True),
+            "--in": dict(dest="infile", required=True, help=f"frame CSV{_STDIN}"),
             "--out": dict(help="samples CSV output path; default stdout"),
             "--config": dict(help="ChannelConfig JSON file"),
             "--curve": dict(help="light-sensor curve JSON for the lux column"),
@@ -252,7 +258,7 @@ _COMMANDS = {
             **{f"--{f.name.replace('_', '-')}": dict(dest=f.name, type=type(f.default))
                for f in dataclasses.fields(acquisition.ChannelConfig)}})}),
     "characterize": ("power vs illuminance fit of a run", _cmd_characterize, {
-        "--in": dict(dest="infile", required=True, help="engineering CSV run file"),
+        "--in": dict(dest="infile", required=True, help=f"engineering CSV run file{_STDIN}"),
         "--out": dict(help="characterization JSON output path"),
         "--plot": dict(help="scatter + fitted curve SVG output path"),
         "--trim": dict(action="store_true", help="3-sigma trim-and-refit pass"),

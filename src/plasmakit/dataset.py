@@ -64,7 +64,7 @@ def load_run(source: TextIO | str) -> ExperimentRun:
     line it ends on.
     """
     with files.read_csv(source) as (fields, chunks):
-        return ExperimentRun(read_samples(fields, chunks))
+        return ExperimentRun(Samples(*map(np.hstack, zip([()] * 4, *read_samples(fields, chunks)))))
 
 
 def characterize(run: ExperimentRun, trim: bool = False,

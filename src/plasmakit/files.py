@@ -14,7 +14,7 @@ import json
 import math
 import os
 import stat
-from collections import UserDict
+from collections import ChainMap, UserDict
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -54,6 +54,10 @@ def read_csv(source: TextIO | str | os.PathLike):
                               f"{exc.object[exc.start:exc.end]!r}") from exc
         except csv.Error as exc:
             raise RowError(reader.line_num, str(exc)) from exc
+        except OSError as exc:  # a failed read names the input, not an output open around it
+            if exc.filename is None and exc.errno is not None:
+                exc.filename = getattr(source, "name", source)
+            raise
 
 
 def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[int], dict]]:
@@ -67,10 +71,10 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
     the records read before it, then raises RowError on its line."""
     width, limit = len(fields), csv.field_size_limit()
     while block := list(itertools.islice(fh, CHUNK_ROWS)):
-        start, text = end, "".join(block)
+        start, text, chunk, error = end, "".join(block), [], None
         if ('"' in text or "\r" in text or "\0" in text or "\n" in block
                 or max(map(len, block)) > limit):
-            reader, rows, lines, error = csv.reader(itertools.chain(block, fh)), [], [], None
+            reader, rows, lines = csv.reader(itertools.chain(block, fh)), [], []
             try:
                 while reader.line_num < len(block):
                     rows.append(next(reader))
@@ -83,12 +87,16 @@ def _chunks(fh, fields: tuple[str, ...], end: int) -> Iterator[tuple[Sequence[in
             if rows:
                 if min(map(len, rows)) < width:
                     rows = [row + [None] * (width - len(row)) for row in rows]
-                yield lines, dict(zip(fields, zip(*rows)))
-            if error is not None:
-                raise RowError(end, str(error)) from error
+                chunk.append((lines, dict(zip(fields, zip(*rows)))))
+            del reader, rows, lines
         else:
             end = start + len(block)
-            yield range(start + 1, end + 1), _Plain(fields, block, text)
+            chunk.append((range(start + 1, end + 1), _Plain(fields, block, text)))
+        del block, text  # the consumer holds the chunk alone, so it can release it
+        if chunk:
+            yield chunk.pop()
+        if error is not None:
+            raise RowError(end, str(error)) from error
 
 
 class _Plain(UserDict):
@@ -102,7 +110,8 @@ class _Plain(UserDict):
     def data(self) -> dict:
         width = len(self.fields)
         if set(map(str.count, self.block, itertools.repeat(","))) == {width - 1}:
-            cells = tuple(self.text.removesuffix("\n").replace("\n", ",").split(","))
+            text, self.block, self.text = self.text, (), ""  # freed once split into cells
+            cells = tuple(text.removesuffix("\n").replace("\n", ",").split(","))
             return {name: cells[j::width] for j, name in enumerate(self.fields)}
         rows = [row + [None] * (width - len(row)) for row in csv.reader(self.block)]
         return dict(zip(self.fields, zip(*rows)))
@@ -154,8 +163,8 @@ def float_columns(cells: Mapping, n: int, names: Sequence[str], prefix: str = ""
 
 
 def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
-            diagnostics: Optional[list] = None) -> tuple[np.ndarray, ...]:
-    """The columns of the CSV records that convert, in order; () without records.
+            diagnostics: Optional[list] = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """The columns of the CSV records that convert, in order, a tuple per chunk.
 
     convert(cells, n, start) turns a chunk of read_csv, n records of which
     the first is record `start`, into its columns and a list of error dicts
@@ -165,23 +174,18 @@ def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
     with the line it ends on, so a read reports the first bad line of the
     file; with one, each adds a RowError to the list and is dropped.
     """
-    parts, start = [], 0
+    start = 0
     for lines, cells in chunks:
         columns, per_column = convert(cells, len(lines), start)
         start += len(lines)
-        first: Errors = {}
-        for errors in reversed(per_column):
-            first.update(errors)
-        if first:
+        del cells  # released before the columns are yielded
+        if first := dict(ChainMap(*per_column)):  # each record's first error
             for k in sorted(first):
                 if diagnostics is None:
                     raise RowError(lines[k], first[k])
                 diagnostics.append(RowError(lines[k], first[k]))
-            keep = np.ones(len(lines), dtype=bool)
-            keep[list(first)] = False
-            columns = tuple(c[keep] for c in columns)
-        parts.append(columns)
-    return tuple(map(np.concatenate, zip(*parts)))
+            columns = tuple(np.delete(c, list(first)) for c in columns)
+        yield columns
 
 
 def read_json(path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from plasmakit import CalibrationCurve, InputKind, ProbeNetwork
+from plasmakit import (DEFAULT_CONFIG, CalibrationCurve, InputKind, ProbeNetwork, Samples,
+                       acquisition)
 
 
 def reference_network(c0: float = 3e-9) -> ProbeNetwork:
@@ -44,3 +45,11 @@ def voltage_curve() -> CalibrationCurve:
 @pytest.fixture
 def power_curve() -> CalibrationCurve:
     return CalibrationCurve(*POWER_COEFFS, input_kind=InputKind.PLASMA_POWER)
+
+
+def replay_samples(source, cfg=DEFAULT_CONFIG, curve=None, diagnostics=None) -> Samples:
+    """The rows acq replay writes for a frame CSV, as one Samples: the
+    chunks of acquisition.replay_stream joined."""
+    parts = list(acquisition._replay_chunks(source, cfg, curve, diagnostics))
+    return Samples(*(np.concatenate([getattr(part, name) for part in parts] or [[]])
+                     for name in ("t_ms", "v_volts", "i_amps", "lux")))

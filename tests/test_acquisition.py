@@ -27,7 +27,7 @@ from plasmakit import (
 )
 from plasmakit.acquisition import IGNITION_SUSTAIN, write_samples_csv
 
-from conftest import VOLTAGE_COEFFS
+from conftest import VOLTAGE_COEFFS, replay_samples
 
 CFG = ChannelConfig()  # 23 ohm shunt, 1.25 V offset, 12-bit, 3.3 V
 
@@ -155,7 +155,7 @@ class TestInstantaneousPower:
                                                   (1e-150, 1e-150)])
     def test_replay_rejects_what_instantaneous_power_rejects(self, v, i):
         diagnostics = []
-        samples = replay_stream(io.StringIO(f"t_ms,v_volts,i_amps\n0,{v!r},{i!r}\n"),
+        samples = replay_samples(io.StringIO(f"t_ms,v_volts,i_amps\n0,{v!r},{i!r}\n"),
                                 diagnostics=diagnostics)
         try:
             p = instantaneous_power(v, i)
@@ -206,7 +206,7 @@ def replay_frames(*frames, cfg=CFG, curve=None):
     frame; the raw_ldr column is present when the first frame has a fourth count."""
     header = ["t_ms", "raw_hv", "raw_shunt", "raw_ldr"][:len(frames[0])]
     text = "\n".join([",".join(header)] + [",".join(map(str, f)) for f in frames]) + "\n"
-    return replay_stream(io.StringIO(text), cfg, curve)
+    return replay_samples(io.StringIO(text), cfg, curve)
 
 
 class TestProcessFrame:
@@ -273,18 +273,21 @@ class TestProcessFrame:
 class TestReplayStream:
     def test_empty_source(self):
         for text in ("", "t_ms,raw_hv,raw_shunt\n"):
-            samples = replay_stream(io.StringIO(text))
+            samples = replay_samples(io.StringIO(text))
             assert isinstance(samples, Samples) and len(samples) == 0
+            out = io.StringIO()  # the header alone, written once the input has ended
+            assert replay_stream(io.StringIO(text), out) == 0
+            assert out.getvalue() == "t_ms,v_volts,i_amps,p_watts,lux\n"
 
     def test_raw_mode(self):
         text = "t_ms,raw_hv,raw_shunt\n0,652,2596\n10,652,2596\n"
-        samples = replay_stream(io.StringIO(text))
+        samples = replay_samples(io.StringIO(text))
         assert len(samples) == 2
         assert samples.p_watts[0] == pytest.approx(18.23, abs=0.05)
 
     def test_engineering_mode(self):
         text = "t_ms,v_volts,i_amps,lux\n0,498,0.0366,150\n5,479,0.03813,140\n"
-        samples = replay_stream(io.StringIO(text))
+        samples = replay_samples(io.StringIO(text))
         assert len(samples) == 2
         assert samples.lux[0] == 150.0
         assert samples.p_watts[0] == pytest.approx(18.2268)
@@ -293,7 +296,7 @@ class TestReplayStream:
         text = ("t_ms,raw_hv,raw_shunt\n"
                 "0,100,2000\n1,not_a_number,2000\n2,100,2000\n3,100,2000\n")
         diagnostics = []
-        samples = replay_stream(io.StringIO(text), diagnostics=diagnostics)
+        samples = replay_samples(io.StringIO(text), diagnostics=diagnostics)
         assert len(samples) == 3
         assert len(diagnostics) == 1
         assert diagnostics[0].line_number == 3
@@ -302,33 +305,33 @@ class TestReplayStream:
         text = "t_ms,raw_hv,raw_shunt\n0,100,2000\n1,bad,2000\n"
         from plasmakit import RowError
         with pytest.raises(RowError, match="line 3"):
-            replay_stream(io.StringIO(text))
+            replay_samples(io.StringIO(text))
 
     def test_line_numbers_are_physical(self):
         # a blank line is not a record, and a quoted newline spans two lines
         text = 't_ms,raw_hv,raw_shunt\n0,1,2\n\n1,bad,2\n"2\nx",3,4\n3,5,x\n'
         diagnostics = []
-        samples = replay_stream(io.StringIO(text), diagnostics=diagnostics)
+        samples = replay_samples(io.StringIO(text), diagnostics=diagnostics)
         assert len(samples) == 1
         assert [e.line_number for e in diagnostics] == [4, 6, 7]
         from plasmakit import RowError
         with pytest.raises(RowError, match="line 4"):
-            replay_stream(io.StringIO(text))
+            replay_samples(io.StringIO(text))
 
     def test_unknown_header_rejected(self):
         with pytest.raises(SchemaError):
-            replay_stream(io.StringIO("time,volts\n1,2\n"))
+            replay_samples(io.StringIO("time,volts\n1,2\n"))
 
     def test_reads_its_own_output(self):
         # the output's p_watts column is ignored and recomputed as v*i
         text = ("t_ms,v_volts,i_amps,p_watts,lux\n"
                 "0.0,498.0,0.0366,1.0,150.0\n5.0,479.0,0.03813,,\n")
-        samples = replay_stream(io.StringIO(text))
+        samples = replay_samples(io.StringIO(text))
         assert samples.p_watts.tolist() == [498.0 * 0.0366, 479.0 * 0.03813]
         assert np.isnan(samples.lux).tolist() == [False, True]
 
     def test_without_t_ms_t_is_the_record_index(self):
-        samples = replay_stream(io.StringIO("lux,i_amps,v_volts\n1,2,3\n\n4,5,6\n"))
+        samples = replay_samples(io.StringIO("lux,i_amps,v_volts\n1,2,3\n\n4,5,6\n"))
         assert samples.t_ms.tolist() == [0.0, 1.0]
         assert samples.v_volts.tolist() == [3.0, 6.0]
 
@@ -342,15 +345,15 @@ class TestReplayStream:
     def test_header_rule(self, header, message):
         # a header with v_volts and i_amps keeps the run file's rule
         with pytest.raises(SchemaError, match="^" + message):
-            replay_stream(io.StringIO(header + "\n1,2,3,4,5\n"), diagnostics=[])
+            replay_samples(io.StringIO(header + "\n1,2,3,4,5\n"), diagnostics=[])
 
     @pytest.mark.parametrize("text", ["t_ms,raw_hv,raw_shunt\n0,1,2\n1,x,2\n",
                                       "t_ms,v_volts,i_amps\n0,1,2\n1,x,2\n"])
     def test_without_a_list_the_first_bad_row_raises(self, text):
         with pytest.raises(RowError, match="^line 3: "):
-            replay_stream(io.StringIO(text))
+            replay_samples(io.StringIO(text))
         diagnostics = []
-        assert len(replay_stream(io.StringIO(text), diagnostics=diagnostics)) == 1
+        assert len(replay_samples(io.StringIO(text), diagnostics=diagnostics)) == 1
         assert [e.line_number for e in diagnostics] == [3]
 
     @pytest.mark.parametrize("t, v, i, message", [
@@ -363,13 +366,13 @@ class TestReplayStream:
         # a row's first non-finite value of t, v, i and p = v*i is the one reported
         text = f"t_ms,v_volts,i_amps\n0,1,2\n{t!r},{v!r},{i!r}\n"
         with pytest.raises(RowError, match=f"^line 3: bad engineering row: {message}$"):
-            replay_stream(io.StringIO(text))
+            replay_samples(io.StringIO(text))
         with pytest.raises(RowError, match=f"^line 3: {message}$"):
             load_run(io.StringIO(text))
 
     def test_order_preserved(self):
         rows = "".join(f"{t},100,2000\n" for t in range(50))
-        samples = replay_stream(io.StringIO("t_ms,raw_hv,raw_shunt\n" + rows))
+        samples = replay_samples(io.StringIO("t_ms,raw_hv,raw_shunt\n" + rows))
         assert samples.t_ms.tolist() == [float(t) for t in range(50)]
 
 
@@ -417,7 +420,7 @@ class TestSamplesCsv:
         samples = Samples([0.0, 1.0], [498.0, 479.0], [0.0366, 0.877 / 23.0],
                           [150.0, math.nan])
         buf = io.StringIO()
-        write_samples_csv(samples, buf)
+        assert write_samples_csv([samples], buf) == 2
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t_ms,v_volts,i_amps,p_watts,lux"
         assert len(lines) == 3

@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import io
 import json
 import math
 import os
@@ -678,9 +679,11 @@ class TestEngineeringReplayFlags:
                        "--config", str(config)) == plain
 
     def test_replay_stream_raises(self, tmp_path):
+        out = io.StringIO()
         with pytest.raises(PreconditionError,
                            match="^probe_ratio has no effect on an engineering-unit input$"):
-            plasmakit.replay_stream(self.samples(tmp_path), ChannelConfig(probe_ratio=0.5))
+            plasmakit.replay_stream(self.samples(tmp_path), out, ChannelConfig(probe_ratio=0.5))
+        assert out.getvalue() == ""
 
 
 class TestRawReplayFlags:

@@ -36,7 +36,7 @@ from plasmakit import acquisition, files
 from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import read_samples_csv
 
-from conftest import VOLTAGE_COEFFS
+from conftest import VOLTAGE_COEFFS, replay_samples
 
 CURVES = (None, CalibrationCurve(*VOLTAGE_COEFFS),
           # ln lux = 600 u^3 overflows exp() above about 2.88 V
@@ -256,18 +256,19 @@ def check_replay(text, cfg, curve, chunk_rows):
     want, want_diags = reference_replay(text, cfg, curve)
     with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
         diagnostics = []
-        got = replay_stream(io.StringIO(text), cfg, curve, diagnostics=diagnostics)
+        got = replay_samples(io.StringIO(text), cfg, curve, diagnostics=diagnostics)
         assert [(e.line_number, str(e)) for e in diagnostics] == want_diags
         assert_same_columns(got, want)
-        out = io.StringIO()
-        write_samples_csv(got, out)
+        out, diagnostics = io.StringIO(), []
+        assert replay_stream(io.StringIO(text), out, cfg, curve, diagnostics) == len(want)
         assert out.getvalue() == reference_csv(want)
+        assert [(e.line_number, str(e)) for e in diagnostics] == want_diags
         if want_diags:
             with pytest.raises(RowError) as exc:
-                replay_stream(io.StringIO(text), cfg, curve)
+                replay_samples(io.StringIO(text), cfg, curve)
             assert (exc.value.line_number, str(exc.value)) == want_diags[0]
         else:
-            assert_same_columns(replay_stream(io.StringIO(text), cfg, curve), want)
+            assert_same_columns(replay_samples(io.StringIO(text), cfg, curve), want)
 
 
 class TestAgainstRowReference:
@@ -333,7 +334,7 @@ class TestAgainstRowReference:
                 "3.0,nan,1.0,1\n")      # v = nan: rejected
         check_replay(text, ChannelConfig(), None, 2)
         diagnostics = []
-        samples = replay_stream(io.StringIO(text), diagnostics=diagnostics)
+        samples = replay_samples(io.StringIO(text), diagnostics=diagnostics)
         assert np.isnan(samples.lux).tolist() == [True, True]
         assert [repr(x) for x in samples.p_watts.tolist()] == ["-0.0", "0.0"]
         assert [str(e) for e in diagnostics] == [
@@ -342,8 +343,8 @@ class TestAgainstRowReference:
             "line 6: bad engineering row: v_volts must be finite, got nan"]
         # Samples built directly may hold non-finite values; the writer keeps them.
         out = io.StringIO()
-        write_samples_csv(Samples([1.0, 2.0], [math.inf, 1e308], [2.0, -1e308],
-                                  [-0.0, math.inf]), out)
+        write_samples_csv([Samples([1.0, 2.0], [math.inf, 1e308], [2.0, -1e308],
+                                   [-0.0, math.inf])], out)
         assert out.getvalue() == ("t_ms,v_volts,i_amps,p_watts,lux\n"
                                   "1.0,inf,2.0,inf,-0.0\n"
                                   "2.0,1e+308,-1e+308,-inf,inf\n")
@@ -360,6 +361,11 @@ CHUNK_EDGE_CASES = {
 }
 
 
+def chunked(samples, n):
+    """The rows of samples as chunks of n rows."""
+    return [samples[k:k + n] for k in range(0, len(samples), n)]
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(CHUNK_EDGE_CASES))
 def test_writer_reuses_reprs_across_chunk_edges(case, chunk_rows):
@@ -367,18 +373,16 @@ def test_writer_reuses_reprs_across_chunk_edges(case, chunk_rows):
     t = [float(k) for k in range(len(blocks))]
     samples = Samples(t, *([list(c) for c in zip(*blocks)] or [[]] * 3))
     out = io.StringIO()
-    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows):
-        write_samples_csv(samples, out)
+    write_samples_csv(chunked(samples, chunk_rows), out)
     assert out.getvalue() == reference_csv([reference_row(*row) for row in zip(t, *zip(*blocks))])
 
 
 def test_writer_formats_a_recurring_value_once():
     """Over five chunks of one value per column, each value is formatted once."""
     samples = Samples([1.0] * 10, [2.0] * 10, [3.0] * 10, [4.0] * 10)
-    with mock.patch.object(files, "CHUNK_ROWS", 2), \
-            mock.patch.object(acquisition, "repr", create=True, wraps=repr) as fmt:
+    with mock.patch.object(acquisition, "repr", create=True, wraps=repr) as fmt:
         out = io.StringIO()
-        write_samples_csv(samples, out)
+        write_samples_csv(chunked(samples, 2), out)
     assert sorted(c.args[0] for c in fmt.call_args_list) == [1.0, 2.0, 3.0, 4.0, 6.0]
     assert out.getvalue() == reference_csv([reference_row(1.0, 2.0, 3.0, 4.0)] * 10)
 
@@ -386,7 +390,7 @@ def test_writer_formats_a_recurring_value_once():
 def replayed(text):
     """The CSV acq replay writes for an input CSV, bad rows dropped."""
     out = io.StringIO()
-    write_samples_csv(replay_stream(io.StringIO(text), diagnostics=[]), out)
+    replay_stream(io.StringIO(text), out, diagnostics=[])
     return out.getvalue()
 
 
@@ -411,7 +415,7 @@ def test_replay_converts_each_distinct_count_once():
             mock.patch.object(acquisition, "needle_voltage",
                               wraps=acquisition.needle_voltage) as hv:
         diagnostics = []
-        samples = replay_stream(io.StringIO(text), cfg, curve, diagnostics=diagnostics)
+        samples = replay_samples(io.StringIO(text), cfg, curve, diagnostics=diagnostics)
     assert sorted(c.args[1] for c in lux.call_args_list) == \
         [counts_to_volts(cfg, c) for c in (17, 300, 4095)]
     assert hv.call_count == len({"0", "17", "4095", "300", "5"})

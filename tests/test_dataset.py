@@ -95,7 +95,7 @@ class TestLoadRun:
     def test_save_then_reload_idempotent(self, tmp_path):
         def save(run, path):
             with files.atomic_write(path) as fh:
-                write_samples_csv(run.samples, fh)
+                write_samples_csv([run.samples], fh)
 
         run = synthetic_run(n=10)
         path = tmp_path / "run.csv"

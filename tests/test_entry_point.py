@@ -4,6 +4,7 @@ on the characterization) through files."""
 
 import json
 import math
+import random
 import os
 import subprocess
 import sys
@@ -97,3 +98,20 @@ def test_invert_then_eval_returns_the_lux(chain):
 ], ids=argv_id)
 def test_a_flag_without_effect_is_an_error(chain, argv, code, err):
     run(argv, code, chain[0], err)
+
+
+def test_piped_frames_give_the_bytes_of_the_file(tmp_path):
+    """`acq replay --in -` reads standard input as a path is read: seeded
+    frames over several chunks give the exit code, stdout and stderr of
+    `--in FILE`."""
+    rng = random.Random(33)
+    frames = tmp_path / "frames.csv"
+    frames.write_text("t_ms,raw_hv,raw_shunt,raw_ldr\n" + "".join(
+        f"{k * 0.25!r},{rng.randint(0, 4095)},{rng.randint(0, 4095)},"
+        f"{rng.choice(['', 'x', rng.randint(0, 4096)])}\n" for k in range(20_000)))
+    argv = [sys.executable, "-m", "plasmakit.cli", "acq", "replay"]
+    want = subprocess.run([*argv, "--in", str(frames)], env=ENV, capture_output=True)
+    with open(frames, "rb") as fh:
+        got = subprocess.run([*argv, "--in", "-"], env=ENV, stdin=fh, capture_output=True)
+    assert want.returncode == 0 and want.stderr.startswith(b"warning: line ")
+    assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)

@@ -20,13 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit import (CalibrationCurve, InputKind, files, load_run, lux_from_input,
-                       read_samples_csv, replay_stream)
+                       read_samples_csv)
 from plasmakit.acquisition import write_samples_csv
 from plasmakit.calibration import curve_to_dict
 from plasmakit.cli import main
 from plasmakit.errors import PlasmaKitError, RowError
 
-from conftest import POWER_COEFFS, VOLTAGE_COEFFS
+from conftest import POWER_COEFFS, VOLTAGE_COEFFS, replay_samples
 
 NETWORK = ["--n", "5", "--r1", "10e6", "--c1", "15e-12", "--r0", "52.8e3", "--c0", "3e-9",
            "--points", "20"]
@@ -57,7 +57,7 @@ def save_run(path, inputs):
     """Save a run's samples as `acq replay --out` does: write_samples_csv
     through atomic_write."""
     with files.atomic_write(path) as fh:
-        write_samples_csv(load_run(str(inputs / "run.csv")).samples, fh)
+        write_samples_csv([load_run(str(inputs / "run.csv")).samples], fh)
 
 
 # name -> (suffix, write(path, inputs))
@@ -486,9 +486,9 @@ def sample_columns(samples):
 
 # read(source, diagnostics) -> columns; header, good rows, a bad row
 BLANK_LINE_READS = {
-    "replay lenient": (lambda src, d: sample_columns(replay_stream(src, diagnostics=d)),
+    "replay lenient": (lambda src, d: sample_columns(replay_samples(src, diagnostics=d)),
                        "t_ms,raw_hv,raw_shunt", ["0,652,2596", "2,700,2600"], "x,700,2600"),
-    "replay strict": (lambda src, d: sample_columns(replay_stream(src)),
+    "replay strict": (lambda src, d: sample_columns(replay_samples(src)),
                       "t_ms,raw_hv,raw_shunt", ["0,652,2596", "2,700,2600"], "x,700,2600"),
     "load_run": (lambda src, d: sample_columns(load_run(src).samples),
                  "t_ms,v_volts,i_amps,lux", ["0,500,0.02,3.5", "2,510,0.02,"], "1,abc,0.02,4"),
@@ -522,4 +522,4 @@ def test_leading_blank_lines_read_as_without_them(name, bad, blanks):
 
 @pytest.mark.parametrize("text", ["", "\n", "\n\n", "\r\n"])
 def test_a_file_of_blank_lines_replays_as_empty(text):
-    assert len(replay_stream(io.StringIO(text))) == 0
+    assert len(replay_samples(io.StringIO(text))) == 0

@@ -16,11 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmakit import CalibrationCurve, InputKind, files, lux_from_input
-from plasmakit.acquisition import replay_stream
 from plasmakit.cli import main
 from plasmakit.errors import RowError
 
-from conftest import POWER_COEFFS, VOLTAGE_COEFFS
+from conftest import POWER_COEFFS, VOLTAGE_COEFFS, replay_samples
 
 NAMES = ("t_ms", "v_volts", "i_amps", "lux")
 OPTIONAL = ("lux",)
@@ -63,6 +62,11 @@ def bits(columns, width):
     return np.array(columns, dtype=float).reshape(width, -1).view(np.int64).tolist()
 
 
+def joined(parts, width):
+    """The chunks of files.collect as `width` columns."""
+    return tuple(map(np.hstack, zip([()] * width, *parts)))
+
+
 def expected(text, lenient, names=NAMES, optional=OPTIONAL):
     """(column bits, diagnostics, raised RowError) that files.collect should give."""
     rows, diagnostics = [], []
@@ -78,12 +82,13 @@ def expected(text, lenient, names=NAMES, optional=OPTIONAL):
 
 def read(text, lenient, names=NAMES, optional=OPTIONAL):
     """(column bits, diagnostics, raised RowError) of files.collect over
-    float_columns, as acquisition.read_samples calls it."""
+    float_columns, as acquisition.read_samples calls it, its chunks joined."""
     diagnostics = [] if lenient else None
     try:
         with files.read_csv(io.StringIO(text)) as (_, chunks):
-            columns = files.collect(chunks, lambda cells, n, start: files.float_columns(
-                cells, n, names, PREFIX, optional), diagnostics)
+            columns = joined(files.collect(
+                chunks, lambda cells, n, start: files.float_columns(
+                    cells, n, names, PREFIX, optional), diagnostics), len(names))
     except RowError as exc:
         return None, list(map(str, diagnostics or ())), str(exc)
     return bits(columns, len(names)), list(map(str, diagnostics or ())), None
@@ -198,8 +203,8 @@ def columns_without_cells(text, chunk_rows):
     with mock.patch.object(files, "CHUNK_ROWS", chunk_rows), \
             mock.patch.object(files, "floats", side_effect=AssertionError("cell path")), \
             files.read_csv(io.StringIO(text)) as (_, chunks):
-        return bits(files.collect(chunks, lambda cells, n, start: files.float_columns(
-            cells, n, NAMES, PREFIX, OPTIONAL)), 4)
+        return bits(joined(files.collect(chunks, lambda cells, n, start: files.float_columns(
+            cells, n, NAMES, PREFIX, OPTIONAL)), 4), 4)
 
 
 @pytest.mark.parametrize("ending", ["\n", ""])
@@ -263,9 +268,9 @@ def test_plain_chunks_take_the_c_reader_without_splitting_cells():
 
 def test_raw_frames_never_take_the_c_reader():
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-        raw = replay_stream(io.StringIO("t_ms,raw_hv,raw_shunt\n0,1,2\n1,3,4\n"))
+        raw = replay_samples(io.StringIO("t_ms,raw_hv,raw_shunt\n0,1,2\n1,3,4\n"))
         assert (len(raw), loadtxt.call_count) == (2, 0)
-        engineering = replay_stream(io.StringIO("t_ms,v_volts,i_amps\n0,1,2\n1,3,4\n"))
+        engineering = replay_samples(io.StringIO("t_ms,v_volts,i_amps\n0,1,2\n1,3,4\n"))
         assert (len(engineering), loadtxt.call_count) == (2, 1)
 
 
