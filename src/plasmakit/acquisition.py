@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import files
-from ._numpy import np
+from ._lazy import np
 from .calibration import CalibrationCurve, InputKind, is_finite_number, lux_from_input
 from .errors import DomainError, PreconditionError, SchemaError
 from .files import Cells, Errors

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TextIO
 
 from . import files
-from ._numpy import np
+from ._lazy import np
 from .errors import DomainError, FitError, PreconditionError, SchemaError
 
 __all__ = [

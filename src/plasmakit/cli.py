@@ -6,15 +6,14 @@ Subcommands:
     acq replay|power            frame replay and point power computation
     characterize                power-versus-illuminance fit of a run file
 
-The parser tree is built once per process, from `_COMMANDS`, and every
-call parses with it.  Exit codes, set by `main` alone:
+The parser tree is built once per process, from `_COMMANDS`, which loads no
+library module, and every call parses with it.  Exit codes, set by `main` alone:
 0 success, 1 runtime/domain error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import math
@@ -23,37 +22,46 @@ import re
 import sys
 from typing import Callable, Optional, TextIO
 
-from . import acquisition, calibration, dataset, files, probe, svgchart
+from . import acquisition, calibration, dataset, files, probe, svgchart  # each loads on first use
+from ._lazy import lazy
 from .errors import DomainError, PlasmaKitError, SchemaError
 
+dataclasses, json = lazy("dataclasses"), lazy("json")
 __all__ = ["main", "build_parser"]
 
 
-def _print_json(obj) -> None:
-    sys.stdout.write(files.json_text(obj))
+def _json_text(obj) -> str:
+    """obj as indented JSON and a newline; floats keep their full repr precision."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _load_config(args) -> acquisition.ChannelConfig:
     """Flags override config-file values override built-in defaults;
     ChannelConfig checks the file's values before any flag replaces them."""
-    cfg, fields = acquisition.DEFAULT_CONFIG, dataclasses.fields(acquisition.ChannelConfig)
+    cfg = acquisition.DEFAULT_CONFIG
     if args.config is not None:
         values = files.read_json(args.config)
         if not isinstance(values, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
-        if unknown := [name for name in values if name not in {f.name for f in fields}]:
+        if unknown := [name for name in values if name not in _CONFIG_TYPES]:
             raise SchemaError(f"{args.config}: unknown config key {unknown[0]!r}")
         try:
             cfg = acquisition.ChannelConfig(**values)
         except DomainError as exc:
             raise SchemaError(f"{args.config}: {exc}") from exc
-    return dataclasses.replace(cfg, **{f.name: getattr(args, f.name) for f in fields
-                                       if getattr(args, f.name) is not None})
+    return dataclasses.replace(cfg, **{name: getattr(args, name) for name in _CONFIG_TYPES
+                                       if getattr(args, name) is not None})
+
+
+class _Stdin(io.TextIOWrapper):
+    __del__ = io.TextIOWrapper.detach  # collected, it leaves the caller's stdin open
 
 
 def _source(path: str) -> TextIO | str:
     """An `--in` value: standard input, read as a path is, for -."""
-    return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig") if path == "-" else path
+    if path == "-" and sys.stdin is None:
+        raise PlasmaKitError("--in -: there is no standard input")
+    return _Stdin(sys.stdin.buffer, encoding="utf-8-sig") if path == "-" else path
 
 
 def _write_out(path: Optional[str], write: Callable[[TextIO], object], note: str = "") -> None:
@@ -91,26 +99,26 @@ def _cmd_probe_analyze(args) -> None:
     net = _network_from_args(args)
     exact_c0 = probe.compensation_capacitor(net)
     ratio = probe.dc_attenuation(net)
-    _print_json({
+    sys.stdout.write(_json_text({
         "dc_attenuation": ratio,
         "inverse_ratio": 1.0 / ratio,
         "exact_compensation_c0_farads": exact_c0,
         "actual_c0_farads": net.base.capacitance,
         "is_compensated": probe.is_compensated(net, args.tol),
         "compensation_rel_tol": args.tol,
-    })
+    }))
 
 
 def _cmd_probe_design(args) -> None:
     net = probe.design_probe(args.ratio, args.n, args.r1, args.c1)
-    _print_json({
+    sys.stdout.write(_json_text({
         "n": net.n,
         "r1_ohms": net.ladder[0].resistance,
         "c1_farads": net.ladder[0].capacitance,
         "r0_ohms": net.base.resistance,
         "c0_farads": net.base.capacitance,
         "dc_attenuation": probe.dc_attenuation(net),
-    })
+    }))
 
 
 def _cmd_probe_bode(args) -> None:
@@ -134,10 +142,10 @@ def _cmd_cal_fit(args) -> None:
     curve, _, stats = calibration.fit_log_cubic(inputs, lux, calibration.InputKind(args.kind),
                                                 args.trim)
     files.write_texts(  # rendered first: a failing render leaves no file written
-        args.out is not None and (args.out, files.json_text(calibration.curve_to_dict(curve))),
+        args.out is not None and (args.out, _json_text(calibration.curve_to_dict(curve))),
         args.plot is not None and (args.plot, _fit_svg(
             inputs, lux, curve, "Calibration fit", f"input ({args.kind})")))
-    _print_json({**calibration.curve_to_dict(curve), **stats})
+    sys.stdout.write(_json_text({**calibration.curve_to_dict(curve), **stats}))
 
 
 def _cmd_cal_eval(args) -> None:
@@ -146,7 +154,7 @@ def _cmd_cal_eval(args) -> None:
     if not curve.covers(args.input):
         print(f"warning: input {args.input} is outside the fitted range "
               f"{list(curve.input_range)}; extrapolating", file=sys.stderr)
-    _print_json({"input": args.input, "kind": curve.input_kind.value, "lux": lux})
+    sys.stdout.write(_json_text({"input": args.input, "kind": curve.input_kind.value, "lux": lux}))
 
 
 def _cmd_cal_invert(args) -> None:
@@ -155,7 +163,7 @@ def _cmd_cal_invert(args) -> None:
     if not curve.covers(x):
         print(f"warning: result {x} is outside the fitted range "
               f"{list(curve.input_range)}; extrapolating", file=sys.stderr)
-    _print_json({"lux": args.lux, "kind": curve.input_kind.value, "input": x})
+    sys.stdout.write(_json_text({"lux": args.lux, "kind": curve.input_kind.value, "input": x}))
 
 
 def _fit_svg(xs, ys, curve: calibration.CalibrationCurve, title: str, x_label: str) -> str:
@@ -172,8 +180,8 @@ def _fit_svg(xs, ys, curve: calibration.CalibrationCurve, title: str, x_label: s
 # ------------------------------------------------------------------ acq
 
 def _cmd_acq_power(args) -> None:
-    _print_json({"v_volts": args.v, "i_amps": args.i,
-                 "p_watts": acquisition.instantaneous_power(args.v, args.i)})
+    sys.stdout.write(_json_text({"v_volts": args.v, "i_amps": args.i,
+                                 "p_watts": acquisition.instantaneous_power(args.v, args.i)}))
 
 
 def _cmd_acq_replay(args) -> None:
@@ -191,7 +199,7 @@ def _cmd_acq_replay(args) -> None:
 def _cmd_characterize(args) -> None:
     char = dataset.characterize(dataset.load_run(_source(args.infile)), trim=args.trim,
                                 ignition_i_min=args.i_min)
-    used, text = char.samples, files.json_text(dataset.characterization_to_dict(char))
+    used, text = char.samples, _json_text(dataset.characterization_to_dict(char))
     files.write_texts(  # rendered first: a failing render leaves no file written
         args.out is not None and (args.out, text),
         args.plot is not None and (args.plot, _fit_svg(
@@ -208,7 +216,9 @@ _NETWORK_FLAGS = {
     "--r0": dict(type=float, required=True, help="base resistance (ohms)"),
     "--c0": dict(type=float, required=True, help="base capacitance (farads)"),
 }
-_KINDS = [kind.value for kind in calibration.InputKind]
+_KINDS = ["voltage", "power"]  # calibration.InputKind's values
+_CONFIG_TYPES = {"probe_ratio": float, "shunt_ohms": float, "offset_volts": float,
+                 "adc_fullscale_volts": float, "adc_bits": int}  # ChannelConfig's fields
 _STDIN = "; - reads standard input (a file named - is ./-)"
 _CURVE_FLAGS = {"--curve": dict(help="curve JSON file"),
                 **{f"--a{k}": dict(type=float) for k in range(4)},
@@ -255,14 +265,14 @@ _COMMANDS = {
             "--config": dict(help="ChannelConfig JSON file"),
             "--curve": dict(help="light-sensor curve JSON for the lux column"),
             "--strict": dict(action="store_true", help="abort on first bad row"),
-            **{f"--{f.name.replace('_', '-')}": dict(dest=f.name, type=type(f.default))
-               for f in dataclasses.fields(acquisition.ChannelConfig)}})}),
+            **{f"--{name.replace('_', '-')}": dict(dest=name, type=kind)
+               for name, kind in _CONFIG_TYPES.items()}})}),
     "characterize": ("power vs illuminance fit of a run", _cmd_characterize, {
         "--in": dict(dest="infile", required=True, help=f"engineering CSV run file{_STDIN}"),
         "--out": dict(help="characterization JSON output path"),
         "--plot": dict(help="scatter + fitted curve SVG output path"),
         "--trim": dict(action="store_true", help="3-sigma trim-and-refit pass"),
-        "--i-min": dict(dest="i_min", type=float, default=acquisition.IGNITION_I_MIN,
+        "--i-min": dict(dest="i_min", type=float, default=1e-3,  # acquisition.IGNITION_I_MIN
                         help="ignition current threshold in amps (default 1e-3)")}),
 }
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from . import files
-from ._numpy import np
+from ._lazy import np
 from .acquisition import IGNITION_I_MIN, Samples, detect_ignition, read_samples
 from .calibration import (
     CalibrationCurve,

@@ -18,7 +18,7 @@ from collections import ChainMap, UserDict
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from ._numpy import np
+from ._lazy import np
 from .errors import PlasmaKitError, RowError, SchemaError
 
 # Physical lines read at a time, and rows formatted at a time when writing:
@@ -237,11 +237,6 @@ def atomic_write(path):
         if exc.filename is None and exc.errno is not None:
             exc.filename = path
         raise
-
-
-def json_text(obj) -> str:
-    """obj as indented JSON and a newline; floats keep their full repr precision."""
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def write_texts(*outputs) -> None:

@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TextIO
 
-from ._numpy import np
+from ._lazy import np
 from .calibration import is_finite_number
 from .errors import DomainError, PreconditionError, SingularityError
 

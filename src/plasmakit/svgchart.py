@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._numpy import np
+from ._lazy import np
 
 __all__ = ["Series", "render_chart"]
 

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import sys
 from unittest import mock
@@ -427,7 +428,7 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path, voltage_curve):
         path = tmp_path / "curve.json"
-        files.write_texts((path, files.json_text(curve_to_dict(voltage_curve))))
+        files.write_texts((path, json.dumps(curve_to_dict(voltage_curve))))
         assert load_curve(path) == voltage_curve
 
     @pytest.mark.parametrize("text", ['["curve"]', '"a curve"', "[]", "3", "null",

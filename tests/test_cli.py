@@ -267,7 +267,7 @@ class TestCalCommands:
     def test_eval_extrapolation_warning(self, capsys, tmp_path):
         curve = CalibrationCurve(*VOLTAGE_COEFFS, input_range=(0.5, 8.0))
         path = tmp_path / "curve.json"
-        files.write_texts((path, files.json_text(curve_to_dict(curve))))
+        files.write_texts((path, json.dumps(curve_to_dict(curve))))
         code, _, err = run_cli(capsys, "cal", "eval", "--curve", str(path),
                                "--input", "100")
         assert code == 0
@@ -655,7 +655,7 @@ class TestEngineeringReplayFlags:
     def test_curve_exits_1(self, capsys, tmp_path, kind):
         curve = tmp_path / "curve.json"
         coeffs = VOLTAGE_COEFFS if kind is InputKind.SENSOR_VOLTAGE else POWER_COEFFS
-        curve.write_text(files.json_text(curve_to_dict(CalibrationCurve(*coeffs, input_kind=kind))))
+        curve.write_text(json.dumps(curve_to_dict(CalibrationCurve(*coeffs, input_kind=kind))))
         assert run_cli(capsys, "acq", "replay", "--in", self.samples(tmp_path),
                        "--curve", str(curve)) == (
             1, "", "error: light-channel curve has no effect on an engineering-unit input\n")
@@ -694,7 +694,7 @@ class TestRawReplayFlags:
     def curve(tmp_path, kind):
         path = tmp_path / f"{kind.value}.json"
         coeffs = VOLTAGE_COEFFS if kind is InputKind.SENSOR_VOLTAGE else POWER_COEFFS
-        path.write_text(files.json_text(curve_to_dict(CalibrationCurve(*coeffs, input_kind=kind))))
+        path.write_text(json.dumps(curve_to_dict(CalibrationCurve(*coeffs, input_kind=kind))))
         return str(path)
 
     def test_empty_input_with_default_flags_prints_the_header(self, capsys, tmp_path):

@@ -11,12 +11,14 @@ one, and no call may leave state in it.
 """
 
 import argparse
+import dataclasses
 import random
 import sys
 
 import pytest
 
-from plasmakit import cli
+from plasmakit import ChannelConfig, InputKind, cli
+from plasmakit.acquisition import IGNITION_I_MIN
 from plasmakit.cli import build_parser, main
 
 
@@ -193,3 +195,18 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["plasmakit", *argv])
     assert outcome(capsys, None) == expected
     assert expected[0] == 1
+
+
+def test_the_parsers_literals_match_the_library():
+    """The parser states InputKind's values, ChannelConfig's fields with the
+    types of their defaults, and the --i-min default as literals, so that
+    building it imports neither module; each must match the library."""
+    parsers = tree(build_parser())
+    assert cli._KINDS == [kind.value for kind in InputKind]
+    assert [a.choices for p in parsers.values() for a in p._actions if a.dest == "kind"] == \
+        [cli._KINDS] * 3
+    fields = [(f.name, type(f.default)) for f in dataclasses.fields(ChannelConfig)]
+    assert list(cli._CONFIG_TYPES.items()) == fields
+    replay = parsers[("acq", "replay")]
+    assert [(a.dest, a.type) for a in replay._actions if a.dest in cli._CONFIG_TYPES] == fields
+    assert parsers[("characterize",)].get_default("i_min") == IGNITION_I_MIN

@@ -181,7 +181,7 @@ class TestCharacterize:
 
 
 def write_characterization(char, path):
-    files.write_texts((path, files.json_text(characterization_to_dict(char))))
+    files.write_texts((path, json.dumps(characterization_to_dict(char))))
 
 
 class TestCharacterizationIO:

@@ -115,3 +115,34 @@ def test_piped_frames_give_the_bytes_of_the_file(tmp_path):
         got = subprocess.run([*argv, "--in", "-"], env=ENV, stdin=fh, capture_output=True)
     assert want.returncode == 0 and want.stderr.startswith(b"warning: line ")
     assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+
+
+def test_two_calls_reading_stdin_leave_it_open(tmp_path):
+    """Two `main` calls in one process each read `--in -`: the first gives the
+    output of `--in FILE` for the piped frames, the second, at the end of the
+    input, that of an empty file; the caller's stdin stays open."""
+    frames, empty = tmp_path / "frames.csv", tmp_path / "empty.csv"
+    frames.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\nx,1,1\n1,0,1551\n")
+    empty.write_text("")
+    want = [subprocess.run([sys.executable, "-m", "plasmakit.cli", "acq", "replay", "--in",
+                            str(path)], env=ENV, capture_output=True, text=True)
+            for path in (frames, empty)]
+    script = ("import gc, sys\nfrom plasmakit.cli import main\n"
+              "codes = [main(['acq', 'replay', '--in', '-']) for _ in range(2)]\n"
+              "gc.collect()\nprint(codes, sys.stdin.closed, file=sys.stderr)\n")
+    with open(frames, "rb") as fh:
+        got = subprocess.run([sys.executable, "-X", "dev", "-c", script], env=ENV, stdin=fh,
+                             capture_output=True, text=True)
+    assert want[0].stderr.startswith("warning: line 3: ") and want[1].stdout
+    assert (got.stdout, got.stderr) == (want[0].stdout + want[1].stdout,
+                                        want[0].stderr + want[1].stderr + "[0, 0] False\n")
+
+
+@pytest.mark.parametrize("command", [["acq", "replay"], ["cal", "fit"], ["characterize"]],
+                         ids=argv_id)
+def test_in_dash_without_stdin_is_an_error(command):
+    # <&- starts the process with no standard input, so sys.stdin is None
+    proc = subprocess.run(["sh", "-c", '"$@" <&-', "sh", sys.executable, "-m", "plasmakit.cli",
+                           *command, "--in", "-"], env=ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: --in -: there is no standard input\n")

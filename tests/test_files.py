@@ -8,6 +8,7 @@ Two outputs of one write_texts call that name one file are an error."""
 import csv
 import errno
 import io
+import json
 import math
 import os
 import stat
@@ -63,7 +64,7 @@ def save_run(path, inputs):
 # name -> (suffix, write(path, inputs))
 WRITERS = {
     "files.write_texts": (".json", lambda path, d: files.write_texts(
-        (path, files.json_text(curve_to_dict(CalibrationCurve(*VOLTAGE_COEFFS)))))),
+        (path, json.dumps(curve_to_dict(CalibrationCurve(*VOLTAGE_COEFFS)))))),
     "save_run": (".csv", save_run),
     "acq replay --out": (".csv", lambda path, d: cli(
         "acq", "replay", "--in", str(d / "frames.csv"), "--out", path)),

@@ -1,4 +1,4 @@
-"""NumPy is imported on first use (plasmakit._numpy).
+"""NumPy is imported on first use (plasmakit._lazy).
 
 The scalar commands, the parser and its errors must start without NumPy; the
 array commands must load it and give the same output as a process that
@@ -134,5 +134,5 @@ else:
 def test_only_the_lazy_module_imports_numpy():
     statement = re.compile(r"\bimport\s+numpy\b|^\s*from\s+numpy\b", re.MULTILINE)
     named = [path.name for path in (SRC / "plasmakit").glob("*.py")
-             if path.name != "_numpy.py" and statement.search(path.read_text(encoding="utf-8"))]
+             if path.name != "_lazy.py" and statement.search(path.read_text(encoding="utf-8"))]
     assert named == []

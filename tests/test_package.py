@@ -1,5 +1,5 @@
 """Package hygiene: every exported name exists, the package's names are its
-modules' `__all__` lists, no module imports a name it never uses, none
+exporting modules' `__all__` lists, no module imports a name it never uses, none
 imports a private name from a sibling module, and every public function or
 class is used by the package or the benchmark, and no `cli._cmd_*` handler
 returns a value.  The checks are small `ast` walks, so they need no linter
@@ -30,25 +30,29 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def star_imported():
-    """The sibling module of each import in `__init__`; each must be `from .x import *`."""
-    imports = [n for n in tree("__init__").body if isinstance(n, (ast.Import, ast.ImportFrom))]
-    assert all(isinstance(n, ast.ImportFrom) and n.level == 1
-               and [a.name for a in n.names] == ["*"] for n in imports)
-    return [importlib.import_module(f"plasmakit.{n.module}") for n in imports]
+def exporters():
+    """The modules whose `__all__` lists are the package's names."""
+    return [importlib.import_module(f"plasmakit.{name}") for name in plasmakit._EXPORTERS]
 
 
-def test_init_star_imports_only_modules_with_all():
-    modules = star_imported()
+def test_init_exports_only_modules_with_all():
+    modules = exporters()
     assert modules and [m.__name__ for m in modules if not hasattr(m, "__all__")] == []
 
 
 def test_package_names_are_the_union_of_the_all_lists():
-    listed = [name for module in star_imported() for name in module.__all__]
+    listed = [name for module in exporters() for name in module.__all__]
     assert len(listed) == len(set(listed))  # no name in two lists
-    public = {name for name, value in vars(plasmakit).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert plasmakit.__all__ == listed
+    assert [name for module in exporters() for name in module.__all__
+            if getattr(plasmakit, name) is not getattr(module, name)] == []
+    star = {}
+    exec("from plasmakit import *", star)
+    assert set(star) - {"__builtins__"} == set(listed)
+    public = {name for name in dir(plasmakit) if not name.startswith("_")
+              and not isinstance(getattr(plasmakit, name), types.ModuleType)}
     assert public == set(listed)
+    assert not hasattr(plasmakit, "no_such_name")
 
 
 def unused_imports(module_tree, exported=()):
