@@ -318,17 +318,21 @@ def detect_ignition(samples: Samples, i_min: float = IGNITION_I_MIN) -> Optional
 
 
 def _reprs(col: np.ndarray, known: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
-    """repr of every value, and the (sorted distinct bits, strings) pair of
-    `col` to pass as `known` with the next chunk of its column.  Values are
-    told apart by bit pattern, so -0.0 and 0.0 stay apart; repr is called
-    only for a pattern that `known`, the previous chunk's pair, lacks."""
+    """repr of every value, and the table of (sorted distinct bits, strings)
+    to pass as `known` with the next chunk of its column: `known` and this
+    chunk's new patterns while they are at most files.CHUNK_ROWS, else this
+    chunk's own.  Values are told apart by bit pattern, so -0.0 and 0.0 stay
+    apart; repr is called only for a pattern that `known` lacks."""
     bits, index = np.unique(col.view(np.int64), return_inverse=True)
     at = np.searchsorted(known[0], bits)
     hit = at < len(known[0])
     hit[hit] = known[0][at[hit]] == bits[hit]
     strings = np.empty(len(bits), dtype=object)
     strings[hit] = known[1][at[hit]]
-    strings[~hit] = [repr(x) for x in bits[~hit].view(np.float64).tolist()]
+    strings[~hit] = new = [repr(x) for x in bits[~hit].view(np.float64).tolist()]
+    if len(known[0]) + len(new) <= files.CHUNK_ROWS:
+        return strings[index], (np.insert(known[0], at[~hit], bits[~hit]),
+                                np.insert(known[1], at[~hit], new))
     return strings[index], (bits, strings)
 
 
@@ -336,7 +340,8 @@ def write_samples_csv(chunks: Iterable[Samples], out: TextIO) -> int:
     """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs, a chunk
     of Samples at a time and flushed, and return their number; a NaN lux (no
     reading) is an empty cell.  A chunk, the header with the first, is written
-    once the next is pulled.  A value recurring across chunks is formatted once."""
+    once the next is pulled.  Each column keeps up to files.CHUNK_ROWS strings
+    across chunks (_reprs), so a value is formatted again only once dropped."""
     known = dict.fromkeys(OUT_HEADER, (np.empty(0, np.int64), np.empty(0, object)))
     rows, text = 0, ",".join(OUT_HEADER) + "\n"
     for part, _ in itertools.pairwise(itertools.chain(filter(len, chunks), [None])):

@@ -58,10 +58,14 @@ class _Stdin(io.TextIOWrapper):
 
 
 def _source(path: str) -> TextIO | str:
-    """An `--in` value: standard input, read as a path is, for -."""
-    if path == "-" and sys.stdin is None:
+    """An `--in` value: standard input for -, its bytes read as a path is
+    (a stream of text alone, such as io.StringIO, as it is)."""
+    if path != "-":
+        return path
+    if sys.stdin is None:
         raise PlasmaKitError("--in -: there is no standard input")
-    return _Stdin(sys.stdin.buffer, encoding="utf-8-sig") if path == "-" else path
+    buffer = getattr(sys.stdin, "buffer", None)
+    return sys.stdin if buffer is None else _Stdin(buffer, encoding="utf-8-sig")
 
 
 def _write_out(path: Optional[str], write: Callable[[TextIO], object], note: str = "") -> None:

@@ -21,10 +21,10 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 from ._lazy import np
 from .errors import PlasmaKitError, RowError, SchemaError
 
-# Physical lines read at a time, and rows formatted at a time when writing:
-# enough that the per-chunk NumPy calls cost little per row, few enough that
-# a chunk's cells and strings stay a few megabytes.
-CHUNK_ROWS = 8192
+# Physical lines read at a time, and the most strings the writer keeps per
+# column: enough that the per-chunk NumPy calls cost little per row, few
+# enough that a chunk's cells and a column's strings stay a few megabytes.
+CHUNK_ROWS = 4096
 
 Cells = tuple  # one column of a chunk: str per record, None where a record is short
 Errors = dict  # row in the chunk -> message

@@ -387,6 +387,57 @@ def test_writer_formats_a_recurring_value_once():
     assert out.getvalue() == reference_csv([reference_row(1.0, 2.0, 3.0, 4.0)] * 10)
 
 
+def formatted(chunks, chunk_rows):
+    """_reprs over the chunks of one column with CHUNK_ROWS `chunk_rows`:
+    per chunk its strings, the values repr was called for and the table after it."""
+    known, steps = (np.empty(0, np.int64), np.empty(0, object)), []
+    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(acquisition, "repr", create=True, wraps=repr) as fmt:
+        for chunk in chunks:
+            fmt.reset_mock()
+            strings, known = acquisition._reprs(np.array(chunk, dtype=float), known)
+            steps.append((strings.tolist(), [c.args[0] for c in fmt.call_args_list], known))
+    return steps
+
+
+def test_reprs_formats_a_column_of_few_values_once_per_run():
+    """Four values cycle through 30 chunks of 3 rows: with only the previous
+    chunk's strings kept, each chunk would format the value it skipped."""
+    values = [2.5, -0.0, 0.0, 1e-300]
+    chunks = [[values[(3 * k + j) % 4] for j in range(3)] for k in range(30)]
+    steps = formatted(chunks, 4)
+    assert [strings for strings, _, _ in steps] == [[repr(x) for x in c] for c in chunks]
+    assert sorted(repr(x) for _, calls, _ in steps for x in calls) == sorted(map(repr, values))
+    assert len(steps[-1][2][0]) == 4
+
+
+POOL = [0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e308, math.inf, -math.inf, math.nan, 2.5, 3.0]
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.sampled_from(POOL), min_size=1, max_size=n), max_size=12))))
+@example((4, [[0.0, -0.0, 1.0], [-0.0, 2.5, 3.0], [0.0, 0.0], [1.0, 5e-324, math.nan, 0.1],
+              [0.0, -0.0]]))
+@settings(max_examples=200, deadline=None)
+def test_reprs_table_stays_within_chunk_rows_and_repr_is_its_oracle(case):
+    """More distinct values than CHUNK_ROWS: every string is repr of its
+    value, -0.0 and 0.0 apart; repr is called once for each pattern the
+    table lacks; the table is sorted, distinct, repr-true and never over
+    CHUNK_ROWS entries."""
+    chunk_rows, chunks = case
+    table = np.empty(0, np.int64)
+    for chunk, (strings, calls, (bits, table_strings)) in zip(chunks, formatted(chunks,
+                                                                                chunk_rows)):
+        patterns = set(np.array(chunk, dtype=float).view(np.int64).tolist())
+        assert strings == [repr(x) for x in chunk]
+        assert sorted(np.array(calls, dtype=float).view(np.int64).tolist()) == \
+            sorted(patterns - set(table.tolist()))
+        assert len(bits) == len(table_strings) <= chunk_rows
+        assert patterns <= set(bits.tolist()) and bits.tolist() == sorted(set(bits.tolist()))
+        assert table_strings.tolist() == [repr(x) for x in bits.view(np.float64).tolist()]
+        table = bits
+
+
 def replayed(text):
     """The CSV acq replay writes for an input CSV, bad rows dropped."""
     out = io.StringIO()

@@ -181,7 +181,8 @@ def test_an_output_that_cannot_be_opened_fails_before_any_reading(capsys, tmp_pa
 
 def test_stdin_is_read_as_a_path_is(capsys, monkeypatch, tmp_path):
     """`--in -` for each command that reads a CSV: the bytes of `--in FILE`,
-    a byte order mark skipped; a file named - is ./-."""
+    a byte order mark skipped, and of a sys.stdin of text alone (no buffer,
+    as io.StringIO has); a file named - is ./-."""
     inputs = {("acq", "replay"): "t_ms,raw_hv,raw_shunt\n0,652,2596\nx,1,1\n1,0,1551\n",
               ("characterize",): "t_ms,v_volts,i_amps,lux\n" + "".join(
                   f"{k},{500 + k},{0.02 + k / 1000},{40 + 3 * k}\n" for k in range(30)),
@@ -193,9 +194,10 @@ def test_stdin_is_read_as_a_path_is(capsys, monkeypatch, tmp_path):
         want = run(capsys, *command, "--in", "./-")
         assert want[0] == 0, want
         (tmp_path / "-").unlink()
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
-            codecs.BOM_UTF8 + text.encode())))
-        assert run(capsys, *command, "--in", "-") == want, command
+        for stdin in (io.TextIOWrapper(io.BytesIO(codecs.BOM_UTF8 + text.encode())),
+                      io.StringIO(text)):
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert run(capsys, *command, "--in", "-") == want, (command, stdin)
 
 
 def seeded_frames(path: Path, copies: int) -> None:
