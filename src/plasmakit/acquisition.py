@@ -10,9 +10,9 @@ the light-sensor amplifier.  The conversion chain is
     p       = v * i
     lux     = calibration curve applied to the light-channel volts
 
-Replay works on columns: a frame CSV is read in chunks of files.CHUNK_ROWS
-records, each distinct count of a channel is converted once by the scalar
-functions below, and each chunk is written before the next but one is read.
+Replay works on columns: chunks of files.CHUNK_ROWS frame records, each
+distinct count converted once, each chunk written before the next is read,
+so a failing replay leaves exactly the chunks converted before the error.
 """
 
 from __future__ import annotations
@@ -208,27 +208,24 @@ class _CountTable(dict):
     to its value in engineering units.
 
     A new cell is parsed with int(), and its count converted to volts and
-    then by `to_units`.  NaN stands for no value: an empty or missing cell
-    of an `optional` column, and a cell that fails, whose error text goes to
-    `bad` if int() rejects it and else to `unconverted` (the text, never the
-    exception, whose traceback would keep a chunk's rows alive).  Only the
-    light channel converts a count to NaN, when there is no curve:
-    ChannelConfig guarantees a finite v and i for every count, and
-    lux_from_input raises rather than return NaN.  Errors are looked up by
-    cell, so a NaN value without one is not an error.  An ADC channel has
+    then by `to_units`.  NaN stands for no value: a cell seeded as NaN (the
+    light channel's empty or missing cell), and a cell that fails, whose
+    error text goes to `bad` if int() rejects it and else to `unconverted`
+    (the text, never the exception, whose traceback would keep a chunk's
+    rows alive).  Only the light channel converts a count to NaN, when there
+    is no curve: ChannelConfig guarantees a finite v and i for every count,
+    and lux_from_input raises rather than return NaN.  Errors are looked up
+    by cell, so a NaN value without one is not an error.  An ADC channel has
     at most 2^adc_bits codes, so the table stays small.
     """
 
-    def __init__(self, cfg: ChannelConfig, name: str,
-                 to_units: Callable[[float], float], optional: bool = False):
+    def __init__(self, cfg: ChannelConfig, name: str, to_units: Callable[[float], float]):
         super().__init__()
-        self.cfg, self.name, self.to_units, self.optional = cfg, name, to_units, optional
+        self.cfg, self.name, self.to_units = cfg, name, to_units
         self.bad, self.unconverted = {}, {}  # cell -> message
 
     def __missing__(self, cell) -> float:
         self[cell] = math.nan
-        if self.optional and not cell:
-            return math.nan
         try:
             raw = int(cell)
         except (ValueError, TypeError) as exc:
@@ -290,8 +287,8 @@ def _replay_chunks(source, cfg, ldr_curve, diagnostics) -> Iterator[Samples]:
         hv = _CountTable(cfg, "hv", lambda volts: needle_voltage(cfg, volts))
         shunt = _CountTable(cfg, "shunt", lambda volts: shunt_current(cfg, volts))
         ldr = _CountTable(cfg, "ldr", (lambda volts: math.nan) if ldr_curve is None else (
-            lambda volts: lux_from_input(ldr_curve, volts) if volts > 0.0 else 0.0),
-            optional=True)
+            lambda volts: lux_from_input(ldr_curve, volts) if volts > 0.0 else 0.0))
+        ldr[""] = ldr[None] = math.nan  # an empty or missing light cell: no reading
 
         def convert(cells, n, start):
             t, t_errors = files.floats(cells["t_ms"], n, "bad raw frame: ")
@@ -337,14 +334,14 @@ def _reprs(col: np.ndarray, known: tuple[np.ndarray, np.ndarray]) -> tuple[np.nd
 
 
 def write_samples_csv(chunks: Iterable[Samples], out: TextIO) -> int:
-    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs, a chunk
-    of Samples at a time and flushed, and return their number; a NaN lux (no
-    reading) is an empty cell.  A chunk, the header with the first, is written
-    once the next is pulled.  Each column keeps up to files.CHUNK_ROWS strings
-    across chunks (_reprs), so a value is formatted again only once dropped."""
+    """Write `t_ms,v_volts,i_amps,p_watts,lux` rows of float reprs and return
+    their number; a NaN lux (no reading) is an empty cell.  Each chunk of
+    Samples, the header with the first, is written and flushed before the next
+    is pulled, so a failing `chunks` leaves exactly the rows before its error.
+    A column's strings are kept across chunks (_reprs)."""
     known = dict.fromkeys(OUT_HEADER, (np.empty(0, np.int64), np.empty(0, object)))
     rows, text = 0, ",".join(OUT_HEADER) + "\n"
-    for part, _ in itertools.pairwise(itertools.chain(filter(len, chunks), [None])):
+    for part in filter(len, chunks):
         columns = []
         for name in OUT_HEADER:
             strings, known[name] = _reprs(getattr(part, name), known[name])

@@ -62,10 +62,10 @@ def _source(path: str) -> TextIO | str:
     (a stream of text alone, such as io.StringIO, as it is)."""
     if path != "-":
         return path
-    if sys.stdin is None:
+    if sys.stdin is None or sys.stdin.closed:
         raise PlasmaKitError("--in -: there is no standard input")
     buffer = getattr(sys.stdin, "buffer", None)
-    return sys.stdin if buffer is None else _Stdin(buffer, encoding="utf-8-sig")
+    return sys.stdin if buffer is None else _Stdin(buffer, encoding="utf-8")
 
 
 def _write_out(path: Optional[str], write: Callable[[TextIO], object], note: str = "") -> None:

@@ -39,14 +39,14 @@ def read_csv(source: TextIO | str | os.PathLike):
     As with csv.DictReader, blank lines hold no record (the header is the
     first non-blank one), a short record's missing cells are None, a long
     record's extra cells are ignored, and a repeated name keeps its last
-    column.  A path is read as UTF-8, after any byte order mark.  What the
-    reader cannot read past raises in lenient mode too: bytes that are not UTF-8
-    as SchemaError, a csv.Error as RowError on its line, after the records before it.
+    column.  A path is read as UTF-8; a leading U+FEFF is a byte order mark.  What
+    the reader cannot read past raises in lenient mode too: bytes not UTF-8 as
+    SchemaError, a csv.Error as RowError on its line, after the records before it.
     """
-    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8-sig")
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
     with opened as fh:
-        reader = csv.reader(fh)
         try:
+            reader = csv.reader(itertools.chain([fh.readline().removeprefix("\ufeff")], fh))
             fields = tuple(next(filter(None, reader), ()))
             yield fields, _chunks(fh, fields, reader.line_num)
         except UnicodeDecodeError as exc:

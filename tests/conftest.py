@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 
 from plasmakit import (DEFAULT_CONFIG, CalibrationCurve, InputKind, ProbeNetwork, Samples,
                        acquisition)
@@ -53,3 +54,46 @@ def replay_samples(source, cfg=DEFAULT_CONFIG, curve=None, diagnostics=None) -> 
     parts = list(acquisition._replay_chunks(source, cfg, curve, diagnostics))
     return Samples(*(np.concatenate([getattr(part, name) for part in parts] or [[]])
                      for name in ("t_ms", "v_volts", "i_amps", "lux")))
+
+
+def voltage_curve_input(log_lux: np.ndarray) -> np.ndarray:
+    """The light-channel volts x with ln lux = VOLTAGE_COEFFS at ln x, by
+    bisection in ln x over [-10, 2] (the curve rises there)."""
+    lo, hi = np.full_like(log_lux, -10.0), np.full_like(log_lux, 2.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = polynomial.polyval(mid, VOLTAGE_COEFFS) < log_lux
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.exp(0.5 * (lo + hi))
+
+
+def virtual_rig(rows: int, seed: int, pre_ignition: int, bad_light=()) -> dict:
+    """A seeded virtual rig: the ADC frames of a discharge and the truth behind them.
+
+    The power trace is log-uniform over [2, 60] W at 1000-2000 V, held off
+    (0 A at 2500-3000 V, dark) for the first `pre_ignition` rows.  The hv and
+    shunt counts come through DEFAULT_CONFIG, the light counts from the
+    published voltage curve inverted at the lux that the published power
+    curve gives for the power; each is quantized to 12 bits.  The light
+    counts of len(bad_light) random lit rows become `bad_light`.  Returns
+    t, v, i, light (the true light volts), bad (those rows) and the frame
+    CSV as text."""
+    cfg = DEFAULT_CONFIG
+    q = cfg.adc_fullscale_volts / cfg.max_count
+    rng = np.random.default_rng(seed)
+    t = np.arange(rows) * 0.25
+    p = np.exp(rng.uniform(math.log(2.0), math.log(60.0), rows))
+    v = rng.uniform(1000.0, 2000.0, rows)
+    i = p / v
+    v[:pre_ignition] = rng.uniform(2500.0, 3000.0, pre_ignition)  # the gap holds off
+    i[:pre_ignition] = 0.0
+    light = voltage_curve_input(polynomial.polyval(np.log(p), POWER_COEFFS))
+    counts = np.rint(np.stack([v * cfg.probe_ratio, i * cfg.shunt_ohms + cfg.offset_volts,
+                               light]) / q).astype(np.int64)
+    counts[2, :pre_ignition] = 0  # dark before ignition
+    bad = np.sort(rng.choice(np.arange(pre_ignition, rows), len(bad_light), replace=False))
+    counts[2, bad] = bad_light
+    assert counts[:2].min() >= 0 and counts[:2].max() <= cfg.max_count
+    text = "t_ms,raw_hv,raw_shunt,raw_ldr\n" + "".join(
+        f"{tk!r},{h},{s},{l}\n" for tk, h, s, l in zip(t.tolist(), *counts.tolist()))
+    return {"t": t, "v": v, "i": i, "light": light, "bad": bad, "text": text}

@@ -4,8 +4,9 @@ a time, so its memory does not grow with the frame count.
 A run at any chunk size gives the bytes, messages and exit code of a run
 that reads the whole input as one chunk, wherever the bad rows, blank lines
 and quoted fields fall.  An error after the first chunks leaves an --out
-target as it was; on stdout it leaves the rows written before it.  The
-output is opened before the input is read.
+target as it was; on stdout it leaves exactly the chunks converted before
+it, each written before the next is read.  The output is opened before the
+input is read.
 """
 
 import codecs
@@ -131,13 +132,55 @@ def test_a_late_error_leaves_the_target_and_its_directory_as_they_were(capsys, t
     assert os.listdir(out.parent) == ["samples.csv"] and out.read_text() == "old\n"
 
 
+def replay_of(capsys, tmp_path, header, records):
+    """stdout of a successful `acq replay --strict` of the header and
+    records, or "" for no records: a run writes nothing before its first chunk."""
+    if not records:
+        return ""
+    path = tmp_path / "prefix.csv"
+    path.write_text("\n".join([header, *records]) + "\n")
+    code, out, err = run(capsys, "acq", "replay", "--strict", "--in", str(path))
+    assert (code, err) == (0, ""), err
+    return out
+
+
 def test_a_late_error_on_stdout_leaves_the_rows_written_before_it(capsys, tmp_path):
-    # the first chunk is written once the second is read; the third fails
+    # the first two chunks are written before the third is read; it fails
     path, message = late_error_input(tmp_path)
-    code, whole, _ = run(capsys, "acq", "replay", "--in", str(path))
+    header, *records = path.read_text().splitlines()
+    want = replay_of(capsys, tmp_path, header, records[:8])
     with mock.patch.object(files, "CHUNK_ROWS", 4):
-        assert run(capsys, "acq", "replay", "--strict", "--in", str(path)) == \
-            (1, "".join(whole.splitlines(keepends=True)[:5]), message)
+        assert run(capsys, "acq", "replay", "--strict", "--in", str(path)) == (1, want, message)
+
+
+@pytest.mark.parametrize("failure", ["strict bad row", "unreadable line"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 4096])
+def test_a_failing_run_leaves_exactly_the_chunks_before_the_error(capsys, tmp_path, rows,
+                                                                  failure):
+    """stdout holds the rows of the records before the failing chunk (for a line
+    the reader cannot read, of the records before that line), as a replay of
+    those records alone writes them; an --out target stays as it was."""
+    header = "t_ms,raw_hv,raw_shunt,raw_ldr"
+    records = [f"{k * 0.25!r},{600 + k},{2500 + k},{(100 + k) * (k % 3 > 0) or ''}"
+               for k in range(20)]
+    at = 11
+    if failure == "strict bad row":
+        records[at], argv, keep = "2.75,652,x,1", ["--strict"], at // rows * rows
+        message = "error: line 13: bad raw frame: invalid literal for int() with base 10: 'x'\n"
+    else:
+        records[at], argv, keep = UNREADABLE, [], at
+        message = "error: line 13: field larger than field limit (131072)\n"
+    want = replay_of(capsys, tmp_path, header, records[:keep])
+    path = tmp_path / "frames.csv"
+    path.write_text("\n".join([header, *records]) + "\n")
+    out = tmp_path / "out" / "samples.csv"
+    out.parent.mkdir()
+    out.write_text("old\n")
+    with mock.patch.object(files, "CHUNK_ROWS", rows):
+        assert run(capsys, "acq", "replay", *argv, "--in", str(path)) == (1, want, message)
+        assert run(capsys, "acq", "replay", *argv, "--in", str(path), "--out", str(out)) == \
+            (1, "", message)
+    assert os.listdir(out.parent) == ["samples.csv"] and out.read_text() == "old\n"
 
 
 class FailingStdin(io.RawIOBase):
@@ -182,7 +225,7 @@ def test_an_output_that_cannot_be_opened_fails_before_any_reading(capsys, tmp_pa
 def test_stdin_is_read_as_a_path_is(capsys, monkeypatch, tmp_path):
     """`--in -` for each command that reads a CSV: the bytes of `--in FILE`,
     a byte order mark skipped, and of a sys.stdin of text alone (no buffer,
-    as io.StringIO has); a file named - is ./-."""
+    as io.StringIO has), a leading U+FEFF skipped; a file named - is ./-."""
     inputs = {("acq", "replay"): "t_ms,raw_hv,raw_shunt\n0,652,2596\nx,1,1\n1,0,1551\n",
               ("characterize",): "t_ms,v_volts,i_amps,lux\n" + "".join(
                   f"{k},{500 + k},{0.02 + k / 1000},{40 + 3 * k}\n" for k in range(30)),
@@ -195,9 +238,20 @@ def test_stdin_is_read_as_a_path_is(capsys, monkeypatch, tmp_path):
         assert want[0] == 0, want
         (tmp_path / "-").unlink()
         for stdin in (io.TextIOWrapper(io.BytesIO(codecs.BOM_UTF8 + text.encode())),
-                      io.StringIO(text)):
+                      io.StringIO(text), io.StringIO("\ufeff" + text)):
             monkeypatch.setattr(sys, "stdin", stdin)
             assert run(capsys, *command, "--in", "-") == want, (command, stdin)
+
+
+@pytest.mark.parametrize("stdin", [io.StringIO, lambda text: io.TextIOWrapper(
+    io.BytesIO(text.encode()))], ids=["text", "bytes"])
+@pytest.mark.parametrize("command", [["acq", "replay"], ["cal", "fit"], ["characterize"]],
+                         ids=" ".join)
+def test_a_closed_stdin_is_no_standard_input(capsys, monkeypatch, command, stdin):
+    monkeypatch.setattr(sys, "stdin", stdin("input,lux\n1,2\n"))
+    sys.stdin.close()
+    assert run(capsys, *command, "--in", "-") == (
+        1, "", "error: --in -: there is no standard input\n")
 
 
 def seeded_frames(path: Path, copies: int) -> None:

@@ -1,4 +1,5 @@
-"""A seeded virtual rig: the ADC counts of a discharge, replayed by `acq replay`.
+"""A seeded virtual rig (conftest.virtual_rig): the ADC counts of a discharge,
+replayed by `acq replay`.
 
 The rig draws a power trace with an ignition and turns it into hv and shunt
 counts through ChannelConfig's defaults.  Its light-sensor counts come from
@@ -25,7 +26,7 @@ from plasmakit import ChannelConfig
 from plasmakit.calibration import FIT_ATOL, INVERT_ATOL
 from plasmakit.cli import main
 
-from conftest import POWER_COEFFS, VOLTAGE_COEFFS
+from conftest import POWER_COEFFS, VOLTAGE_COEFFS, virtual_rig
 
 CFG = ChannelConfig()
 MAX_COUNT = 2 ** CFG.adc_bits - 1
@@ -38,46 +39,21 @@ ROWS, PRE_IGNITION = 3000, 300
 BAD_LIGHT = (4096, 5000, 99999, -1, -40, 65536)
 
 
-def voltage_curve_input(log_lux: np.ndarray) -> np.ndarray:
-    """The light-channel volts x with ln lux = VOLTAGE_COEFFS at ln x, by
-    bisection in ln x over [-10, 2] (the curve rises there)."""
-    lo, hi = np.full_like(log_lux, -10.0), np.full_like(log_lux, 2.0)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = polynomial.polyval(mid, VOLTAGE_COEFFS) < log_lux
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.exp(0.5 * (lo + hi))
-
-
 @pytest.fixture(scope="module")
 def rig(tmp_path_factory):
-    rng = np.random.default_rng(7)
-    t = np.arange(ROWS) * 0.25
-    p = np.exp(rng.uniform(math.log(2.0), math.log(60.0), ROWS))
-    v = rng.uniform(1000.0, 2000.0, ROWS)
-    i = p / v
-    v[:PRE_IGNITION] = rng.uniform(2500.0, 3000.0, PRE_IGNITION)  # the gap holds off
-    i[:PRE_IGNITION] = 0.0
-    light = voltage_curve_input(polynomial.polyval(np.log(p), POWER_COEFFS))
-    counts = np.rint(np.stack([v * CFG.probe_ratio, i * CFG.shunt_ohms + CFG.offset_volts,
-                               light]) / Q).astype(np.int64)
-    counts[2, :PRE_IGNITION] = 0  # dark before ignition
-    bad = np.sort(rng.choice(np.arange(PRE_IGNITION, ROWS), len(BAD_LIGHT), replace=False))
-    counts[2, bad] = BAD_LIGHT
-    assert counts[:2].min() >= 0 and counts[:2].max() <= MAX_COUNT
-
+    rig = virtual_rig(ROWS, 7, PRE_IGNITION, BAD_LIGHT)
+    bad = rig["bad"]
     root = tmp_path_factory.mktemp("rig")
     frames, curve = root / "frames.csv", root / "curve.json"
-    frames.write_text("t_ms,raw_hv,raw_shunt,raw_ldr\n" + "".join(
-        f"{tk!r},{h},{s},{l}\n" for tk, h, s, l in zip(t.tolist(), *counts.tolist())))
+    frames.write_text(rig["text"])
     curve.write_text(json.dumps(dict(zip(("a0", "a1", "a2", "a3"), VOLTAGE_COEFFS),
                                      kind="voltage")))
     keep = np.ones(ROWS, dtype=bool)
     keep[bad] = False
     warnings = [f"warning: line {k + 2}: ldr channel: count {c} outside [0, {MAX_COUNT}]"
                 for k, c in zip(bad.tolist(), BAD_LIGHT)]
-    return {"root": root, "frames": frames, "curve": curve, "t": t, "v": v, "i": i,
-            "light": light, "keep": keep, "warnings": warnings}
+    return {**rig, "root": root, "frames": frames, "curve": curve, "keep": keep,
+            "warnings": warnings}
 
 
 def replay(rig, capsys, curve):
