@@ -208,24 +208,22 @@ class _CountTable(dict):
     to its value in engineering units.
 
     A new cell is parsed with int(), and its count converted to volts and
-    then by `to_units`.  NaN stands for no value: a cell seeded as NaN (the
-    light channel's empty or missing cell), and a cell that fails, whose
-    error text goes to `bad` if int() rejects it and else to `unconverted`
-    (the text, never the exception, whose traceback would keep a chunk's
-    rows alive).  Only the light channel converts a count to NaN, when there
-    is no curve: ChannelConfig guarantees a finite v and i for every count,
-    and lux_from_input raises rather than return NaN.  Errors are looked up
-    by cell, so a NaN value without one is not an error.  An ADC channel has
-    at most 2^adc_bits codes, so the table stays small.
+    then by `to_units`.  Only cells that convert are kept, besides the cells
+    seeded as NaN (the light channel's empty or missing cell: no reading).
+    A cell that fails reads NaN, and its error text goes to `bad` if int()
+    rejects it and else to `unconverted` (the text, never the exception,
+    whose traceback would keep a chunk's rows alive); both hold only the
+    current `column` call's cells.  Only the light channel converts a
+    count to NaN, when there is no curve: ChannelConfig guarantees a finite
+    v and i for every count, and lux_from_input raises rather than return
+    NaN.  An ADC channel has at most 2^adc_bits codes, so the table stays small.
     """
 
     def __init__(self, cfg: ChannelConfig, name: str, to_units: Callable[[float], float]):
         super().__init__()
         self.cfg, self.name, self.to_units = cfg, name, to_units
-        self.bad, self.unconverted = {}, {}  # cell -> message
 
     def __missing__(self, cell) -> float:
-        self[cell] = math.nan
         try:
             raw = int(cell)
         except (ValueError, TypeError) as exc:
@@ -235,11 +233,13 @@ class _CountTable(dict):
             self[cell] = self.to_units(counts_to_volts(self.cfg, raw))
         except DomainError as exc:
             self.unconverted[cell] = f"{self.name} channel: {exc}"
+            return math.nan
         return self[cell]
 
     def column(self, cells: Optional[Cells], n: int) -> tuple[np.ndarray, Errors, Errors]:
         """Values of the cells (NaN without one), int() errors and conversion errors."""
         cells = (None,) * n if cells is None else cells
+        self.bad, self.unconverted = {}, {}  # cell -> message, this chunk's
         values = np.fromiter(map(self.__getitem__, cells), float, n)
         if not (self.bad or self.unconverted):
             return values, {}, {}
@@ -258,12 +258,13 @@ def replay_stream(source: TextIO | str, out: TextIO, cfg: ChannelConfig = DEFAUL
     v_volts and i_amps goes to read_samples, so replay reads its own output.
     What would have no effect raises PreconditionError: a curve or a cfg other
     than DEFAULT_CONFIG on engineering units, a curve on frames without
-    raw_ldr.  With a `diagnostics` list malformed rows are reported there (as
-    RowErrors, numbered by the physical line the row ends on) and skipped;
-    without one the first aborts the replay, once the chunks before it are
-    written.  A row reports its first error (see files.collect); a break of
-    the row rule (_row_errors) comes last.  A raw replay converts each
-    distinct count of a channel once, with the scalar functions above.
+    raw_ldr.  Each malformed row goes to `diagnostics`, anything with
+    `append`, as it is met and before its chunk is written (a RowError on the
+    physical line the row ends on), and is skipped; without it the first
+    aborts the replay, once the chunks before it are written.  A row reports
+    its first error (see files.collect); a break of the row rule (_row_errors)
+    comes last.  A raw replay converts each distinct count of a channel once,
+    with the scalar functions above.
     """
     return write_samples_csv(_replay_chunks(source, cfg, ldr_curve, diagnostics), out)
 

@@ -188,14 +188,24 @@ def _cmd_acq_power(args) -> None:
                                  "p_watts": acquisition.instantaneous_power(args.v, args.i)}))
 
 
+class _Warnings:
+    """Lenient replay's diagnostics: each bad row's warning printed as met; len() counts them."""
+    count = 0
+
+    def append(self, err) -> None:
+        self.count += 1
+        print(f"warning: {err}", file=sys.stderr)
+
+    def __len__(self) -> int:
+        return self.count
+
+
 def _cmd_acq_replay(args) -> None:
     cfg = _load_config(args)
     curve = calibration.load_curve(args.curve) if args.curve is not None else None
-    diagnostics = None if args.strict else []
+    diagnostics = None if args.strict else _Warnings()
     _write_out(args.out, lambda out: acquisition.replay_stream(  # the rows stream into out
         _source(args.infile), out, cfg, curve, diagnostics=diagnostics), " ({} samples)")
-    for err in diagnostics or ():
-        print(f"warning: {err}", file=sys.stderr)
 
 
 # -------------------------------------------------------- characterize

@@ -170,9 +170,9 @@ def collect(chunks: Iterator[tuple[Sequence[int], dict]], convert: Callable,
     the first is record `start`, into its columns and a list of error dicts
     in the order a row parser meets them: every column's parse errors, then
     the conversion errors.  A record reports its first error in that list.
-    Without a `diagnostics` list the first rejected record raises RowError
-    with the line it ends on, so a read reports the first bad line of the
-    file; with one, each adds a RowError to the list and is dropped.
+    Without `diagnostics` the first rejected record raises RowError with the
+    line it ends on, so a read reports the first bad line of the file; with
+    it (anything with `append`) each is dropped, its RowError appended as met.
     """
     start = 0
     for lines, cells in chunks:

@@ -795,7 +795,7 @@ class TestUnreadableInput:
         assert err.startswith("error: line 3: ") and "field limit" not in err
 
     def test_lenient_replay_fails_on_the_unreadable_line(self, capsys, tmp_path):
-        # stdout keeps the good records before line 5; line 3's warning is not printed
+        # stdout keeps the good records before line 5, and line 3's warning comes before the error
         src = tmp_path / "in.csv"
         src.write_text("t_ms,raw_hv,raw_shunt\n0,652,2596\n0,652,2596\n")
         want = run_cli(capsys, "acq", "replay", "--strict", "--in", str(src))[1]
@@ -804,7 +804,8 @@ class TestUnreadableInput:
         code, out, err = run_cli(capsys, "acq", "replay", "--in", str(src))
         assert code == 1
         assert out == want and want.count("\n") == 3
-        assert err == "error: line 5: field larger than field limit (131072)\n"
+        assert err == ("warning: line 3: bad raw frame: could not convert string to float: 'x'\n"
+                       "error: line 5: field larger than field limit (131072)\n")
 
     def test_lenient_replay_still_exits_1(self, capsys, tmp_path):
         # replay skips malformed rows, but not what the reader cannot read

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import plasmakit
-from plasmakit import CalibrationCurve, files
+from plasmakit import CalibrationCurve, acquisition, files
 from plasmakit.calibration import curve_to_dict
 from plasmakit.cli import main
 
@@ -158,19 +158,31 @@ def test_a_late_error_on_stdout_leaves_the_rows_written_before_it(capsys, tmp_pa
 def test_a_failing_run_leaves_exactly_the_chunks_before_the_error(capsys, tmp_path, rows,
                                                                   failure):
     """stdout holds the rows of the records before the failing chunk (for a line
-    the reader cannot read, of the records before that line), as a replay of
-    those records alone writes them; an --out target stays as it was."""
+    the reader cannot read, of the good records before that line), as a replay
+    of those records alone writes them; an --out target stays as it was.  A
+    lenient run warns of every bad row before the unreadable line, one cell
+    of them twice in chunks apart, and then fails on it."""
     header = "t_ms,raw_hv,raw_shunt,raw_ldr"
     records = [f"{k * 0.25!r},{600 + k},{2500 + k},{(100 + k) * (k % 3 > 0) or ''}"
                for k in range(20)]
-    at = 11
+    at, bad = 11, {}
     if failure == "strict bad row":
         records[at], argv, keep = "2.75,652,x,1", ["--strict"], at // rows * rows
         message = "error: line 13: bad raw frame: invalid literal for int() with base 10: 'x'\n"
     else:
+        bad = {2: "0.5,x,2502,102", 5: "1.25,9999,2505,105", 7: "1.75,607,2507,1e3",
+               9: "2.25,x,2509,109"}
+        for k, record in bad.items():
+            records[k] = record
         records[at], argv, keep = UNREADABLE, [], at
-        message = "error: line 13: field larger than field limit (131072)\n"
-    want = replay_of(capsys, tmp_path, header, records[:keep])
+        message = ("warning: line 4: bad raw frame: invalid literal for int() with base 10: 'x'\n"
+                   "warning: line 7: hv channel: count 9999 outside [0, 4095]\n"
+                   "warning: line 9: bad raw frame: invalid literal for int() with base 10: "
+                   "'1e3'\n"
+                   "warning: line 11: bad raw frame: invalid literal for int() with base 10: 'x'\n"
+                   "error: line 13: field larger than field limit (131072)\n")
+    want = replay_of(capsys, tmp_path, header,
+                     [record for k, record in enumerate(records[:keep]) if k not in bad])
     path = tmp_path / "frames.csv"
     path.write_text("\n".join([header, *records]) + "\n")
     out = tmp_path / "out" / "samples.csv"
@@ -310,6 +322,30 @@ def test_ten_times_the_frames_peak_within_ten_percent(tmp_path):
     assert large <= 1.1 * small, peaks
 
 
+def distinct_bad_frames(path: Path, frames: int) -> None:
+    """`frames` raw frames, each 20th one bad with a count of its own (5%, no bad cell repeated)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t_ms,raw_hv,raw_shunt\n")
+        for start in range(0, frames, 100_000):
+            fh.write("".join(f"{k * 0.25!r},{4096 + k if k % 20 == 0 else 600 + k % 3000},"
+                             f"{2500 + k % 1500}\n"
+                             for k in range(start, min(frames, start + 100_000))))
+
+
+@pytest.mark.skipif("VmHWM:" not in status(), reason="no VmHWM in /proc/self/status")
+def test_ten_times_the_frames_with_distinct_bad_cells_peak_within_ten_percent(tmp_path):
+    # lenient replay keeps nothing per bad row: neither its warning nor its failing cell
+    peaks = []
+    for frames in (100_000, 1_000_000):
+        path = tmp_path / f"frames-{frames}.csv"
+        distinct_bad_frames(path, frames)
+        peaks.append(peak_kb(["acq", "replay", "--in", str(path), "--out", os.devnull]))
+        path.unlink()
+    (small_code, small), (large_code, large) = peaks
+    assert small_code == large_code == 0
+    assert large <= 1.1 * small, peaks
+
+
 class Flushes(io.StringIO):
     """A stdout that records how much it holds at each flush."""
 
@@ -328,3 +364,37 @@ def test_replay_to_stdout_flushes_each_chunk(monkeypatch, tmp_path):
     with mock.patch.object(files, "CHUNK_ROWS", 8):
         assert main(["acq", "replay", "--in", str(path)]) == 0
     assert sys.stdout.lines[:3] == [9, 17, 21]  # the header and chunks of 8, 8 and 4 rows
+
+
+def test_each_chunks_warnings_come_before_its_rows(monkeypatch, tmp_path):
+    """On one stream for stdout and stderr, as a shared terminal shows them,
+    lenient replay prints a chunk's warnings, then its rows, chunk by chunk,
+    and `wrote <path>` last; the diagnostics' len() is the count of warnings."""
+    bad = {1, 6, 8, 9, 10, 11, 21}  # records 8-11 fill the third chunk of 4
+    path = tmp_path / "frames.csv"
+    path.write_text("t_ms,raw_hv,raw_shunt\n" + "".join(
+        f"{k},{'x' if k in bad else 652},2596\n" for k in range(23)))
+    shared = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", shared)
+    monkeypatch.setattr(sys, "stderr", shared)
+    with mock.patch.object(files, "CHUNK_ROWS", 4), mock.patch.object(
+            acquisition, "replay_stream", wraps=acquisition.replay_stream) as replay:
+        assert main(["acq", "replay", "--in", str(path)]) == 0
+        order = []  # (chunk, 0 for a warning or 1 for a row) of each line
+        for line in shared.getvalue().splitlines():
+            if line.startswith("warning: line "):
+                order.append(((int(line.split()[2].rstrip(":")) - 2) // 4, 0))
+            elif line != "t_ms,v_volts,i_amps,p_watts,lux":
+                order.append((int(float(line.split(",")[0])) // 4, 1))
+        assert order == sorted(order) and order[-1][1] == 1
+        assert [chunk for chunk, kind in order if kind == 0] == [k // 4 for k in sorted(bad)]
+        diagnostics = replay.call_args.kwargs["diagnostics"]
+        assert len(diagnostics) == len(bad) == sum(kind == 0 for _, kind in order)
+        shared.seek(0)
+        shared.truncate()
+        out = tmp_path / "samples.csv"
+        assert main(["acq", "replay", "--in", str(path), "--out", str(out)]) == 0
+    *warnings, wrote = shared.getvalue().splitlines()
+    assert len(warnings) == len(replay.call_args.kwargs["diagnostics"]) == len(bad)
+    assert all(line.startswith("warning: line ") for line in warnings)
+    assert wrote == f"wrote {out} ({23 - len(bad)} samples)"
